@@ -50,6 +50,11 @@ pub enum Kernel {
     BatchedMatmul,
     /// `stod_graph::cheby_basis_multi` (Eq. 5 recurrence, parallel over signals).
     Cheby,
+    /// `stod_nn::layers::ChebyConv` — the fused Eq. 5 layer the models
+    /// run: its output and its gradients with respect to `X` and `W`,
+    /// over dense shapes on both sides of the blocked/naive dispatch and
+    /// over CSR filters.
+    ChebyConv,
     /// `stod_nn::layers::GruCell::step` through the tape.
     Gru,
     /// `stod_core::recovery::recover` (Eq. 3: rank-β product + bucket softmax).
@@ -83,11 +88,12 @@ pub enum Kernel {
 
 impl Kernel {
     /// Every kernel, in fuzzing order.
-    pub const ALL: [Kernel; 14] = [
+    pub const ALL: [Kernel; 15] = [
         Kernel::Matmul,
         Kernel::Matvec,
         Kernel::BatchedMatmul,
         Kernel::Cheby,
+        Kernel::ChebyConv,
         Kernel::Gru,
         Kernel::Recovery,
         Kernel::MaskedLoss,
@@ -107,6 +113,7 @@ impl Kernel {
             Kernel::Matvec => "matvec",
             Kernel::BatchedMatmul => "batched_matmul",
             Kernel::Cheby => "cheby",
+            Kernel::ChebyConv => "cheby_conv",
             Kernel::Gru => "gru",
             Kernel::Recovery => "recovery",
             Kernel::MaskedLoss => "masked_loss",
@@ -249,6 +256,46 @@ pub fn initial_dims(kernel: Kernel, seed: u64) -> Vec<usize> {
                 ]
             }
         }
+        Kernel::ChebyConv => {
+            // [batch, nodes, feat, order, out, csr]
+            let (batch, order, out) = (
+                gen::dim(&mut rng, 1, 4),
+                gen::dim(&mut rng, 1, 5),
+                gen::dim(&mut rng, 1, 8),
+            );
+            if big {
+                // train_paper's first factorization stage (N = 67, F = 7:
+                // blocked per slice), wide enough for the pool path.
+                vec![4, 67, 7, 4, 16, 0]
+            } else {
+                match rng.next_below(3) {
+                    // Dense with a per-slice product over the blocked
+                    // threshold (N·N·F ≥ 24³, N ≥ 2·MR).
+                    0 => {
+                        let n = gen::dim(&mut rng, 24, 40);
+                        let f = (24 * 24 * 24usize).div_ceil(n * n) + rng.next_below(4);
+                        vec![batch, n, f, order, out, 0]
+                    }
+                    // Dense and small: the naive kernel.
+                    1 => vec![
+                        batch,
+                        gen::dim(&mut rng, 1, 12),
+                        gen::dim(&mut rng, 1, 8),
+                        order,
+                        out,
+                        0,
+                    ],
+                    _ => vec![
+                        batch,
+                        gen::dim(&mut rng, 1, 24),
+                        gen::dim(&mut rng, 1, 8),
+                        order,
+                        out,
+                        1,
+                    ],
+                }
+            }
+        }
         Kernel::Gru => {
             if big {
                 vec![64, 32, 32] // gate matmul 64·32·96 = 196 608
@@ -381,6 +428,7 @@ fn normalize_dims(kernel: Kernel, dims: &[usize]) -> Vec<usize> {
         Kernel::StridedDot => 4,
         Kernel::SparseRecovery => 7,
         Kernel::Spmm => 4,
+        Kernel::ChebyConv => 6,
     };
     let mut d: Vec<usize> = dims
         .iter()
@@ -398,6 +446,10 @@ fn normalize_dims(kernel: Kernel, dims: &[usize]) -> Vec<usize> {
             d[6] = dims.get(6).copied().unwrap_or(0) % 4;
         }
         Kernel::Spmm => d[3] = dims.get(3).copied().unwrap_or(0) % 4,
+        Kernel::ChebyConv => {
+            d[3] = d[3].min(5);
+            d[5] = dims.get(5).copied().unwrap_or(0) % 2;
+        }
         _ => {}
     }
     d
@@ -516,6 +568,46 @@ fn build_inputs(kernel: Kernel, seed: u64, dims: &[usize]) -> Vec<InputBuf> {
                 },
             ]
         }
+        Kernel::ChebyConv => {
+            let (batch, n, f, order, out, csr) =
+                (dims[0], dims[1], dims[2], dims[3], dims[4], dims[5]);
+            // A symmetric operator (the CSR filter requires it) scaled so
+            // no row's absolute sum exceeds 1, like a scaled Laplacian's
+            // spectrum in [−1, 1]: the recurrence then stays in range for
+            // every value class instead of overflowing at order 2. CSR
+            // cases also drop about half the off-diagonal entries.
+            let raw = gen::fill(&mut rng, class, n * n);
+            let keep = gen::fill_mask(&mut rng, n * n, if csr == 1 { 0.5 } else { 0.0 });
+            let mut l = vec![0.0f32; n * n];
+            for i in 0..n {
+                for j in i..n {
+                    let v = if i == j {
+                        raw[i * n + j]
+                    } else {
+                        raw[i * n + j] * keep[i * n + j]
+                    };
+                    l[i * n + j] = v;
+                    l[j * n + i] = v;
+                }
+            }
+            let row_sum = (0..n)
+                .map(|i| l[i * n..(i + 1) * n].iter().map(|v| v.abs()).sum::<f32>())
+                .fold(0.0f32, f32::max);
+            if row_sum > 1.0 {
+                l.iter_mut().for_each(|v| *v /= row_sum);
+            }
+            vec![
+                InputBuf {
+                    name: "l",
+                    dims: vec![n, n],
+                    data: l,
+                },
+                buf(&mut rng, "x", &[batch, n, f]),
+                buf(&mut rng, "w", &[order * f, out]),
+                buf(&mut rng, "b", &[out]),
+                buf(&mut rng, "g", &[batch, n, out]),
+            ]
+        }
         Kernel::Cheby => {
             let (n, _order, signals) = (dims[0], dims[1], dims[2]);
             let mut out = vec![buf(&mut rng, "l", &[n, n])];
@@ -621,6 +713,34 @@ fn run_production(kernel: Kernel, dims: &[usize], inputs: &[InputBuf]) -> Vec<f3
                 .flat_map(|b| b.data().to_vec())
                 .collect()
         }
+        Kernel::ChebyConv => {
+            use stod_nn::layers::{ChebyConv, ChebyFilter};
+            let (f, order, out) = (dims[2], dims[3], dims[4]);
+            let filter = if dims[5] == 1 {
+                ChebyFilter::from(stod_tensor::CsrMatrix::from_dense(&t(0)))
+            } else {
+                ChebyFilter::from(t(0))
+            };
+            let mut store = ParamStore::new();
+            let conv = ChebyConv::new(&mut store, "c", filter, order, f, out, &mut Rng64::new(1));
+            let ws = store.id_of("c.ws").unwrap();
+            store.set(ws, t(2));
+            store.set(store.id_of("c.b").unwrap(), t(3));
+            let mut tape = Tape::new();
+            let x = tape.leaf(t(1));
+            let y = conv.apply(&mut tape, &store, x);
+            // Σ Y ⊙ G hands the layer exactly G as its upstream gradient.
+            let g = tape.constant(t(4));
+            let yg = tape.mul(y, g);
+            let loss = tape.sum_all(yg);
+            let dx = tape
+                .backward_wrt(loss, &[x])
+                .remove(0)
+                .expect("input gradient");
+            let grads = tape.backward(loss);
+            let dw = grads.get(ws).expect("filter-bank gradient");
+            [tape.value(y).data(), dx.data(), dw.data()].concat()
+        }
         Kernel::Gru => {
             let (in_dim, hidden) = (dims[1], dims[2]);
             let mut store = ParamStore::new();
@@ -708,6 +828,18 @@ fn run_oracle(kernel: Kernel, dims: &[usize], inputs: &[InputBuf]) -> OracleOut 
             }
             OracleOut { values, mags }
         }
+        Kernel::ChebyConv => oracle::cheby_conv(
+            &inputs[0].data,
+            &inputs[1].data,
+            &inputs[2].data,
+            &inputs[3].data,
+            &inputs[4].data,
+            dims[0],
+            dims[1],
+            dims[2],
+            dims[3],
+            dims[4],
+        ),
         Kernel::Gru => oracle::gru_cell(
             &inputs[0].data,
             &inputs[1].data,
@@ -763,6 +895,13 @@ fn tolerance(kernel: Kernel, dims: &[usize]) -> (usize, u64) {
         Kernel::Matvec => (dims[1], 2),
         Kernel::BatchedMatmul => (dims[2], 8),
         Kernel::Cheby => ((dims[0] + 8) * dims[1], 32),
+        // Error compounds through every recurrence level (N-term sums per
+        // level) plus the S·F-term mix or the O-term and B·N-term
+        // gradient products.
+        Kernel::ChebyConv => (
+            (dims[1] + 8) * (dims[3] + 1) + dims[3] * dims[2] + dims[4] + dims[0] * dims[1],
+            64,
+        ),
         Kernel::Gru => (dims[1] + dims[2] + 8, 64),
         Kernel::Recovery => (2 * (dims[2] + 8), 64),
         Kernel::MaskedLoss => (dims[0] * dims[1], 16),

@@ -189,6 +189,172 @@ pub fn cheby_basis(l: &[f32], x: &[f32], n: usize, order: usize) -> OracleOut {
     OracleOut { values, mags }
 }
 
+/// The Cheby-Net layer of Eq. 5 and its gradients, for the fused
+/// `stod_nn::layers::ChebyConv` op.
+///
+/// Per batch item, `T₀ = X`, `T₁ = L̃X`, `T_s = 2L̃T_{s−1} − T_{s−2}` over
+/// the node axis, and `Y = Σ_s T_s·W_s + b` with `W [S·F, O]`. Under the
+/// upstream gradient `G = ∂loss/∂Y`, `dZ_s = G·W_sᵀ`, `dW_s = Σ_rows T_sᵀ·G`,
+/// and the adjoint recurrence runs from `dT_{S−1} = dZ_{S−1}` down:
+/// `dT_k = dZ_k − dT_{k+2} + c·L̃ᵀdT_{k+1}` with `c = 2` for `k ≥ 1` and
+/// `c = 1` for `k = 0`, `dX = dT₀`. Returns `[Y, dX, dW]` flattened (row
+/// major). Magnitudes propagate through every level, floored at
+/// `f32::MIN_POSITIVE` like [`cheby_basis`]; if any intermediate scale
+/// leaves the `f32` range, every element is flagged unverifiable.
+#[allow(clippy::too_many_arguments)]
+pub fn cheby_conv(
+    l: &[f32],
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    g: &[f32],
+    batch: usize,
+    n: usize,
+    f: usize,
+    order: usize,
+    out: usize,
+) -> OracleOut {
+    assert!(order >= 1);
+    assert_eq!(l.len(), n * n);
+    assert_eq!(x.len(), batch * n * f);
+    assert_eq!(w.len(), order * f * out);
+    assert_eq!(bias.len(), out);
+    assert_eq!(g.len(), batch * n * out);
+    let floor = f32::MIN_POSITIVE as f64;
+    let sf = order * f;
+    // (L̃ or L̃ᵀ)·v per batch item over the node axis, with its magnitude.
+    let prop = |v: &[f64], m: &[f64], transpose: bool| -> (Vec<f64>, Vec<f64>) {
+        let mut pv = vec![0.0f64; batch * n * f];
+        let mut pm = vec![0.0f64; batch * n * f];
+        for b in 0..batch {
+            for i in 0..n {
+                for j in 0..n {
+                    let lij = if transpose {
+                        l[j * n + i]
+                    } else {
+                        l[i * n + j]
+                    } as f64;
+                    for c in 0..f {
+                        let (dst, src) = ((b * n + i) * f + c, (b * n + j) * f + c);
+                        pv[dst] += lij * v[src];
+                        pm[dst] += lij.abs() * m[src];
+                    }
+                }
+            }
+        }
+        (pv, pm)
+    };
+
+    // Forward basis.
+    let mut t: Vec<Vec<f64>> = vec![x.iter().map(|&v| v as f64).collect()];
+    let mut tm: Vec<Vec<f64>> = vec![x.iter().map(|&v| (v as f64).abs().max(floor)).collect()];
+    for s in 1..order {
+        let (pv, pm) = prop(&t[s - 1], &tm[s - 1], false);
+        let (vals, mags) = if s == 1 {
+            (pv, pm)
+        } else {
+            let v = pv.iter().zip(&t[s - 2]).map(|(p, q)| 2.0 * p - q).collect();
+            let m = pm
+                .iter()
+                .zip(&tm[s - 2])
+                .map(|(p, q)| 2.0 * p + q)
+                .collect();
+            (v, m)
+        };
+        t.push(vals);
+        tm.push(mags.into_iter().map(|m: f64| m.max(floor)).collect());
+    }
+
+    let rows = batch * n;
+    let mut values = Vec::with_capacity(rows * out + rows * f + sf * out);
+    let mut mags = Vec::with_capacity(values.capacity());
+    // Y = Z·W + b.
+    for r in 0..rows {
+        for o in 0..out {
+            let (mut acc, mut mg) = (bias[o] as f64, (bias[o] as f64).abs());
+            for s in 0..order {
+                for c in 0..f {
+                    let wv = w[(s * f + c) * out + o] as f64;
+                    acc += t[s][r * f + c] * wv;
+                    mg += tm[s][r * f + c] * wv.abs();
+                }
+            }
+            values.push(acc);
+            mags.push(mg.max(floor));
+        }
+    }
+
+    // dZ_s = G·W_sᵀ, then the adjoint recurrence.
+    let dz = |s: usize| -> (Vec<f64>, Vec<f64>) {
+        let mut v = vec![0.0f64; rows * f];
+        let mut m = vec![0.0f64; rows * f];
+        for r in 0..rows {
+            for c in 0..f {
+                for o in 0..out {
+                    let (gv, wv) = (g[r * out + o] as f64, w[(s * f + c) * out + o] as f64);
+                    v[r * f + c] += gv * wv;
+                    m[r * f + c] += (gv * wv).abs();
+                }
+            }
+        }
+        (v, m)
+    };
+    let mut dt: Vec<(Vec<f64>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); order];
+    for k in (0..order).rev() {
+        let (mut v, mut m) = dz(k);
+        if k + 2 < order {
+            for ((a, am), (b, bm)) in v
+                .iter_mut()
+                .zip(m.iter_mut())
+                .zip(dt[k + 2].0.iter().zip(&dt[k + 2].1))
+            {
+                *a -= b;
+                *am += bm;
+            }
+        }
+        if k + 1 < order {
+            let c = if k == 0 { 1.0 } else { 2.0 };
+            let (pv, pm) = prop(&dt[k + 1].0, &dt[k + 1].1, true);
+            for ((a, am), (p, q)) in v.iter_mut().zip(m.iter_mut()).zip(pv.iter().zip(&pm)) {
+                *a += c * p;
+                *am += c * q;
+            }
+        }
+        m.iter_mut().for_each(|x| *x = x.max(floor));
+        dt[k] = (v, m);
+    }
+    values.extend_from_slice(&dt[0].0);
+    mags.extend_from_slice(&dt[0].1);
+
+    // dW_s = Σ_rows T_sᵀ·G.
+    for s in 0..order {
+        for c in 0..f {
+            for o in 0..out {
+                let (mut acc, mut mg) = (0.0f64, 0.0f64);
+                for r in 0..rows {
+                    let gv = g[r * out + o] as f64;
+                    acc += t[s][r * f + c] * gv;
+                    mg += tm[s][r * f + c] * gv.abs();
+                }
+                values.push(acc);
+                mags.push(mg.max(floor));
+            }
+        }
+    }
+
+    // NaN counts as out of range too.
+    let in_range = |m: &f64| *m < f32::MAX as f64;
+    let mut scales = tm
+        .iter()
+        .chain(dt.iter().map(|(_, m)| m))
+        .flatten()
+        .chain(&mags);
+    if !scales.all(in_range) {
+        mags.iter_mut().for_each(|m| *m = f64::INFINITY);
+    }
+    OracleOut { values, mags }
+}
+
 /// Stable softmax along the middle extent of an `[outer, mid, inner]`
 /// view, entirely in `f64`. Outputs lie in `[0, 1]`; the magnitude is the
 /// pre-division exponential sum scale, normalized to ~1.

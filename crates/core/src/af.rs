@@ -544,6 +544,7 @@ impl AfModel {
 
         // Stage 1: spatial factorization of every historical step, arranged
         // as node-major sequences for the CNRNNs.
+        let factorize_span = stod_obs::span!("af/factorize");
         let mut r_seq = Vec::with_capacity(inputs.len());
         let mut c_seq = Vec::with_capacity(inputs.len());
         for t in inputs {
@@ -556,11 +557,16 @@ impl AfModel {
             c_seq.push(tape.reshape(ct, &[b, nd, feat]));
         }
 
+        drop(factorize_span);
+
         // Stage 2: spatio-temporal forecasting.
+        let forecast_span = stod_obs::span!("af/forecast");
         let r_future = self.forecast(tape, &self.r_rnn, &r_seq, horizon);
         let c_future = self.forecast(tape, &self.c_rnn, &c_seq, horizon);
+        drop(forecast_span);
 
         // Recovery + Eq. 11 regularizers.
+        let _recover_span = stod_obs::span!("af/recover");
         let bias = self.recovery_bias(tape);
         let mut predictions = Vec::with_capacity(horizon);
         let mut reg: Option<Var> = None;

@@ -157,6 +157,7 @@ pub fn recover_sparse(tape: &mut Tape, r: Var, c: Var, bias: Option<Var>, cells:
         None => vec![r, c],
     };
     tape.custom_op(
+        "recover_masked",
         value,
         &parents,
         Box::new(move |g, ps, y, needs| {

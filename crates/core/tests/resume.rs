@@ -10,7 +10,7 @@ use stod_core::{
     train, train_resume, train_robust, BfModel, FaultPolicy, Mode, ModelOutput, OdForecaster,
     RobustConfig, TrainConfig, TrainError, TrainReport,
 };
-use stod_faultline::{install, FaultPlan, FaultSite};
+use stod_faultline::{install, quiet, FaultPlan, FaultSite};
 use stod_nn::{ParamStore, Tape};
 use stod_tensor::rng::Rng64;
 use stod_tensor::Tensor;
@@ -59,6 +59,8 @@ fn fingerprint(model: &BfModel, report: &TrainReport) -> (Vec<u8>, Vec<u32>, Vec
 /// loss trajectory, validation curve, and final weights bitwise.
 #[test]
 fn kill_and_resume_is_bitwise_identical() {
+    // Fault-free: the chaos tests in this binary arm plans process-wide.
+    let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let val = &windows[..4];
@@ -134,6 +136,8 @@ fn kill_and_resume_is_bitwise_identical() {
 /// trainer already guarantees this; the robust loop must preserve it).
 #[test]
 fn robust_trajectory_thread_invariant() {
+    // Fault-free: the chaos tests in this binary arm plans process-wide.
+    let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(5);
@@ -159,6 +163,8 @@ fn robust_trajectory_thread_invariant() {
 /// RNG/shuffle sequence as the legacy `train` — their trajectories match.
 #[test]
 fn robust_matches_plain_trainer_without_faults() {
+    // Fault-free: the chaos tests in this binary arm plans process-wide.
+    let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(9);
@@ -195,6 +201,8 @@ fn robust_matches_plain_trainer_without_faults() {
 /// `train_resume` without an existing checkpoint file starts fresh.
 #[test]
 fn resume_without_checkpoint_starts_fresh() {
+    // Fault-free: the chaos tests in this binary arm plans process-wide.
+    let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(3);
@@ -215,6 +223,8 @@ fn resume_without_checkpoint_starts_fresh() {
 /// never a silent restart.
 #[test]
 fn resume_rejects_damaged_checkpoint() {
+    // Fault-free: the chaos tests in this binary arm plans process-wide.
+    let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(4);
@@ -271,6 +281,7 @@ fn injected_save_faults_never_damage_previous_checkpoint() {
     };
 
     // Fault-free baseline.
+    let quiet_baseline = quiet();
     let mut base_model = fresh_model(6);
     let base = train_robust(
         &mut base_model,
@@ -292,6 +303,7 @@ fn injected_save_faults_never_damage_previous_checkpoint() {
         &path
     })
     .unwrap();
+    drop(quiet_baseline);
 
     // Every subsequent save fails (alternating fault kinds by seed).
     for (fault_seed, site) in [
@@ -342,15 +354,18 @@ fn injected_abort_then_resume_matches_baseline() {
     };
 
     let mut base_model = fresh_model(8);
-    let base = train_robust(
-        &mut base_model,
-        &ds,
-        &windows,
-        None,
-        &cfg,
-        &RobustConfig::default(),
-    )
-    .unwrap();
+    let base = {
+        let _quiet = quiet();
+        train_robust(
+            &mut base_model,
+            &ds,
+            &windows,
+            None,
+            &cfg,
+            &RobustConfig::default(),
+        )
+        .unwrap()
+    };
 
     let mut model = fresh_model(8);
     {
@@ -442,6 +457,8 @@ impl OdForecaster for Poisoned {
 
 #[test]
 fn halt_policy_stops_on_first_poisoned_batch() {
+    // Fault-free: the chaos tests in this binary arm plans process-wide.
+    let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(1);
@@ -464,6 +481,8 @@ fn halt_policy_stops_on_first_poisoned_batch() {
 
 #[test]
 fn skip_policy_completes_and_counts_every_poisoned_batch() {
+    // Fault-free: the chaos tests in this binary arm plans process-wide.
+    let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(2);
@@ -490,6 +509,8 @@ fn skip_policy_completes_and_counts_every_poisoned_batch() {
 
 #[test]
 fn rollback_policy_gives_up_after_max_rollbacks() {
+    // Fault-free: the chaos tests in this binary arm plans process-wide.
+    let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(3);

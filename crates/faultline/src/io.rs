@@ -72,7 +72,7 @@ fn write_tmp(tmp: &Path, bytes: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{install, FaultPlan};
+    use crate::{install, quiet, FaultPlan};
 
     fn tmp_dir() -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -86,6 +86,7 @@ mod tests {
 
     #[test]
     fn writes_and_replaces() {
+        let _quiet = quiet();
         let path = tmp_dir().join("a.bin");
         atomic_write(&path, b"first").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
@@ -98,7 +99,11 @@ mod tests {
     #[test]
     fn injected_interrupt_leaves_previous_file_intact() {
         let path = tmp_dir().join("b.bin");
-        atomic_write(&path, b"durable").unwrap();
+        {
+            // The setup write must not see a plan another test installed.
+            let _quiet = quiet();
+            atomic_write(&path, b"durable").unwrap();
+        }
         {
             let _guard = install(FaultPlan::new(1).with(FaultSite::SaveInterrupt, 1.0, 0));
             let err = atomic_write(&path, b"never lands").unwrap_err();
@@ -112,7 +117,11 @@ mod tests {
     #[test]
     fn injected_disk_full_leaves_previous_file_intact() {
         let path = tmp_dir().join("c.bin");
-        atomic_write(&path, b"durable").unwrap();
+        {
+            // The setup write must not see a plan another test installed.
+            let _quiet = quiet();
+            atomic_write(&path, b"durable").unwrap();
+        }
         {
             let _guard = install(FaultPlan::new(2).with(FaultSite::SaveDiskFull, 1.0, 0));
             let err = atomic_write(&path, b"never lands").unwrap_err();

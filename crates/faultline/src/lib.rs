@@ -421,6 +421,20 @@ pub fn install(plan: FaultPlan) -> FaultGuard {
     }
 }
 
+/// Holds injection off for the lifetime of the returned guard: an empty
+/// plan installed under the same lock as [`install`].
+///
+/// The injector is process-global, and test binaries run their tests on
+/// parallel threads. A fault-free baseline that runs unguarded beside a
+/// chaos test can therefore see that test's plan fire. Wrapping the
+/// baseline in `quiet()` waits for any installed plan to drop and keeps
+/// new ones (and a `STOD_FAULTS` plan) from firing until the baseline is
+/// done. Like [`install`], it must not be nested with another guard on
+/// the same thread.
+pub fn quiet() -> FaultGuard {
+    install(FaultPlan::new(0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,10 +442,12 @@ mod tests {
     #[test]
     fn disabled_injector_never_fires() {
         // No guard installed and (in the test environment) no STOD_FAULTS:
-        // every site must stay quiet.
+        // every site must stay quiet. Holding the install lock keeps other
+        // tests' plans out for the duration.
         if std::env::var_os("STOD_FAULTS").is_some() {
             return; // environment-armed run; skip
         }
+        let _lock = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         for &site in &ALL_SITES {
             assert_eq!(fire(site), None);
         }
@@ -512,6 +528,23 @@ mod tests {
         if std::env::var_os("STOD_FAULTS").is_none() {
             assert_eq!(fire(FaultSite::TrainAbort), None, "guard dropped, disarmed");
         }
+    }
+
+    #[test]
+    fn quiet_waits_for_installed_plans_and_silences_every_site() {
+        let guard = install(FaultPlan::new(9).with(FaultSite::TrainAbort, 1.0, 0));
+        let waiter = std::thread::spawn(|| {
+            let _quiet = quiet();
+            ALL_SITES.iter().all(|&site| fire(site).is_none())
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(
+            fire(FaultSite::TrainAbort),
+            Some(0),
+            "quiet() must wait for the installed plan instead of replacing it"
+        );
+        drop(guard);
+        assert!(waiter.join().unwrap(), "a site fired under quiet()");
     }
 
     #[test]

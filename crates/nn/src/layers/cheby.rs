@@ -5,12 +5,42 @@
 //! `L̃ = 2L/λ_max − I`, the layer computes the Chebyshev basis
 //! `T₀ = X`, `T₁ = L̃·X`, `T_s = 2·L̃·T_{s−1} − T_{s−2}` and mixes it with a
 //! learned filter bank: `Y = Σ_s T_s·W_s + b`.
+//!
+//! # One tape node per call
+//!
+//! [`ChebyConv::apply`] records the whole layer as a single fused tape op
+//! (`cheby_conv`, DESIGN.md §5b). The recurrence runs on node-major
+//! panels `[N, B·F]`, so each Chebyshev order is one 2-D product over the
+//! whole batch instead of `B` tiny per-slice products, and each `T_s` is
+//! written straight into its column block of the mixing operand
+//! `Z [B·N, S·F]`; one `Z·W` GEMM and a row-pass bias add finish the
+//! layer. Only `Z` and the output stay alive for the backward pass.
+//!
+//! The fused op is bitwise identical to the composed layer it replaced —
+//! forecasts, input gradients and parameter gradients — because:
+//!
+//! * dense propagation picks the blocked or naive kernel by the per-slice
+//!   shape `[N×N]·[N×F]` ([`gemm::uses_blocked`]), never by the panel
+//!   width, and both kernels give every element the same FMA chain at any
+//!   width;
+//! * `T_s` is rounded as scale-then-subtract, as the composed ops did;
+//! * the backward multiplies by an explicit `L̃ᵀ` (built once per layer),
+//!   computes `dW = Zᵀ·dY` and `db = Σ_rows dY` with the same `matmul` and
+//!   `sum_axis` calls, accumulates each `dT_k` as `slice_k`, then
+//!   `−dT_{k+2}`, then `L̃ᵀ·(2·dT_{k+1})`, and lists the input as a parent
+//!   up to three times so its contributions reach the tape in the old
+//!   order `[slice₀, −dT₂, L̃ᵀ·dT₁]` — which matters when the input has
+//!   other consumers, as the GCGRU gates' shared `[X ‖ H]` does.
+//!
+//! The composed layer survives as the test oracle the unit suite compares
+//! the fused op against, bit for bit.
 
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use std::sync::Arc;
+use stod_tensor::ops::{elementwise as ew, gemm, matmul as mm, transform as tf};
 use stod_tensor::rng::Rng64;
-use stod_tensor::{CsrMatrix, Tensor};
+use stod_tensor::{arena, CsrMatrix, Tensor};
 
 /// The fixed graph operator a [`ChebyConv`] propagates over — a scaled
 /// Laplacian held either dense or in CSR form.
@@ -21,13 +51,14 @@ use stod_tensor::{CsrMatrix, Tensor};
 /// product touching only stored entries, with the backward pass
 /// multiplying by the same matrix again — sound because scaled
 /// Laplacians are symmetric, which the CSR constructor asserts.
+/// The dense backward multiplies by an explicit transpose instead.
 #[derive(Clone)]
 pub enum ChebyFilter {
-    /// Dense scaled Laplacian `L̃ ∈ R^{N×N}`; propagation is a batched
-    /// GEMM through the tape.
+    /// Dense scaled Laplacian `L̃ ∈ R^{N×N}`; propagation is one GEMM per
+    /// Chebyshev order over a node-major panel.
     Dense(Tensor),
-    /// CSR scaled Laplacian; propagation is `CsrMatrix::spmm_panel`
-    /// wrapped in a custom tape op.
+    /// CSR scaled Laplacian; propagation is one `CsrMatrix::spmm_panel`
+    /// per Chebyshev order over a node-major panel.
     Csr(Arc<CsrMatrix>),
 }
 
@@ -88,38 +119,225 @@ impl From<Arc<CsrMatrix>> for ChebyFilter {
 pub fn csr_propagate(tape: &mut Tape, m: Arc<CsrMatrix>, x: Var) -> Var {
     let y = m.spmm_panel(tape.value(x));
     tape.custom_op(
+        "csr_propagate",
         y,
         &[x],
         Box::new(move |g, _, _, needs| vec![needs[0].then(|| m.spmm_panel(g))]),
     )
 }
 
-/// Per-`apply` propagation context: the dense path pins its Laplacian
-/// to the tape once (one constant node reused by every recurrence
-/// step), the CSR path carries the shared matrix.
-enum PropCtx {
-    Dense(Var),
+/// A layer's graph operator in the form the fused op consumes: dense `L̃`
+/// with its explicit transpose, both built once per layer, or the shared
+/// CSR matrix, which is symmetric and so its own transpose.
+#[derive(Clone)]
+enum Propagator {
+    Dense { l: Arc<Tensor>, lt: Arc<Tensor> },
     Csr(Arc<CsrMatrix>),
 }
 
-impl PropCtx {
-    fn propagate(&self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            PropCtx::Dense(l) => tape.batched_matmul(*l, x),
-            PropCtx::Csr(m) => csr_propagate(tape, m.clone(), x),
+impl Propagator {
+    fn new(filter: ChebyFilter) -> Propagator {
+        match filter {
+            ChebyFilter::Dense(l) => {
+                let lt = tf::transpose(&l, 0, 1);
+                Propagator::Dense {
+                    l: Arc::new(l),
+                    lt: Arc::new(lt),
+                }
+            }
+            ChebyFilter::Csr(m) => Propagator::Csr(m),
         }
     }
+
+    fn num_nodes(&self) -> usize {
+        match self {
+            Propagator::Dense { l, .. } => l.dim(0),
+            Propagator::Csr(m) => m.rows(),
+        }
+    }
+
+    /// `L̃·p`, or `L̃ᵀ·p` when `transposed`, for a node-major panel
+    /// `p [N, B·F]` holding `B` slices of `feat` features side by side.
+    ///
+    /// A dense product picks its kernel by the per-slice shape
+    /// `[N×N]·[N×feat]`, never by the panel width: the blocked and naive
+    /// kernels each give an element the same FMA chain at any width, so
+    /// every element comes out as the per-slice batched product made it.
+    fn propagate(&self, p: &Tensor, feat: usize, transposed: bool) -> Tensor {
+        match self {
+            Propagator::Dense { l, lt } => {
+                let a = if transposed { lt } else { l };
+                let (n, width) = (p.dim(0), p.dim(1));
+                let mut out = arena::alloc_filled(n * width, 0.0);
+                if gemm::uses_blocked(n, n, feat) {
+                    // Blocked at the slice width implies blocked at the
+                    // (wider) panel width, so gemm_rows stays blocked.
+                    gemm::gemm_rows(a.data(), p.data(), &mut out, n, n, width);
+                } else {
+                    gemm::naive_rows(a.data(), p.data(), &mut out, n, n, width);
+                }
+                Tensor::from_vec(&[n, width], out)
+            }
+            Propagator::Csr(m) => m.spmm_panel(p),
+        }
+    }
+}
+
+/// Records `Y = Σ_s T_s(X)·W_s + b` for `x [B, N, F]`, `w [S·F, O]` and
+/// `b [O]` as one `cheby_conv` tape node.
+fn cheby_conv(tape: &mut Tape, prop: &Propagator, order: usize, x: Var, w: Var, b: Var) -> Var {
+    let (y, z) = forward(prop, order, tape.value(x), tape.value(w), tape.value(b));
+    // The input is listed once per contribution it receives, so the tape
+    // accumulates them in the composed layer's order.
+    let x_slots = order.min(3);
+    let mut parents = vec![x; x_slots];
+    parents.extend([w, b]);
+    let prop = prop.clone();
+    tape.custom_op(
+        "cheby_conv",
+        y,
+        &parents,
+        Box::new(move |g, ps, _, needs| backward(&prop, order, &z, g, ps, needs)),
+    )
+}
+
+/// The fused forward pass: `(Y [B, N, O], Z [B·N, S·F])`. `Z` holds `T_s`
+/// in column block `s` with batch-major rows; the backward pass keeps it
+/// for `dW = Zᵀ·dY`.
+fn forward(
+    prop: &Propagator,
+    order: usize,
+    x: &Tensor,
+    w: &Tensor,
+    b: &Tensor,
+) -> (Tensor, Tensor) {
+    let (batch, n, f) = (x.dim(0), x.dim(1), x.dim(2));
+    let sf = order * f;
+    let mut z = arena::alloc_raw(batch * n * sf);
+    // T₀ = X is batch-major already: its rows fill block 0 directly.
+    for (zr, xr) in z.chunks_exact_mut(sf).zip(x.data().chunks_exact(f)) {
+        zr[..f].copy_from_slice(xr);
+    }
+    if order > 1 {
+        // The recurrence runs on node-major panels [N, B·F], one 2-D
+        // product per order, each T_s scattered into its block of Z.
+        let mut prev: Option<Tensor> = None; // T_{s−2}
+        let mut cur = tf::permute(x, &[1, 0, 2]).reshaped(&[n, batch * f]); // T_{s−1}
+        for s in 1..order {
+            let mut t = prop.propagate(&cur, f, false);
+            if let Some(p2) = &prev {
+                // 2·L̃·T_{s−1} − T_{s−2}, rounded as scale then subtract.
+                for (v, &q) in t.data_mut().iter_mut().zip(p2.data()) {
+                    *v = *v * 2.0 - q;
+                }
+            }
+            tf::transpose_blocks(t.data(), f, &mut z[s * f..], sf, n, batch, f);
+            prev = Some(std::mem::replace(&mut cur, t));
+        }
+    }
+    let z = Tensor::from_vec(&[batch * n, sf], z);
+    let mut y = mm::matmul(&z, w);
+    let out_feat = w.dim(1);
+    for row in y.data_mut().chunks_exact_mut(out_feat) {
+        for (v, &bias) in row.iter_mut().zip(b.data()) {
+            *v += bias;
+        }
+    }
+    (y.reshaped(&[batch, n, out_feat]), z)
+}
+
+/// The fused backward pass: gradients for the parents
+/// `[x; min(S, 3)], w, b` of [`cheby_conv`].
+fn backward(
+    prop: &Propagator,
+    order: usize,
+    z: &Tensor,
+    g: &Tensor,
+    ps: &[&Tensor],
+    needs: &[bool],
+) -> Vec<Option<Tensor>> {
+    let x_slots = order.min(3);
+    let (x, w) = (ps[0], ps[x_slots]);
+    let (batch, n, f) = (x.dim(0), x.dim(1), x.dim(2));
+    let dy = g.reshape(&[batch * n, w.dim(1)]);
+    let mut grads = if needs[0] {
+        // dZ = dY·Wᵀ, the mixing matmul's own input gradient.
+        let dz = mm::matmul(&dy, &tf::transpose(w, 0, 1));
+        input_grads(prop, order, &dz, batch, n, f)
+    } else {
+        vec![None; x_slots]
+    };
+    grads.push(needs[x_slots].then(|| mm::matmul(&tf::transpose(z, 0, 1), &dy)));
+    grads.push(needs[x_slots + 1].then(|| stod_tensor::sum_axis(&dy, 0, false)));
+    grads
+}
+
+/// The input's gradient contributions from `dZ [B·N, S·F]`, in the order
+/// the composed layer's nodes delivered them: `slice₀`, then `−dT₂`
+/// (orders ≥ 3), then `L̃ᵀ·dT₁` (orders ≥ 2).
+fn input_grads(
+    prop: &Propagator,
+    order: usize,
+    dz: &Tensor,
+    batch: usize,
+    n: usize,
+    f: usize,
+) -> Vec<Option<Tensor>> {
+    let sf = order * f;
+    // Column block k of dZ as a node-major panel [N, B·F].
+    let slice_panel = |k: usize| -> Tensor {
+        let mut p = arena::alloc_raw(n * batch * f);
+        tf::transpose_blocks(&dz.data()[k * f..], sf, &mut p, f, batch, n, f);
+        Tensor::from_vec(&[n, batch * f], p)
+    };
+    // A node-major panel back in the input's layout [B, N, F].
+    let batch_major = |p: &Tensor| -> Tensor {
+        let mut out = arena::alloc_raw(batch * n * f);
+        tf::transpose_blocks(p.data(), f, &mut out, f, n, batch, f);
+        Tensor::from_vec(&[batch, n, f], out)
+    };
+    // dT_k for k = S−1 … 1 accumulates slice_k, then −dT_{k+2}, then
+    // L̃ᵀ·(2·dT_{k+1}). Step k is dT_{k+2}'s last use.
+    let mut d: Vec<Option<Tensor>> = (0..order).map(|_| None).collect();
+    for k in (1..order).rev() {
+        let mut dk = slice_panel(k);
+        if let Some(d2) = d.get_mut(k + 2).and_then(Option::take) {
+            for (a, &v) in dk.data_mut().iter_mut().zip(d2.data()) {
+                *a += -v;
+            }
+        }
+        if let Some(d1) = d.get(k + 1).and_then(Option::as_ref) {
+            let back = prop.propagate(&ew::scale(d1, 2.0), f, true);
+            for (a, &v) in dk.data_mut().iter_mut().zip(back.data()) {
+                *a += v;
+            }
+        }
+        d[k] = Some(dk);
+    }
+    let mut slice0 = arena::alloc_raw(batch * n * f);
+    for (o, r) in slice0.chunks_exact_mut(f).zip(dz.data().chunks_exact(sf)) {
+        o.copy_from_slice(&r[..f]);
+    }
+    let mut grads = vec![Some(Tensor::from_vec(&[batch, n, f], slice0))];
+    if let Some(d2) = d.get_mut(2).and_then(Option::take) {
+        let mut neg = batch_major(&d2);
+        neg.map_inplace(|v| -v);
+        grads.push(Some(neg));
+    }
+    if let Some(d1) = d.get(1).and_then(Option::as_ref) {
+        grads.push(Some(batch_major(&prop.propagate(d1, f, true))));
+    }
+    grads
 }
 
 /// A Chebyshev graph-convolution layer over a fixed graph.
 ///
 /// The scaled Laplacian is a fixed (non-learned) operator owned by the
-/// layer; gradient propagation through it is skipped automatically
-/// because it enters the tape as a constant (dense) or a custom op that
-/// only differentiates the signal (CSR).
+/// layer; the fused op differentiates the signal and the filter bank,
+/// never the graph.
 pub struct ChebyConv {
-    /// Scaled Laplacian `L̃`, dense or CSR.
-    filter: ChebyFilter,
+    /// Scaled Laplacian `L̃` (with `L̃ᵀ` when dense).
+    prop: Propagator,
     ws: ParamId,
     b: ParamId,
     order: usize,
@@ -151,7 +369,7 @@ impl ChebyConv {
         );
         let b = store.register(format!("{prefix}.b"), Tensor::zeros(&[out_feat]));
         ChebyConv {
-            filter,
+            prop: Propagator::new(filter),
             ws,
             b,
             order,
@@ -162,12 +380,12 @@ impl ChebyConv {
 
     /// Number of graph nodes the layer operates on.
     pub fn num_nodes(&self) -> usize {
-        self.filter.num_nodes()
+        self.prop.num_nodes()
     }
 
     /// Whether propagation runs over the CSR (sparse) path.
     pub fn is_sparse(&self) -> bool {
-        self.filter.is_sparse()
+        matches!(self.prop, Propagator::Csr(_))
     }
 
     /// Chebyshev order `S`.
@@ -185,41 +403,63 @@ impl ChebyConv {
         self.out_feat
     }
 
-    /// Applies the convolution to `x ∈ R^{B×N×F_in}` → `R^{B×N×F_out}`.
+    /// Applies the convolution to `x ∈ R^{B×N×F_in}` → `R^{B×N×F_out}`,
+    /// recording one fused `cheby_conv` node (plus the two parameter
+    /// leaves) on the tape.
     ///
     /// # Panics
     /// Panics on rank/extent mismatches.
     pub fn apply(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let dims = tape.value(x).dims().to_vec();
+        self.check_input(tape.value(x));
+        let ws = tape.param(store, self.ws);
+        let b = tape.param(store, self.b);
+        cheby_conv(tape, &self.prop, self.order, x, ws, b)
+    }
+
+    fn check_input(&self, x: &Tensor) {
+        let dims = x.dims();
         assert_eq!(
             dims.len(),
             3,
             "ChebyConv input must be [B, N, F], got {dims:?}"
         );
-        let (batch, n, f) = (dims[0], dims[1], dims[2]);
-        assert_eq!(n, self.num_nodes(), "node count mismatch");
-        assert_eq!(f, self.in_feat, "feature dim mismatch");
+        assert_eq!(dims[1], self.num_nodes(), "node count mismatch");
+        assert_eq!(dims[2], self.in_feat, "feature dim mismatch");
+    }
 
-        let ctx = match &self.filter {
-            ChebyFilter::Dense(l) => PropCtx::Dense(tape.constant(l.clone())),
-            ChebyFilter::Csr(m) => PropCtx::Csr(m.clone()),
+    /// The composed layer the fused op replaced, `3S + 3` tape nodes per
+    /// call: the oracle the fused op must match bit for bit.
+    #[cfg(test)]
+    fn apply_composed(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+        self.check_input(tape.value(x));
+        let (batch, n, f) = {
+            let d = tape.value(x).dims();
+            (d[0], d[1], d[2])
         };
-
-        // Chebyshev recurrence on the node dimension.
+        enum Ctx {
+            Dense(Var),
+            Csr(Arc<CsrMatrix>),
+        }
+        let ctx = match &self.prop {
+            Propagator::Dense { l, .. } => Ctx::Dense(tape.constant(Tensor::clone(l))),
+            Propagator::Csr(m) => Ctx::Csr(m.clone()),
+        };
+        let propagate = |tape: &mut Tape, v: Var| match &ctx {
+            Ctx::Dense(l) => tape.batched_matmul(*l, v),
+            Ctx::Csr(m) => csr_propagate(tape, m.clone(), v),
+        };
         let mut basis: Vec<Var> = Vec::with_capacity(self.order);
         basis.push(x);
         if self.order >= 2 {
-            let t1 = ctx.propagate(tape, x);
+            let t1 = propagate(tape, x);
             basis.push(t1);
         }
         for s in 2..self.order {
-            let lt = ctx.propagate(tape, basis[s - 1]);
+            let lt = propagate(tape, basis[s - 1]);
             let two_lt = tape.scale(lt, 2.0);
             let t = tape.sub(two_lt, basis[s - 2]);
             basis.push(t);
         }
-
-        // Mix: concat basis features then one dense projection.
         let stacked = tape.concat(&basis, 2); // [B, N, S·F]
         let flat = tape.reshape(stacked, &[batch * n, self.order * f]);
         let ws = tape.param(store, self.ws);
@@ -429,6 +669,25 @@ mod tests {
     }
 
     #[test]
+    fn apply_records_one_fused_node() {
+        let mut store = ParamStore::new();
+        let conv = ChebyConv::new(
+            &mut store,
+            "gc",
+            path3_scaled_laplacian(),
+            4,
+            2,
+            3,
+            &mut Rng64::new(5),
+        );
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::ones(&[2, 3, 2]));
+        let before = tape.len();
+        conv.apply(&mut tape, &store, x);
+        assert_eq!(tape.len() - before, 3, "two parameter leaves + one op");
+    }
+
+    #[test]
     fn gradcheck_through_cheby_recurrence() {
         // Rebuild the recurrence manually with leaf weights to finite-diff it.
         let lap = path3_scaled_laplacian();
@@ -448,5 +707,193 @@ mod tests {
             let sq = t.mul(y, y);
             t.sum_all(sq)
         });
+    }
+
+    #[test]
+    fn gradcheck_fused_op() {
+        // x, W and b as plain leaves, over the dense and the CSR operator,
+        // at an order that exercises every backward contribution.
+        let lap = path3_scaled_laplacian();
+        let mut rng = Rng64::new(4);
+        let x0 = Tensor::randn(&[2, 3, 2], 0.5, &mut rng);
+        let w0 = Tensor::randn(&[4 * 2, 2], 0.5, &mut rng);
+        let b0 = Tensor::randn(&[2], 0.5, &mut rng);
+        for prop in [
+            Propagator::new(ChebyFilter::from(lap.clone())),
+            Propagator::new(ChebyFilter::from(CsrMatrix::from_dense(&lap))),
+        ] {
+            crate::gradcheck::assert_grad_ok_at_threads(
+                &[x0.clone(), w0.clone(), b0.clone()],
+                move |t, v| {
+                    let y = cheby_conv(t, &prop, 4, v[0], v[1], v[2]);
+                    let sq = t.mul(y, y);
+                    t.sum_all(sq)
+                },
+                &[4],
+            );
+        }
+    }
+
+    /// A symmetric scaled-Laplacian-like operator over a random sparse
+    /// graph: `2L/λ̂ − I` with `λ̂ = 2·max degree ≥ λ_max`, so the spectrum
+    /// sits in `[−1, 1]` like a real scaled Laplacian's, and the zero
+    /// off-diagonal entries exercise the naive kernel's zero skip.
+    fn random_scaled_laplacian(n: usize, seed: u64) -> Tensor {
+        let mut rng = Rng64::new(seed);
+        let mut w = Tensor::zeros(&[n, n]);
+        for i in 0..n {
+            for j in i + 1..n {
+                if rng.next_f64() < 0.2 {
+                    let v = 0.1 + rng.next_f32();
+                    w.set(&[i, j], v);
+                    w.set(&[j, i], v);
+                }
+            }
+        }
+        let deg: Vec<f32> = (0..n)
+            .map(|i| (0..n).map(|j| w.at(&[i, j])).sum())
+            .collect();
+        let lam = 2.0 * deg.iter().cloned().fold(1e-3f32, f32::max);
+        let mut l = Tensor::zeros(&[n, n]);
+        for (i, &d) in deg.iter().enumerate() {
+            for j in 0..n {
+                let v = if i == j {
+                    2.0 * d / lam - 1.0
+                } else {
+                    -2.0 * w.at(&[i, j]) / lam
+                };
+                l.set(&[i, j], v);
+            }
+        }
+        l
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Forward value, input gradient and every parameter gradient of one
+    /// graph — two convs sharing an input that a later op also reads —
+    /// built with the fused or the composed layer.
+    struct Run {
+        y: Vec<Vec<u32>>,
+        dx: Option<Vec<u32>>,
+        params: Vec<(String, Vec<u32>)>,
+    }
+
+    fn run(
+        filter: &ChebyFilter,
+        order: usize,
+        dims: [usize; 3],
+        constant: bool,
+        fused: bool,
+    ) -> Run {
+        let [batch, n, f] = dims;
+        let mut store = ParamStore::new();
+        let mut rng = Rng64::new(40 + order as u64);
+        let convs = [
+            ChebyConv::new(&mut store, "c0", filter.clone(), order, f, 5, &mut rng),
+            ChebyConv::new(&mut store, "c1", filter.clone(), order, f, 3, &mut rng),
+        ];
+        // Non-zero biases, so the bias add is exercised too.
+        for name in ["c0.b", "c1.b"] {
+            let id = store.id_of(name).unwrap();
+            let len = store.get(id).numel();
+            *store.get_mut(id) = Tensor::randn(&[len], 0.3, &mut rng);
+        }
+        let x0 = Tensor::randn(&[batch, n, f], 1.0, &mut rng);
+        let mut tape = Tape::new();
+        let x = if constant {
+            tape.constant(x0)
+        } else {
+            tape.leaf(x0)
+        };
+        // Two conv consumers of one shared input plus a later reader, as
+        // the GCGRU's reset and update gates share [X ‖ H].
+        let xh = tape.scale(x, 1.5);
+        let mut loss_terms = Vec::new();
+        let mut ys = Vec::new();
+        for conv in &convs {
+            let y = if fused {
+                conv.apply(&mut tape, &store, xh)
+            } else {
+                conv.apply_composed(&mut tape, &store, xh)
+            };
+            ys.push(bits(tape.value(y)));
+            let r = tape.constant(Tensor::randn(tape.value(y).dims(), 1.0, &mut Rng64::new(7)));
+            let prod = tape.mul(y, r);
+            loss_terms.push(tape.sum_all(prod));
+        }
+        let later = tape.tanh(xh);
+        loss_terms.push(tape.sum_all(later));
+        let mut loss = loss_terms[0];
+        for &t in &loss_terms[1..] {
+            loss = tape.add(loss, t);
+        }
+        let grads = tape.backward(loss);
+        let dx = (!constant).then(|| bits(tape.backward_wrt(loss, &[x])[0].as_ref().unwrap()));
+        let params = ["c0.ws", "c0.b", "c1.ws", "c1.b"]
+            .iter()
+            .map(|&name| {
+                let g = grads.get(store.id_of(name).unwrap()).expect("param grad");
+                (name.to_string(), bits(g))
+            })
+            .collect();
+        Run { y: ys, dx, params }
+    }
+
+    fn assert_fused_matches_composed(filter: ChebyFilter, f: usize, label: &str) {
+        let n = filter.num_nodes();
+        for threads in [1, 4] {
+            for order in 1..=5 {
+                for batch in [1, 3] {
+                    for constant in [false, true] {
+                        let case = format!(
+                            "{label}: threads={threads} order={order} batch={batch} constant={constant}"
+                        );
+                        let dims = [batch, n, f];
+                        let (fused, composed) =
+                            stod_tensor::par::with_forced_threads(threads, || {
+                                (
+                                    run(&filter, order, dims, constant, true),
+                                    run(&filter, order, dims, constant, false),
+                                )
+                            });
+                        assert!(fused.y == composed.y, "{case}: forward bits differ");
+                        assert!(
+                            fused.dx == composed.dx,
+                            "{case}: input gradient bits differ"
+                        );
+                        for ((name, a), (_, b)) in fused.params.iter().zip(&composed.params) {
+                            assert!(a == b, "{case}: {name} gradient bits differ");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_matches_composed_bitwise_dense_blocked() {
+        // N = 67, F = 7: the per-slice product takes the blocked kernel on
+        // AVX2+FMA hosts (the naive one elsewhere, equally bitwise).
+        assert!(gemm::uses_blocked(67, 67, 7) == gemm::blocked_available());
+        let filter = ChebyFilter::from(random_scaled_laplacian(67, 1));
+        assert_fused_matches_composed(filter, 7, "dense blocked");
+    }
+
+    #[test]
+    fn fused_matches_composed_bitwise_dense_naive() {
+        // N = 17, F = 32: the per-slice product stays naive even though
+        // the merged panel (B·F wide) would clear the blocked threshold.
+        assert!(!gemm::uses_blocked(17, 17, 32));
+        let filter = ChebyFilter::from(random_scaled_laplacian(17, 2));
+        assert_fused_matches_composed(filter, 32, "dense naive");
+    }
+
+    #[test]
+    fn fused_matches_composed_bitwise_csr() {
+        let csr = CsrMatrix::from_dense(&random_scaled_laplacian(23, 3));
+        assert_fused_matches_composed(ChebyFilter::from(csr), 4, "csr");
     }
 }

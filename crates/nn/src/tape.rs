@@ -9,6 +9,11 @@
 //! Constant nodes (`requires_grad == false`) cut gradient propagation, so
 //! multiplying by fixed matrices — scaled Laplacians, masks — costs nothing
 //! on the backward pass.
+//!
+//! Every node carries a static op name (`matmul`, `cheby_conv`, …). When
+//! the observability layer is armed, [`Tape::backward`] times each node's
+//! backward closure under an `nn/bwd/<op>` span, so backward time is
+//! attributed per op; disarmed, the cost is one relaxed load per node.
 
 use crate::params::{ParamId, ParamStore};
 use stod_tensor::ops::{elementwise as ew, matmul as mm, softmax as sm, transform as tf};
@@ -28,6 +33,8 @@ pub struct Var(pub(crate) usize);
 pub type BackwardFn = Box<dyn Fn(&Tensor, &[&Tensor], &Tensor, &[bool]) -> Vec<Option<Tensor>>>;
 
 struct Node {
+    /// Op name, for per-op backward attribution.
+    op: &'static str,
     value: Tensor,
     parents: Vec<usize>,
     backward: Option<BackwardFn>,
@@ -154,10 +161,17 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    fn push(&mut self, value: Tensor, parents: Vec<usize>, backward: Option<BackwardFn>) -> Var {
+    fn push(
+        &mut self,
+        op: &'static str,
+        value: Tensor,
+        parents: Vec<usize>,
+        backward: Option<BackwardFn>,
+    ) -> Var {
         let requires_grad =
             backward.is_some() && parents.iter().any(|&p| self.nodes[p].requires_grad);
         self.nodes.push(Node {
+            op,
             value,
             parents,
             backward: if requires_grad { backward } else { None },
@@ -166,22 +180,39 @@ impl Tape {
         Var(self.nodes.len() - 1)
     }
 
-    /// Registers a fused operation computed outside the tape: `value` is
-    /// the eagerly evaluated result, `parents` the inputs it was computed
-    /// from, and `backward` the hand-written gradient. The closure receives
+    /// Registers a fused operation computed outside the tape: `op` names
+    /// it for backward attribution (`nn/bwd/<op>`), `value` is the eagerly
+    /// evaluated result, `parents` the inputs it was computed from, and
+    /// `backward` the hand-written gradient. The closure receives
     /// `(grad_out, parent_values, own_value, parent_needs)` and must return
     /// one optional gradient per parent, shaped like that parent.
+    ///
+    /// A parent may be listed more than once. Its gradients then
+    /// accumulate in list order, which lets a fused op reproduce the
+    /// accumulation order of the ops it replaces bit for bit.
     ///
     /// The tape applies the same pruning as built-in ops: if no parent
     /// requires gradients the closure is dropped and the node becomes a
     /// constant.
-    pub fn custom_op(&mut self, value: Tensor, parents: &[Var], backward: BackwardFn) -> Var {
-        self.push(value, parents.iter().map(|v| v.0).collect(), Some(backward))
+    pub fn custom_op(
+        &mut self,
+        op: &'static str,
+        value: Tensor,
+        parents: &[Var],
+        backward: BackwardFn,
+    ) -> Var {
+        self.push(
+            op,
+            value,
+            parents.iter().map(|v| v.0).collect(),
+            Some(backward),
+        )
     }
 
     /// Adds a constant (non-differentiable) leaf.
     pub fn constant(&mut self, t: Tensor) -> Var {
         self.nodes.push(Node {
+            op: "constant",
             value: t,
             parents: vec![],
             backward: None,
@@ -194,6 +225,7 @@ impl Tape {
     /// (used by gradient checks).
     pub fn leaf(&mut self, t: Tensor) -> Var {
         self.nodes.push(Node {
+            op: "leaf",
             value: t,
             parents: vec![],
             backward: None,
@@ -217,6 +249,7 @@ impl Tape {
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let value = ew::add(self.value(a), self.value(b));
         self.push(
+            "add",
             value,
             vec![a.0, b.0],
             Some(Box::new(|g, ps, _, needs| {
@@ -232,6 +265,7 @@ impl Tape {
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         let value = ew::sub(self.value(a), self.value(b));
         self.push(
+            "sub",
             value,
             vec![a.0, b.0],
             Some(Box::new(|g, ps, _, needs| {
@@ -247,6 +281,7 @@ impl Tape {
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let value = ew::mul(self.value(a), self.value(b));
         self.push(
+            "mul",
             value,
             vec![a.0, b.0],
             Some(Box::new(|g, ps, _, needs| {
@@ -262,6 +297,7 @@ impl Tape {
     pub fn neg(&mut self, a: Var) -> Var {
         let value = ew::neg(self.value(a));
         self.push(
+            "neg",
             value,
             vec![a.0],
             Some(Box::new(|g, _, _, _| vec![Some(ew::neg(g))])),
@@ -272,6 +308,7 @@ impl Tape {
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
         let value = ew::scale(self.value(a), s);
         self.push(
+            "scale",
             value,
             vec![a.0],
             Some(Box::new(move |g, _, _, _| vec![Some(ew::scale(g, s))])),
@@ -282,6 +319,7 @@ impl Tape {
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
         let value = ew::add_scalar(self.value(a), s);
         self.push(
+            "add_scalar",
             value,
             vec![a.0],
             Some(Box::new(|g, _, _, _| vec![Some(g.clone())])),
@@ -302,6 +340,7 @@ impl Tape {
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let value = ew::sigmoid(self.value(a));
         self.push(
+            "sigmoid",
             value,
             vec![a.0],
             Some(Box::new(|g, _, y, _| {
@@ -316,6 +355,7 @@ impl Tape {
     pub fn tanh(&mut self, a: Var) -> Var {
         let value = ew::tanh(self.value(a));
         self.push(
+            "tanh",
             value,
             vec![a.0],
             Some(Box::new(|g, _, y, _| {
@@ -329,6 +369,7 @@ impl Tape {
     pub fn relu(&mut self, a: Var) -> Var {
         let value = ew::relu(self.value(a));
         self.push(
+            "relu",
             value,
             vec![a.0],
             Some(Box::new(|g, ps, _, _| {
@@ -342,6 +383,7 @@ impl Tape {
     pub fn exp(&mut self, a: Var) -> Var {
         let value = ew::exp(self.value(a));
         self.push(
+            "exp",
             value,
             vec![a.0],
             Some(Box::new(|g, _, y, _| vec![Some(ew::mul(g, y))])),
@@ -356,6 +398,7 @@ impl Tape {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = mm::matmul(self.value(a), self.value(b));
         self.push(
+            "matmul",
             value,
             vec![a.0, b.0],
             Some(Box::new(|g, ps, _, needs| {
@@ -372,6 +415,7 @@ impl Tape {
     pub fn batched_matmul(&mut self, a: Var, b: Var) -> Var {
         let value = mm::batched_matmul(self.value(a), self.value(b));
         self.push(
+            "batched_matmul",
             value,
             vec![a.0, b.0],
             Some(Box::new(|g, ps, _, needs| {
@@ -399,6 +443,7 @@ impl Tape {
     pub fn reshape(&mut self, a: Var, dims: &[usize]) -> Var {
         let value = self.value(a).reshape(dims);
         self.push(
+            "reshape",
             value,
             vec![a.0],
             Some(Box::new(|g, ps, _, _| vec![Some(g.reshape(ps[0].dims()))])),
@@ -410,6 +455,7 @@ impl Tape {
         let value = tf::permute(self.value(a), perm);
         let perm_owned = perm.to_vec();
         self.push(
+            "permute",
             value,
             vec![a.0],
             Some(Box::new(move |g, _, _, _| {
@@ -437,6 +483,7 @@ impl Tape {
         let value = tf::concat(&tensors, axis);
         let parents: Vec<usize> = parts.iter().map(|v| v.0).collect();
         self.push(
+            "concat",
             value,
             parents,
             Some(Box::new(move |g, ps, _, needs| {
@@ -456,6 +503,7 @@ impl Tape {
     pub fn slice_axis(&mut self, a: Var, axis: usize, start: usize, end: usize) -> Var {
         let value = tf::slice_axis(self.value(a), axis, start, end);
         self.push(
+            "slice_axis",
             value,
             vec![a.0],
             Some(Box::new(move |g, ps, _, _| {
@@ -483,6 +531,7 @@ impl Tape {
         let value = tf::index_select(self.value(a), axis, indices);
         let idx = indices.to_vec();
         self.push(
+            "index_select",
             value,
             vec![a.0],
             Some(Box::new(move |g, ps, _, _| {
@@ -513,6 +562,7 @@ impl Tape {
     pub fn softmax(&mut self, a: Var, axis: usize) -> Var {
         let value = sm::softmax(self.value(a), axis);
         self.push(
+            "softmax",
             value,
             vec![a.0],
             Some(Box::new(move |g, _, y, _| {
@@ -529,6 +579,7 @@ impl Tape {
     pub fn sum_all(&mut self, a: Var) -> Var {
         let value = Tensor::scalar(self.value(a).sum());
         self.push(
+            "sum_all",
             value,
             vec![a.0],
             Some(Box::new(|g, ps, _, _| {
@@ -549,6 +600,7 @@ impl Tape {
     pub fn sum_axis(&mut self, a: Var, axis: usize, keepdim: bool) -> Var {
         let value = stod_tensor::sum_axis(self.value(a), axis, keepdim);
         self.push(
+            "sum_axis",
             value,
             vec![a.0],
             Some(Box::new(move |g, ps, _, _| {
@@ -570,6 +622,7 @@ impl Tape {
     pub fn frob_sq(&mut self, a: Var) -> Var {
         let value = Tensor::scalar(self.value(a).frob_sq());
         self.push(
+            "frob_sq",
             value,
             vec![a.0],
             Some(Box::new(|g, ps, _, _| {
@@ -607,6 +660,7 @@ impl Tape {
         let target = target.clone();
         let mask = mask.clone();
         self.push(
+            "masked_sq_err",
             value,
             vec![pred.0],
             Some(Box::new(move |g, ps, _, _| {
@@ -633,6 +687,7 @@ impl Tape {
         let mask = Tensor::from_vec(self.value(a).dims(), mask_data);
         let value = ew::mul(self.value(a), &mask);
         self.push(
+            "dropout",
             value,
             vec![a.0],
             Some(Box::new(move |g, _, _, _| vec![Some(ew::mul(g, &mask))])),
@@ -667,6 +722,7 @@ impl Tape {
         }
         let value = Tensor::from_vec(&out_dims, out);
         self.push(
+            "avg_pool",
             value,
             vec![a.0],
             Some(Box::new(move |g, ps, _, _| {
@@ -725,6 +781,7 @@ impl Tape {
         }
         let value = Tensor::from_vec(&out_dims, out);
         self.push(
+            "max_pool",
             value,
             vec![a.0],
             Some(Box::new(move |g, ps, _, _| {
@@ -748,53 +805,8 @@ impl Tape {
     /// # Panics
     /// Panics if `loss` is not a scalar (1-element) node.
     pub fn backward(&self, loss: Var) -> Gradients {
-        assert_eq!(
-            self.nodes[loss.0].value.numel(),
-            1,
-            "backward requires a scalar loss"
-        );
         let _span = stod_obs::span!("nn/backward");
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Tensor::full(self.nodes[loss.0].value.dims(), 1.0));
-
-        for i in (0..=loss.0).rev() {
-            if grads[i].is_none() || !self.nodes[i].requires_grad {
-                continue;
-            }
-            let Some(bw) = &self.nodes[i].backward else {
-                continue;
-            };
-            let g = grads[i].take().expect("checked above");
-            let node = &self.nodes[i];
-            let parent_vals: Vec<&Tensor> =
-                node.parents.iter().map(|&p| &self.nodes[p].value).collect();
-            let needs: Vec<bool> = node
-                .parents
-                .iter()
-                .map(|&p| self.nodes[p].requires_grad)
-                .collect();
-            let pgrads = bw(&g, &parent_vals, &node.value, &needs);
-            debug_assert_eq!(pgrads.len(), node.parents.len());
-            for (&p, pg) in node.parents.iter().zip(pgrads) {
-                let Some(pg) = pg else { continue };
-                if !self.nodes[p].requires_grad {
-                    continue;
-                }
-                debug_assert_eq!(
-                    pg.dims(),
-                    self.nodes[p].value.dims(),
-                    "gradient shape mismatch"
-                );
-                match &mut grads[p] {
-                    Some(acc) => {
-                        for (a, b) in acc.data_mut().iter_mut().zip(pg.data()) {
-                            *a += b;
-                        }
-                    }
-                    slot @ None => *slot = Some(pg),
-                }
-            }
-        }
+        let grads = self.propagate(loss, &[]);
 
         // Collect parameter gradients (accumulate duplicates of the same id).
         let max_id = self
@@ -819,30 +831,38 @@ impl Tape {
         Gradients { by_param }
     }
 
-    /// Gradient w.r.t. an arbitrary leaf (for gradient checking).
+    /// Gradient w.r.t. arbitrary nodes (for gradient checking).
     pub fn backward_wrt(&self, loss: Var, leaves: &[Var]) -> Vec<Option<Tensor>> {
-        // Re-run the generic pass but harvest arbitrary node gradients.
+        let grads = self.propagate(loss, leaves);
+        leaves.iter().map(|v| grads[v.0].clone()).collect()
+    }
+
+    /// The reverse sweep shared by [`Tape::backward`] and
+    /// [`Tape::backward_wrt`]: every node's gradient, with the nodes in
+    /// `keep` holding theirs after their own backward ran (the others
+    /// hand theirs to the closure by value).
+    fn propagate(&self, loss: Var, keep: &[Var]) -> Vec<Option<Tensor>> {
         assert_eq!(
             self.nodes[loss.0].value.numel(),
             1,
-            "backward requires scalar loss"
+            "backward requires a scalar loss"
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         grads[loss.0] = Some(Tensor::full(self.nodes[loss.0].value.dims(), 1.0));
-        let keep: std::collections::HashSet<usize> = leaves.iter().map(|v| v.0).collect();
+
         for i in (0..=loss.0).rev() {
             if grads[i].is_none() || !self.nodes[i].requires_grad {
                 continue;
             }
-            let Some(bw) = &self.nodes[i].backward else {
+            let node = &self.nodes[i];
+            let Some(bw) = &node.backward else {
                 continue;
             };
-            let g = if keep.contains(&i) {
+            let g = if keep.contains(&Var(i)) {
                 grads[i].clone().expect("checked above")
             } else {
                 grads[i].take().expect("checked above")
             };
-            let node = &self.nodes[i];
             let parent_vals: Vec<&Tensor> =
                 node.parents.iter().map(|&p| &self.nodes[p].value).collect();
             let needs: Vec<bool> = node
@@ -850,12 +870,21 @@ impl Tape {
                 .iter()
                 .map(|&p| self.nodes[p].requires_grad)
                 .collect();
-            let pgrads = bw(&g, &parent_vals, &node.value, &needs);
+            let pgrads = {
+                let _span = stod_obs::armed().then(|| bwd_span(node.op));
+                bw(&g, &parent_vals, &node.value, &needs)
+            };
+            debug_assert_eq!(pgrads.len(), node.parents.len());
             for (&p, pg) in node.parents.iter().zip(pgrads) {
                 let Some(pg) = pg else { continue };
                 if !self.nodes[p].requires_grad {
                     continue;
                 }
+                debug_assert_eq!(
+                    pg.dims(),
+                    self.nodes[p].value.dims(),
+                    "gradient shape mismatch"
+                );
                 match &mut grads[p] {
                     Some(acc) => {
                         for (a, b) in acc.data_mut().iter_mut().zip(pg.data()) {
@@ -866,8 +895,33 @@ impl Tape {
                 }
             }
         }
-        leaves.iter().map(|v| grads[v.0].clone()).collect()
+        grads
     }
+}
+
+/// Opens the `nn/bwd/<op>` span for one node's backward closure. Span
+/// names must be `&'static str`, so each op's name is interned once per
+/// thread. The span aggregates into the span tree but records no trace
+/// event: a training step runs thousands of node closures, which would
+/// evict the stage-level events from the bounded trace ring.
+#[cold]
+fn bwd_span(op: &'static str) -> stod_obs::SpanGuard {
+    use std::cell::RefCell;
+    thread_local! {
+        static NAMES: RefCell<Vec<(&'static str, &'static str)>> = const { RefCell::new(Vec::new()) };
+    }
+    let name = NAMES.with(|names| {
+        let mut names = names.borrow_mut();
+        match names.iter().find(|(o, _)| std::ptr::eq(*o, op)) {
+            Some(&(_, name)) => name,
+            None => {
+                let name = stod_obs::intern(&format!("nn/bwd/{op}"));
+                names.push((op, name));
+                name
+            }
+        }
+    });
+    stod_obs::SpanGuard::enter_untraced(name)
 }
 
 /// Transposes the last two axes of a stacked-matrix tensor.

@@ -242,28 +242,36 @@ mod tests {
         }
     }
 
+    // Both tests read the mode inside an outer `with_mode` window: the
+    // window holds the mode lock, so another test's window cannot change
+    // the mode between the reads and the final assertion.
+
     #[test]
     fn with_mode_scopes_and_restores() {
-        let before = mode();
-        with_mode(ObsMode::Trace, || {
-            assert_eq!(mode(), ObsMode::Trace);
-            assert!(armed() && tracing());
-            with_mode(ObsMode::On, || {
-                assert_eq!(mode(), ObsMode::On);
-                assert!(armed() && !tracing());
+        with_mode(ObsMode::Off, || {
+            let before = mode();
+            with_mode(ObsMode::Trace, || {
+                assert_eq!(mode(), ObsMode::Trace);
+                assert!(armed() && tracing());
+                with_mode(ObsMode::On, || {
+                    assert_eq!(mode(), ObsMode::On);
+                    assert!(armed() && !tracing());
+                });
+                assert_eq!(mode(), ObsMode::Trace);
             });
-            assert_eq!(mode(), ObsMode::Trace);
+            assert_eq!(mode(), before);
         });
-        assert_eq!(mode(), before);
     }
 
     #[test]
     fn with_mode_restores_on_panic() {
-        let before = mode();
-        let r = std::panic::catch_unwind(|| {
-            with_mode(ObsMode::On, || panic!("intentional"));
+        with_mode(ObsMode::Off, || {
+            let before = mode();
+            let r = std::panic::catch_unwind(|| {
+                with_mode(ObsMode::On, || panic!("intentional"));
+            });
+            assert!(r.is_err());
+            assert_eq!(mode(), before);
         });
-        assert!(r.is_err());
-        assert_eq!(mode(), before);
     }
 }

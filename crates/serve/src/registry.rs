@@ -509,6 +509,7 @@ fn validate_layout(expected: &ParamStore, store: &ParamStore) -> Result<(), Regi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stod_faultline::quiet;
     use stod_tensor::stack;
     use stod_traffic::CityModel;
 
@@ -574,6 +575,7 @@ mod tests {
     /// typed error — never a panic — and must leave the registry untouched.
     #[test]
     fn register_file_rejects_damaged_checkpoints_without_state_change() {
+        let _quiet = quiet();
         let config = bf_config(4);
         let stats = Arc::new(ServeStats::new());
         let reg = Registry::new(config.clone(), stats.clone());
@@ -647,6 +649,7 @@ mod tests {
     /// falls back to the newest surviving version.
     #[test]
     fn scrub_rejects_bit_rotted_file_and_demotes_incumbent() {
+        let _quiet = quiet();
         let config = bf_config(4);
         let stats = Arc::new(ServeStats::new());
         let reg = Registry::new(config.clone(), stats.clone());
@@ -695,6 +698,7 @@ mod tests {
     /// incumbent at all rather than serving unverifiable weights.
     #[test]
     fn scrub_with_no_survivor_clears_the_incumbent() {
+        let _quiet = quiet();
         let config = bf_config(4);
         let reg = Registry::new(config.clone(), Arc::new(ServeStats::new()));
         let bytes = config.build(1).params().to_bytes().to_vec();

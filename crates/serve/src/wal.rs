@@ -818,7 +818,7 @@ impl TripWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stod_faultline::{install, FaultPlan};
+    use stod_faultline::{install, quiet, FaultPlan};
 
     fn trip(o: usize, d: usize, t: usize, v: f64) -> Trip {
         Trip {
@@ -881,6 +881,7 @@ mod tests {
 
     #[test]
     fn append_then_reopen_replays_bitwise() {
+        let _quiet = quiet();
         let dir = tmp_dir("roundtrip");
         let ops = vec![
             WalRecord::Push(trip(0, 1, 3, 2.5)),
@@ -912,6 +913,7 @@ mod tests {
 
     #[test]
     fn wrong_city_header_is_not_replayed() {
+        let _quiet = quiet();
         let dir = tmp_dir("city");
         {
             let (wal, _) = TripWal::open(&dir, 1, 8, WalConfig::default()).unwrap();
@@ -931,9 +933,11 @@ mod tests {
     fn torn_append_kills_handle_and_recovery_truncates() {
         let dir = tmp_dir("torn");
         {
+            let quiet_setup = quiet();
             let (wal, _) = TripWal::open(&dir, 0, 8, WalConfig::default()).unwrap();
             wal.append_push(&trip(0, 1, 0, 3.0)).unwrap();
             wal.append_seal(0).unwrap();
+            drop(quiet_setup);
             {
                 let _g = install(FaultPlan::new(5).with(FaultSite::WalTornWrite, 1.0, 0));
                 let err = wal.append_push(&trip(1, 1, 1, 4.0)).unwrap_err();
@@ -948,6 +952,9 @@ mod tests {
             );
             assert!(wal.stats().dead);
         }
+        // Recovery runs fault-free: another test's corruption plan must
+        // not perturb the replay this test checks record by record.
+        let _quiet = quiet();
         let (wal, replay) = TripWal::open(&dir, 0, 8, WalConfig::default()).unwrap();
         assert_eq!(
             replay.records,
@@ -969,6 +976,7 @@ mod tests {
     fn injected_replay_corruption_never_panics_and_keeps_a_valid_prefix() {
         let dir = tmp_dir("corrupt");
         {
+            let _quiet = quiet();
             let (wal, _) = TripWal::open(&dir, 0, 8, WalConfig::default()).unwrap();
             for t in 0..20 {
                 wal.append_push(&trip(0, 1, t, 2.0)).unwrap();
@@ -984,6 +992,7 @@ mod tests {
             assert!(replay.records.len() <= 40);
             drop(_g);
             // Repair the log for the next iteration by rewriting it clean.
+            let _quiet = quiet();
             std::fs::remove_dir_all(&dir).unwrap();
             let (wal, _) = TripWal::open(&dir, 0, 8, WalConfig::default()).unwrap();
             for t in 0..20 {
@@ -997,6 +1006,7 @@ mod tests {
 
     #[test]
     fn group_commit_batches_fsyncs() {
+        let _quiet = quiet();
         let dir = tmp_dir("group");
         let cfg = WalConfig {
             fsync: FsyncPolicy::Group(4),
@@ -1023,6 +1033,7 @@ mod tests {
 
     #[test]
     fn rotation_and_retention_bound_the_log() {
+        let _quiet = quiet();
         let dir = tmp_dir("rotate");
         let cfg = WalConfig {
             fsync: FsyncPolicy::Off,
@@ -1069,6 +1080,7 @@ mod tests {
 
     #[test]
     fn scan_ignores_trailing_garbage_without_panicking() {
+        let _quiet = quiet();
         let mut buf = Vec::new();
         encode_record(&WalRecord::Seal(9), &mut buf);
         let valid = buf.len();

@@ -1,8 +1,12 @@
 //! Layout-changing kernels: transpose/permute, concatenation, stacking,
 //! slicing and padding. All of them copy — tensors stay contiguous.
 
+use crate::arena;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+
+/// Edge, in blocks, of the square tiles [`transpose_blocks`] walks.
+const TILE: usize = 16;
 
 /// Swaps two axes, copying into a new contiguous tensor.
 pub fn transpose(a: &Tensor, ax0: usize, ax1: usize) -> Tensor {
@@ -24,6 +28,25 @@ pub fn permute(a: &Tensor, perm: &[usize]) -> Tensor {
     }
     let src_dims = a.dims();
     let out_dims: Vec<usize> = perm.iter().map(|&p| src_dims[p]).collect();
+    if let Some((outer, rows, cols, inner)) = block_swap(src_dims, perm) {
+        // A swap of two axis groups (every permutation the models use):
+        // one block transpose per outer plane, into an arena buffer.
+        let mut data = arena::alloc_raw(a.numel());
+        let plane = rows * cols * inner;
+        for o in 0..outer {
+            let span = o * plane..(o + 1) * plane;
+            transpose_blocks(
+                &a.data()[span.clone()],
+                inner,
+                &mut data[span],
+                inner,
+                rows,
+                cols,
+                inner,
+            );
+        }
+        return Tensor::from_vec(&out_dims, data);
+    }
     let out_shape = Shape::new(&out_dims);
     let src_strides = a.shape().strides();
     // Stride of output axis i in the source buffer.
@@ -45,6 +68,91 @@ pub fn permute(a: &Tensor, perm: &[usize]) -> Tensor {
         }
     }
     Tensor::from_vec(&out_dims, data)
+}
+
+/// Recognizes a permutation that swaps two groups of axes. With source
+/// axes merged wherever they stay adjacent and in order, the source reads
+/// as `[outer, rows, cols, inner]` and the output as
+/// `[outer, cols, rows, inner]` (any extent may be 1). Returns those four
+/// extents, or `None` for any other reordering.
+fn block_swap(dims: &[usize], perm: &[usize]) -> Option<(usize, usize, usize, usize)> {
+    // Runs of source axes that stay consecutive, in output order, as
+    // half-open source-axis ranges.
+    let mut runs: Vec<(usize, usize)> = Vec::with_capacity(perm.len());
+    for &p in perm {
+        match runs.last_mut() {
+            Some(run) if run.1 == p => run.1 += 1,
+            _ => runs.push((p, p + 1)),
+        }
+    }
+    // Source rank of each run, listed in output order.
+    let mut by_src: Vec<usize> = (0..runs.len()).collect();
+    by_src.sort_by_key(|&i| runs[i].0);
+    let mut rank = vec![0usize; runs.len()];
+    for (r, &i) in by_src.iter().enumerate() {
+        rank[i] = r;
+    }
+    let extent = |r: usize| -> usize {
+        let (lo, hi) = runs[by_src[r]];
+        dims[lo..hi].iter().product()
+    };
+    match rank.as_slice() {
+        [0] => Some((1, 1, 1, extent(0))),
+        [1, 0] => Some((1, extent(0), extent(1), 1)),
+        [0, 2, 1] => Some((extent(0), extent(1), extent(2), 1)),
+        [1, 0, 2] => Some((1, extent(0), extent(1), extent(2))),
+        [0, 2, 1, 3] => Some((extent(0), extent(1), extent(2), extent(3))),
+        _ => None,
+    }
+}
+
+/// Block transpose: copies a `rows × cols` grid of `inner`-float blocks
+/// from `src`, where block `(r, c)` starts at `(r·cols + c)·src_ld`, to
+/// `dst`, where it lands at `(c·rows + r)·dst_ld`.
+///
+/// With `inner = src_ld = dst_ld = 1` this is the plain 2-D transpose.
+/// Wider strides let a caller gather from, or
+/// scatter into, one column block of a wider row-major matrix (the
+/// node-major panels of the Cheby-Net layer). A pure copy: every value
+/// moves bit for bit.
+///
+/// # Panics
+/// Panics if either slice is too short for the grid.
+pub fn transpose_blocks(
+    src: &[f32],
+    src_ld: usize,
+    dst: &mut [f32],
+    dst_ld: usize,
+    rows: usize,
+    cols: usize,
+    inner: usize,
+) {
+    if rows * cols * inner == 0 {
+        return;
+    }
+    let last = rows * cols - 1;
+    assert!(
+        src.len() >= last * src_ld + inner && dst.len() >= last * dst_ld + inner,
+        "transpose_blocks: a {rows}×{cols} grid of {inner}-blocks overruns its buffers"
+    );
+    // Square tiles keep both the blocks read and the blocks written
+    // cache-resident, whichever side is strided.
+    for r0 in (0..rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(rows);
+        for c0 in (0..cols).step_by(TILE) {
+            let c1 = (c0 + TILE).min(cols);
+            for c in c0..c1 {
+                for r in r0..r1 {
+                    let (s, d) = ((r * cols + c) * src_ld, (c * rows + r) * dst_ld);
+                    if inner == 1 {
+                        dst[d] = src[s];
+                    } else {
+                        dst[d..d + inner].copy_from_slice(&src[s..s + inner]);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Concatenates tensors along `axis`. All other dimensions must agree.
@@ -191,6 +299,76 @@ mod tests {
         assert_eq!(p.dims(), &[4, 2, 3]);
         assert_eq!(p.at(&[1, 0, 2]), a.at(&[0, 2, 1]));
         assert_eq!(p.at(&[3, 1, 0]), a.at(&[1, 0, 3]));
+    }
+
+    /// The odometer walk every permutation used before the block-swap
+    /// fast path existed; the fast path must reproduce it exactly.
+    fn permute_reference(a: &Tensor, perm: &[usize]) -> Tensor {
+        let out_dims: Vec<usize> = perm.iter().map(|&p| a.dim(p)).collect();
+        let n = a.numel();
+        let mut out = Tensor::zeros(&out_dims);
+        let mut src_idx = vec![0usize; perm.len()];
+        for flat in 0..n {
+            let mut rem = flat;
+            for axis in (0..out_dims.len()).rev() {
+                src_idx[perm[axis]] = rem % out_dims[axis];
+                rem /= out_dims[axis];
+            }
+            out.data_mut()[flat] = a.at(&src_idx);
+        }
+        out
+    }
+
+    #[test]
+    fn block_swaps_match_the_odometer_walk() {
+        let a = Tensor::from_vec(&[3, 5, 4, 2], (0..120).map(|x| x as f32).collect());
+        for perm in [
+            [0, 2, 1, 3],
+            [1, 0, 2, 3],
+            [0, 1, 3, 2],
+            [2, 3, 0, 1],
+            [0, 3, 1, 2],
+            [3, 2, 1, 0],
+            [1, 2, 0, 3],
+            [0, 1, 2, 3],
+        ] {
+            let got = permute(&a, &perm);
+            assert_eq!(got, permute_reference(&a, &perm), "perm {perm:?}");
+        }
+        // Larger than one tile in both directions, with ragged edges.
+        let m = Tensor::from_vec(&[70, 45], (0..3150).map(|x| x as f32).collect());
+        assert_eq!(transpose(&m, 0, 1), permute_reference(&m, &[1, 0]));
+    }
+
+    #[test]
+    fn block_swap_classifies_only_two_group_swaps() {
+        assert_eq!(block_swap(&[2, 3], &[1, 0]), Some((1, 2, 3, 1)));
+        assert_eq!(block_swap(&[2, 3, 4], &[1, 0, 2]), Some((1, 2, 3, 4)));
+        assert_eq!(block_swap(&[2, 3, 4], &[0, 2, 1]), Some((2, 3, 4, 1)));
+        assert_eq!(
+            block_swap(&[2, 3, 4, 5], &[2, 3, 0, 1]),
+            Some((1, 6, 20, 1))
+        );
+        assert_eq!(block_swap(&[2, 3, 4], &[0, 1, 2]), Some((1, 1, 1, 24)));
+        assert_eq!(block_swap(&[2, 3, 4], &[2, 0, 1]), Some((1, 6, 4, 1)));
+        assert_eq!(block_swap(&[2, 3, 4], &[2, 1, 0]), None);
+    }
+
+    #[test]
+    fn strided_block_transpose_scatters_into_a_column_block() {
+        // A [2 × 3] grid of 2-float blocks scattered into the second
+        // 2-column block of a [3·2, 4] matrix.
+        let src: Vec<f32> = (0..12).map(|x| x as f32).collect();
+        let mut dst = [-1.0f32; 6 * 4];
+        transpose_blocks(&src, 2, &mut dst[2..], 4, 2, 3, 2);
+        for c in 0..3 {
+            for r in 0..2 {
+                let d = (c * 2 + r) * 4 + 2;
+                let s = (r * 3 + c) * 2;
+                assert_eq!(&dst[d..d + 2], &src[s..s + 2], "block ({r},{c})");
+                assert_eq!(&dst[d - 2..d], &[-1.0, -1.0], "left block untouched");
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 #   scripts/verify.sh                 # tier-1 gate + format + lint
 #   scripts/verify.sh --quick         # alias for the default gate (fmt + clippy + tier-1)
 #   scripts/verify.sh --full          # additionally run the whole workspace suite
+#                                     # (every crate's own tests, at each thread count)
 #   scripts/verify.sh --conformance   # additionally run the oracle gate
 #   scripts/verify.sh --chaos         # additionally run the fault-injection gate
 #   scripts/verify.sh --bench         # additionally run the bench-regression gate
@@ -16,8 +17,8 @@
 # Tier-1 (the gate CI enforces) is the root package: its integration
 # tests in tests/ exercise every crate end-to-end.
 #
-# Stages that sweep kernel thread counts (conformance, chaos, durability,
-# scale) run at STOD_THREADS=1 and 4 by default; STOD_VERIFY_THREADS
+# Stages that sweep kernel thread counts (full, conformance, chaos,
+# durability, scale) run at STOD_THREADS=1 and 4 by default; STOD_VERIFY_THREADS
 # overrides the list (e.g. STOD_VERIFY_THREADS=4 in a CI matrix leg).
 #
 # --conformance runs the differential fuzzer + metamorphic suite in
@@ -140,8 +141,10 @@ stage_tier1() {
 }
 
 stage_full() {
-  STOD_THREADS=1 cargo test -q --workspace
-  STOD_THREADS=4 cargo test -q --workspace
+  for t in $VERIFY_THREADS; do
+    echo "==> workspace suite, STOD_THREADS=$t"
+    STOD_THREADS="$t" cargo test -q --workspace
+  done
 }
 
 stage_conformance() {
@@ -251,7 +254,7 @@ stage_scale() {
 run_stage "fmt" stage_fmt
 run_stage "clippy" stage_clippy
 run_stage "tier-1 (×2 thread counts)" stage_tier1
-[[ "$full" == 1 ]] && run_stage "full workspace (×2 thread counts)" stage_full
+[[ "$full" == 1 ]] && run_stage "full workspace" stage_full
 [[ "$conformance" == 1 ]] && run_stage "conformance" stage_conformance
 [[ "$chaos" == 1 ]] && run_stage "chaos" stage_chaos
 [[ "$bench" == 1 ]] && run_stage "bench" stage_bench

@@ -23,7 +23,7 @@ use od_forecast::core::{
     train_resume, train_robust, BfConfig, BfModel, OdForecaster, RobustConfig, TrainCheckpoint,
     TrainConfig, TrainError,
 };
-use od_forecast::faultline::{install, FaultPlan, FaultSite};
+use od_forecast::faultline::{install, quiet, FaultPlan, FaultSite};
 use od_forecast::nn::ParamStore;
 use od_forecast::serve::{
     Broker, BrokerConfig, FeatureStore, ForecastRequest, ModelConfig, ModelKind, Registry,
@@ -218,6 +218,7 @@ fn injected_panics_and_stalls_leave_an_explainable_serving_state() {
         );
         drop(guard);
         // The pool recovered: a clean request is a model answer again.
+        let _quiet = quiet();
         let fc = broker.forecast(req(LOOKBACK + 1, 0, 1));
         assert!(
             matches!(fc.source, Source::Model { .. }),
@@ -248,6 +249,9 @@ fn corrupt_checkpoint_loads_are_rejected_and_the_active_model_keeps_serving() {
             );
             assert_eq!(guard.injected(FaultSite::CkptCorrupt), 1);
         }
+        // Fault-free from here on: another test's worker-panic plan must
+        // not knock these forecasts off the model path.
+        let _quiet = quiet();
         let snap = stats.snapshot();
         assert_eq!(snap.checkpoint_rejects, 3, "seed {seed}: rejects ledger");
         assert_eq!(registry.num_versions(), 1, "seed {seed}: registry grew");
@@ -303,15 +307,18 @@ fn randomized_save_faults_never_corrupt_checkpoints_or_the_trajectory() {
     for seed in chaos_seeds() {
         let cfg = train_cfg(seed);
         let mut base_model = BfModel::new(N, 7, BfConfig::default(), seed);
-        let base = train_robust(
-            &mut base_model,
-            &ds,
-            &windows,
-            None,
-            &cfg,
-            &RobustConfig::default(),
-        )
-        .unwrap();
+        let base = {
+            let _quiet = quiet();
+            train_robust(
+                &mut base_model,
+                &ds,
+                &windows,
+                None,
+                &cfg,
+                &RobustConfig::default(),
+            )
+            .unwrap()
+        };
 
         let path = tmp_file(&format!("save_chaos_{seed}.stck"));
         let _ = std::fs::remove_file(&path);
@@ -375,15 +382,18 @@ fn abort_chaos_with_resume_converges_bitwise_at_one_and_four_threads() {
         for &threads in &[1usize, 4] {
             let fp = od_forecast::tensor::par::with_forced_threads(threads, || {
                 let mut base_model = BfModel::new(N, 7, BfConfig::default(), seed);
-                let base = train_robust(
-                    &mut base_model,
-                    &ds,
-                    &windows,
-                    None,
-                    &cfg,
-                    &RobustConfig::default(),
-                )
-                .unwrap();
+                let base = {
+                    let _quiet = quiet();
+                    train_robust(
+                        &mut base_model,
+                        &ds,
+                        &windows,
+                        None,
+                        &cfg,
+                        &RobustConfig::default(),
+                    )
+                    .unwrap()
+                };
 
                 let path = tmp_file(&format!("abort_chaos_{seed}_{threads}.stck"));
                 let _ = std::fs::remove_file(&path);

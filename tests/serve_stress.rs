@@ -18,14 +18,14 @@
 //!   export.
 //!
 //! Fault plans installed via `stod_faultline::install` are process-global,
-//! so every test here holds a `FaultGuard` for its whole body — an empty
-//! plan for the fault-free tests — which serializes them against the
-//! injection test and shields them from any `STOD_FAULTS` environment
-//! plan.
+//! so every test here holds a `FaultGuard` for its whole body —
+//! `stod_faultline::quiet()` for the fault-free tests — which serializes
+//! them against the injection test and shields them from any
+//! `STOD_FAULTS` environment plan.
 
 use od_forecast::baselines::NaiveHistograms;
 use od_forecast::core::{train, BfConfig, BfModel, OdForecaster, TrainConfig, TrainReport};
-use od_forecast::faultline::{install, FaultPlan, FaultSite};
+use od_forecast::faultline::{install, quiet, FaultPlan, FaultSite};
 use od_forecast::serve::{
     Broker, BrokerConfig, FallbackReason, FeatureStore, ForecastRequest, ModelConfig, ModelKind,
     Registry, ServeStats, Source,
@@ -130,7 +130,7 @@ fn with_deadlock_watchdog<R>(limit: Duration, what: &str, body: impl FnOnce() ->
 
 #[test]
 fn broker_survives_concurrent_barrage_with_consistent_stats() {
-    let _quiet = install(FaultPlan::new(0));
+    let _quiet = quiet();
     let (broker, stats, _ds) = build_stack(2, 29);
     const CLIENTS: usize = 12;
     const ROUNDS: usize = 6;
@@ -201,7 +201,7 @@ fn broker_survives_concurrent_barrage_with_consistent_stats() {
 
 #[test]
 fn starved_single_worker_degrades_to_deadline_fallback_without_deadlock() {
-    let _quiet = install(FaultPlan::new(0));
+    let _quiet = quiet();
     let (broker, stats, _ds) = build_stack(1, 31);
     const CLIENTS: usize = 8;
 
