@@ -7,12 +7,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use stod_graph::{proximity_matrix, scaled_laplacian, ProximityParams};
+use std::sync::Arc;
+use stod_graph::{proximity_csr, scaled_laplacian_csr, ProximityParams};
 use stod_metrics::{emd, kl_divergence};
 use stod_nn::layers::{ChebyConv, GcGruCell};
 use stod_nn::{ParamStore, Tape};
 use stod_tensor::rng::Rng64;
-use stod_tensor::{matmul, Tensor};
+use stod_tensor::{matmul, CsrMatrix, Tensor};
 use stod_traffic::{CityModel, HistogramSpec, OdDataset, SimConfig};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -24,11 +25,14 @@ fn bench_matmul(c: &mut Criterion) {
     });
 }
 
-fn lap(n: usize) -> Tensor {
+fn lap(n: usize) -> Arc<CsrMatrix> {
     let centroids: Vec<(f64, f64)> = (0..n)
         .map(|i| ((i % 8) as f64 * 0.7, (i / 8) as f64 * 0.7))
         .collect();
-    scaled_laplacian(&proximity_matrix(&centroids, ProximityParams::default()))
+    Arc::new(scaled_laplacian_csr(&proximity_csr(
+        &centroids,
+        ProximityParams::default(),
+    )))
 }
 
 fn bench_cheby_forward_backward(c: &mut Criterion) {

@@ -904,8 +904,8 @@ fn run_city_bench() {
     );
 
     // Section B: end-to-end city slice. `Scale::City` builds a 500-region
-    // metropolis; `GraphMode::Auto` therefore takes the CSR path for both
-    // the factorization Laplacians and the CNRNN filters.
+    // metropolis; the AF runs its factorization Laplacians and CNRNN
+    // filters in CSR form, as at every city size.
     let seed = 11;
     let t0 = std::time::Instant::now();
     let ds = build_dataset(Dataset::Nyc, Scale::City, seed);

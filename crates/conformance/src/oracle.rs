@@ -129,66 +129,6 @@ pub fn batched_matmul(
     OracleOut { values, mags }
 }
 
-/// Chebyshev basis of Eq. 5 (`t₁ = x`, `t₂ = L̃x`, `t_s = 2L̃t_{s−1} −
-/// t_{s−2}`) for one signal, laid out row-major `[i, s]` like
-/// `stod_graph::cheby::cheby_basis`. The magnitude recurrence mirrors the
-/// value recurrence with every term replaced by its absolute value.
-pub fn cheby_basis(l: &[f32], x: &[f32], n: usize, order: usize) -> OracleOut {
-    assert!(order >= 1);
-    assert_eq!(l.len(), n * n);
-    assert_eq!(x.len(), n);
-    let mut cols: Vec<Vec<f64>> = Vec::with_capacity(order);
-    let mut col_mags: Vec<Vec<f64>> = Vec::with_capacity(order);
-    // Each level's magnitude is floored at f32::MIN_POSITIVE: rounding a
-    // level value into f32's subnormal range incurs an absolute error of
-    // up to the subnormal quantum regardless of ε·|v|, and later levels
-    // amplify that floor through the same 2L̃ recurrence as real values.
-    let floor = f32::MIN_POSITIVE as f64;
-    cols.push(x.iter().map(|&v| v as f64).collect());
-    col_mags.push(x.iter().map(|&v| (v as f64).abs().max(floor)).collect());
-    // Once any element's magnitude scale crosses the f32 range, an f32
-    // implementation may saturate it to ±∞, and the next matvec smears
-    // that non-finite value into *every* element — so all later steps are
-    // unverifiable. Flag them with an infinite magnitude, which the
-    // ULP-aware comparison treats as vacuous.
-    let mut poisoned = col_mags[0].iter().any(|&m| m >= f32::MAX as f64);
-    for s in 1..order {
-        let mut col = vec![0.0f64; n];
-        let mut mag = vec![0.0f64; n];
-        for i in 0..n {
-            let mut acc = 0.0f64;
-            let mut mg = 0.0f64;
-            for j in 0..n {
-                acc += l[i * n + j] as f64 * cols[s - 1][j];
-                mg += (l[i * n + j] as f64).abs() * col_mags[s - 1][j];
-            }
-            if s == 1 {
-                col[i] = acc;
-                mag[i] = mg.max(floor);
-            } else {
-                col[i] = 2.0 * acc - cols[s - 2][i];
-                mag[i] = (2.0 * mg + col_mags[s - 2][i]).max(floor);
-            }
-        }
-        if poisoned {
-            mag.iter_mut().for_each(|m| *m = f64::INFINITY);
-        } else if mag.iter().any(|&m| m >= f32::MAX as f64) {
-            poisoned = true;
-        }
-        cols.push(col);
-        col_mags.push(mag);
-    }
-    let mut values = vec![0.0f64; n * order];
-    let mut mags = vec![0.0f64; n * order];
-    for (s, (col, mag)) in cols.iter().zip(col_mags.iter()).enumerate() {
-        for i in 0..n {
-            values[i * order + s] = col[i];
-            mags[i * order + s] = mag[i];
-        }
-    }
-    OracleOut { values, mags }
-}
-
 /// The Cheby-Net layer of Eq. 5 and its gradients, for the fused
 /// `stod_nn::layers::ChebyConv` op.
 ///
@@ -199,8 +139,10 @@ pub fn cheby_basis(l: &[f32], x: &[f32], n: usize, order: usize) -> OracleOut {
 /// `dT_k = dZ_k − dT_{k+2} + c·L̃ᵀdT_{k+1}` with `c = 2` for `k ≥ 1` and
 /// `c = 1` for `k = 0`, `dX = dT₀`. Returns `[Y, dX, dW]` flattened (row
 /// major). Magnitudes propagate through every level, floored at
-/// `f32::MIN_POSITIVE` like [`cheby_basis`]; if any intermediate scale
-/// leaves the `f32` range, every element is flagged unverifiable.
+/// `f32::MIN_POSITIVE`: rounding a level into f32's subnormal range costs
+/// up to the subnormal quantum whatever `ε·|v|` says, and later levels
+/// amplify that floor like real values. If any intermediate scale leaves
+/// the `f32` range, every element is flagged unverifiable.
 #[allow(clippy::too_many_arguments)]
 pub fn cheby_conv(
     l: &[f32],
@@ -654,18 +596,6 @@ mod tests {
         let o = matmul(&a, &b, 2, 3, 2);
         assert_eq!(o.values, vec![58.0, 64.0, 139.0, 154.0]);
         assert!(o.mags.iter().all(|&m| m > 0.0));
-    }
-
-    #[test]
-    fn cheby_first_two_columns() {
-        // 2-node: L = [[0, 1], [1, 0]], x = [1, 2] → t1 = x, t2 = Lx = [2, 1].
-        let l = [0.0f32, 1.0, 1.0, 0.0];
-        let x = [1.0f32, 2.0];
-        let o = cheby_basis(&l, &x, 2, 3);
-        assert_eq!(o.values[0], 1.0); // [0, s=0]
-        assert_eq!(o.values[1], 2.0); // [0, s=1]
-                                      // t3 = 2L·t2 − t1 = 2·[1,2] − [1,2] = [1,2]
-        assert_eq!(o.values[2], 1.0); // [0, s=2]
     }
 
     #[test]

@@ -42,11 +42,6 @@ fn differential_batched_matmul() {
 }
 
 #[test]
-fn differential_cheby_basis() {
-    assert_clean(Kernel::Cheby);
-}
-
-#[test]
 fn differential_gru_cell() {
     assert_clean(Kernel::Gru);
 }

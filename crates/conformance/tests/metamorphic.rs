@@ -5,8 +5,8 @@
 //! * **Region-permutation equivariance** — relabeling regions (and
 //!   permuting the region-indexed parameters consistently) permutes the
 //!   forecasts and changes nothing else. Checked at the operator level
-//!   (Chebyshev basis under `P L Pᵀ`, recovery under origin/destination
-//!   permutations) and through the full BF pipeline.
+//!   (the Cheby-Net layer under `P L̃ Pᵀ`, recovery under
+//!   origin/destination permutations) and through the full BF pipeline.
 //! * **Empty-cell mask invariance** — Eq. 4's loss and its gradients are
 //!   bitwise independent of target values at masked (empty) cells.
 //! * **Simplex preservation** — every forecast cell is a valid histogram
@@ -88,36 +88,63 @@ fn forward_eval(model: &dyn OdForecaster, inputs: &[Tensor], horizon: usize) -> 
 // Region-permutation equivariance
 // ---------------------------------------------------------------------------
 
-/// `cheby_basis(P L Pᵀ, P x) = P cheby_basis(L, x)` — the Chebyshev
-/// recurrence has no privileged node order.
+/// `ChebyConv(P L̃ Pᵀ, P x) = P ChebyConv(L̃, x)` — the Cheby-Net layer
+/// the models run has no privileged node order.
 #[test]
-fn cheby_basis_is_permutation_equivariant() {
-    let n = 6;
-    let order = 4;
+fn cheby_conv_is_permutation_equivariant() {
+    use stod_nn::layers::ChebyConv;
+    use stod_tensor::CsrMatrix;
+    let (batch, n, feat, order) = (2, 6, 3, 4);
     let mut rng = Rng64::new(3);
-    let l = Tensor::randn(&[n, n], 0.5, &mut rng);
-    let x = Tensor::randn(&[n], 1.0, &mut rng);
+    // A symmetric operator with about half the off-diagonal entries unstored.
+    let mut l = Tensor::zeros(&[n, n]);
+    for i in 0..n {
+        for j in i..n {
+            if i == j || rng.next_f64() < 0.5 {
+                let v = (rng.next_f64() - 0.5) as f32;
+                l.set(&[i, j], v);
+                l.set(&[j, i], v);
+            }
+        }
+    }
+    let x = Tensor::randn(&[batch, n, feat], 1.0, &mut rng);
     let sigma: Vec<usize> = (0..n).map(|i| (i + 1) % n).collect();
 
     let mut lp = Tensor::zeros(&[n, n]);
-    let mut xp = Tensor::zeros(&[n]);
+    let mut xp = Tensor::zeros(&[batch, n, feat]);
     for (i, &si) in sigma.iter().enumerate() {
-        xp.set(&[i], x.at(&[si]));
         for (j, &sj) in sigma.iter().enumerate() {
             lp.set(&[i, j], l.at(&[si, sj]));
         }
+        for b in 0..batch {
+            for c in 0..feat {
+                xp.set(&[b, i, c], x.at(&[b, si, c]));
+            }
+        }
     }
 
-    let base = stod_graph::cheby::cheby_basis(&l, &x, order);
-    let perm = stod_graph::cheby::cheby_basis(&lp, &xp, order);
-    for (i, &si) in sigma.iter().enumerate() {
-        for s in 0..order {
-            let a = perm.at(&[i, s]);
-            let b = base.at(&[si, s]);
-            assert!(
-                (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
-                "basis[{i},{s}] = {a} vs permuted {b}"
-            );
+    // Same filter bank on both sides: same init seed, same shapes.
+    let apply = |l: &Tensor, x: &Tensor| {
+        let mut store = ParamStore::new();
+        let l = Arc::new(CsrMatrix::from_dense(l));
+        let conv = ChebyConv::new(&mut store, "gc", l, order, feat, 5, &mut Rng64::new(4));
+        let mut tape = Tape::new();
+        let xv = tape.constant(x.clone());
+        let y = conv.apply(&mut tape, &store, xv);
+        tape.value(y).clone()
+    };
+    let base = apply(&l, &x);
+    let perm = apply(&lp, &xp);
+    for b in 0..batch {
+        for (i, &si) in sigma.iter().enumerate() {
+            for o in 0..5 {
+                let got = perm.at(&[b, i, o]);
+                let want = base.at(&[b, si, o]);
+                assert!(
+                    (got - want).abs() <= 1e-5 * (1.0 + want.abs()),
+                    "y[{b},{i},{o}] = {got} vs permuted {want}"
+                );
+            }
         }
     }
 }

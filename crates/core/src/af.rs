@@ -25,62 +25,11 @@ use crate::config::AfConfig;
 use crate::model::{Mode, ModelOutput, OdForecaster};
 use crate::recovery::{recover, recover_masked};
 use std::sync::Arc;
-use stod_graph::{
-    coarsen_for_pooling, coarsen_for_pooling_csr, laplacian_csr, proximity_csr, proximity_matrix,
-    scaled_laplacian, scaled_laplacian_csr,
-};
-use stod_nn::layers::{csr_propagate, ChebyConv, ChebyFilter, GcGruSeq2Seq, GruSeq2Seq, Linear};
+use stod_graph::{coarsen_for_pooling_csr, laplacian_csr, proximity_csr, scaled_laplacian_csr};
+use stod_nn::layers::{csr_propagate, ChebyConv, GcGruSeq2Seq, GruSeq2Seq, Linear};
 use stod_nn::{ParamId, ParamStore, Tape, Var};
 use stod_tensor::rng::Rng64;
 use stod_tensor::{CsrMatrix, Tensor};
-
-/// A proximity graph in whichever representation the configured
-/// [`crate::GraphMode`] picked. Both arms build the same Laplacians,
-/// coarsenings and Cheby filters — the CSR ones are proven equivalent to
-/// dense in `stod-graph`'s tests — so the choice changes memory and
-/// speed, not semantics.
-#[derive(Clone)]
-enum Adjacency {
-    Dense(Tensor),
-    Csr(CsrMatrix),
-}
-
-impl Adjacency {
-    fn num_nodes(&self) -> usize {
-        match self {
-            Adjacency::Dense(w) => w.dim(0),
-            Adjacency::Csr(w) => w.rows(),
-        }
-    }
-
-    /// The scaled Laplacian as a Cheby filter in matching representation.
-    fn scaled_laplacian_filter(&self) -> ChebyFilter {
-        match self {
-            Adjacency::Dense(w) => ChebyFilter::from(scaled_laplacian(w)),
-            Adjacency::Csr(w) => ChebyFilter::from(Arc::new(scaled_laplacian_csr(w))),
-        }
-    }
-
-    /// Graclus-style coarsening: (node order, pool window, coarse graph).
-    fn coarsen(&self, levels: usize) -> (Vec<usize>, usize, Adjacency) {
-        match self {
-            Adjacency::Dense(w) => {
-                let c = coarsen_for_pooling(w, levels);
-                (c.order.clone(), c.pool_size(), Adjacency::Dense(c.coarse_w))
-            }
-            Adjacency::Csr(w) => {
-                let c = coarsen_for_pooling_csr(w, levels);
-                (c.order.clone(), c.pool_size(), Adjacency::Csr(c.coarse_w))
-            }
-        }
-    }
-}
-
-/// An unscaled graph Laplacian for the Eq. 11 Dirichlet regularizer.
-enum Laplacian {
-    Dense(Tensor),
-    Csr(Arc<CsrMatrix>),
-}
 
 /// One graph-convolution + pooling stage of the spatial factorization.
 struct SpatialStage {
@@ -124,9 +73,9 @@ pub struct AfModel {
     r_rnn: Forecaster,
     c_rnn: Forecaster,
     /// Unscaled Laplacian of the origin graph (Dirichlet regularizer).
-    origin_l: Laplacian,
+    origin_l: Arc<CsrMatrix>,
     /// Unscaled Laplacian of the destination graph.
-    dest_l: Laplacian,
+    dest_l: Arc<CsrMatrix>,
     /// Origin-, destination- and bucket-wise recovery logit biases.
     bias_o: ParamId,
     bias_d: ParamId,
@@ -140,26 +89,19 @@ impl AfModel {
     /// centroids with the configured (σ, α); they coincide when origins and
     /// destinations share one partition, as in both of the paper's
     /// datasets, but the two code paths stay separate as in the paper.
+    ///
+    /// Every graph operator is built in CSR form: the thresholded-Gaussian
+    /// proximity graph is sparse by construction.
     pub fn new(centroids: &[(f64, f64)], num_buckets: usize, cfg: AfConfig, seed: u64) -> AfModel {
         let n = centroids.len();
         assert!(n >= 2, "need at least two regions");
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(seed);
 
-        let (origin_w, origin_l) = if cfg.graph.is_sparse(n) {
-            let w = proximity_csr(centroids, cfg.proximity);
-            let l = Laplacian::Csr(Arc::new(laplacian_csr(&w)));
-            (Adjacency::Csr(w), l)
-        } else {
-            let w = proximity_matrix(centroids, cfg.proximity);
-            let l = Laplacian::Dense(stod_graph::laplacian(&w));
-            (Adjacency::Dense(w), l)
-        };
-        let dest_w = origin_w.clone();
-        let dest_l = match &origin_l {
-            Laplacian::Dense(l) => Laplacian::Dense(l.clone()),
-            Laplacian::Csr(l) => Laplacian::Csr(Arc::clone(l)),
-        };
+        let origin_w = proximity_csr(centroids, cfg.proximity);
+        let origin_l = Arc::new(laplacian_csr(&origin_w));
+        let dest_w = &origin_w;
+        let dest_l = Arc::clone(&origin_l);
 
         // R side convolves over the destination graph (§V-A: a slice per
         // origin holds costs to all destinations); C side over the origin
@@ -167,7 +109,7 @@ impl AfModel {
         let r_fact = Self::build_factorization(
             &mut store,
             "af.fact_r",
-            &dest_w,
+            dest_w,
             n,
             num_buckets,
             &cfg,
@@ -196,7 +138,7 @@ impl AfModel {
             Forecaster::Graph(GcGruSeq2Seq::new(
                 &mut store,
                 "af.rnn_r",
-                origin_w.scaled_laplacian_filter(),
+                Arc::new(scaled_laplacian_csr(&origin_w)),
                 cfg.rnn_order,
                 feat,
                 cfg.rnn_hidden,
@@ -215,7 +157,7 @@ impl AfModel {
             Forecaster::Graph(GcGruSeq2Seq::new(
                 &mut store,
                 "af.rnn_c",
-                dest_w.scaled_laplacian_filter(),
+                Arc::new(scaled_laplacian_csr(dest_w)),
                 cfg.rnn_order,
                 feat,
                 cfg.rnn_hidden,
@@ -258,7 +200,7 @@ impl AfModel {
     fn build_factorization(
         store: &mut ParamStore,
         prefix: &str,
-        w: &Adjacency,
+        w: &CsrMatrix,
         num_regions: usize,
         num_buckets: usize,
         cfg: &AfConfig,
@@ -284,18 +226,22 @@ impl AfModel {
             let conv = ChebyConv::new(
                 store,
                 &format!("{prefix}.gc{i}"),
-                cur_w.scaled_laplacian_filter(),
+                Arc::new(scaled_laplacian_csr(&cur_w)),
                 st.order,
                 in_feat,
                 filters,
                 rng,
             );
-            let (order, pool, coarse_w) = cur_w.coarsen(st.pool_levels);
-            stages.push(SpatialStage { conv, order, pool });
-            cur_w = coarse_w;
+            let c = coarsen_for_pooling_csr(&cur_w, st.pool_levels);
+            stages.push(SpatialStage {
+                conv,
+                pool: c.pool_size(),
+                order: c.order,
+            });
+            cur_w = c.coarse_w;
             in_feat = filters;
         }
-        let pooled_nodes = cur_w.num_nodes();
+        let pooled_nodes = cur_w.rows();
         let project = Linear::new(
             store,
             &format!("{prefix}.rank_proj"),
@@ -451,22 +397,15 @@ impl AfModel {
 
     /// Factor regularizer: Dirichlet energy on the factor's graph (Eq. 11)
     /// or plain Frobenius when ablated. `x` is `[B, nodes, F]`.
-    fn factor_reg(&self, tape: &mut Tape, x: Var, laplacian: &Laplacian, lambda: f32) -> Var {
+    fn factor_reg(&self, tape: &mut Tape, x: Var, laplacian: &Arc<CsrMatrix>, lambda: f32) -> Var {
         let b = tape.value(x).dim(0) as f32;
         if self.cfg.frobenius_reg {
             let f = tape.frob_sq(x);
             return tape.scale(f, lambda / b);
         }
-        // L is symmetric in both representations, so the CSR propagation
-        // (whose backward multiplies by the same matrix, not its
-        // transpose) computes the same gradient as the dense matmul.
-        let lx = match laplacian {
-            Laplacian::Dense(l) => {
-                let lc = tape.constant(l.clone());
-                tape.batched_matmul(lc, x)
-            }
-            Laplacian::Csr(m) => csr_propagate(tape, Arc::clone(m), x),
-        };
+        // L is symmetric, so the CSR propagation's backward (which
+        // multiplies by the same matrix, not its transpose) is exact.
+        let lx = csr_propagate(tape, Arc::clone(laplacian), x);
         let xlx = tape.mul(x, lx);
         let e = tape.sum_all(xlx);
         // The Dirichlet energy of a PSD Laplacian is non-negative; numerical
@@ -704,98 +643,6 @@ mod tests {
             missing.is_empty(),
             "no gradient for parameters: {missing:?}"
         );
-    }
-
-    /// Forcing the CSR representation at a small N must reproduce the
-    /// dense model: same parameter layout, same Eval forward (up to
-    /// accumulation-order noise between blocked GEMM and CSR spmm), and
-    /// gradients reaching every parameter.
-    #[test]
-    fn sparse_mode_matches_dense_model() {
-        use crate::config::GraphMode;
-        let mk = |graph| {
-            AfModel::new(
-                &centroids(6),
-                7,
-                AfConfig {
-                    graph,
-                    ..AfConfig::default()
-                },
-                9,
-            )
-        };
-        let dense = mk(GraphMode::Dense);
-        let sparse = mk(GraphMode::Sparse);
-
-        // Identical layout and identical initial weights (the RNG draws
-        // don't depend on the filter representation).
-        let d: Vec<_> = dense.params().iter().collect();
-        let s: Vec<_> = sparse.params().iter().collect();
-        assert_eq!(d.len(), s.len());
-        for ((_, dn, dv), (_, sn, sv)) in d.iter().zip(&s) {
-            assert_eq!(dn, sn);
-            assert_eq!(dv.data(), sv.data(), "weights differ at {dn}");
-        }
-
-        let inputs = toy_inputs(2, 6, 7, 3, 23);
-        let run = |model: &AfModel| {
-            let mut tape = Tape::new();
-            let mut rng = Rng64::new(0);
-            let out = model.forward(&mut tape, &inputs, 2, Mode::Eval, &mut rng);
-            let preds: Vec<Tensor> = out
-                .predictions
-                .iter()
-                .map(|&p| tape.value(p).clone())
-                .collect();
-            let reg = tape.value(out.regularizer.unwrap()).item();
-            (preds, reg)
-        };
-        let (dp, dr) = run(&dense);
-        let (sp, sr) = run(&sparse);
-        assert!((dr - sr).abs() <= 1e-5 * dr.abs().max(1.0), "{dr} vs {sr}");
-        for (a, b) in dp.iter().zip(&sp) {
-            let worst = a
-                .data()
-                .iter()
-                .zip(b.data())
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0f32, f32::max);
-            assert!(worst <= 1e-4, "sparse forward drifted {worst} from dense");
-        }
-    }
-
-    #[test]
-    fn sparse_mode_gradients_reach_every_parameter() {
-        use crate::config::GraphMode;
-        let model = AfModel::new(
-            &centroids(6),
-            7,
-            AfConfig {
-                graph: GraphMode::Sparse,
-                ..AfConfig::default()
-            },
-            5,
-        );
-        let inputs = toy_inputs(2, 6, 7, 3, 17);
-        let mut tape = Tape::new();
-        let mut rng = Rng64::new(0);
-        let out = model.forward(
-            &mut tape,
-            &inputs,
-            1,
-            Mode::Train { dropout: 0.0 },
-            &mut rng,
-        );
-        let target = Tensor::zeros(&[2, 6, 6, 7]);
-        let mask = Tensor::ones(&[2, 6, 6, 7]);
-        let mut loss = tape.masked_sq_err(out.predictions[0], &target, &mask);
-        if let Some(reg) = out.regularizer {
-            loss = tape.add(loss, reg);
-        }
-        let grads = tape.backward(loss);
-        for (id, name, _) in model.params().iter() {
-            assert!(grads.get(id).is_some(), "no gradient for {name}");
-        }
     }
 
     #[test]

@@ -40,38 +40,6 @@ impl Default for BfConfig {
     }
 }
 
-/// How the AF represents its proximity graphs and Chebyshev filters.
-///
-/// City-scale graphs (σ-thresholded Gaussian proximity) are sparse:
-/// at N = 1000 with the default (σ, α) only ~1% of entries survive the
-/// threshold, so CSR propagation beats dense matmul by the fill factor.
-/// Dense stays the default for the paper's N ≤ 67 datasets where the
-/// [N, N] tensors are trivially small.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphMode {
-    /// Pick per city size: CSR once `n >= GraphMode::AUTO_SPARSE_AT`.
-    Auto,
-    /// Dense `[N, N]` tensors everywhere (the original code path).
-    Dense,
-    /// CSR sparse matrices for proximity, Laplacians, coarsening and
-    /// Cheby filters.
-    Sparse,
-}
-
-impl GraphMode {
-    /// Region count at which [`GraphMode::Auto`] switches to CSR.
-    pub const AUTO_SPARSE_AT: usize = 256;
-
-    /// Whether a city with `n` regions uses the sparse representation.
-    pub fn is_sparse(self, n: usize) -> bool {
-        match self {
-            GraphMode::Auto => n >= GraphMode::AUTO_SPARSE_AT,
-            GraphMode::Dense => false,
-            GraphMode::Sparse => true,
-        }
-    }
-}
-
 /// One graph-convolution + pooling stage of the AF factorization
 /// (the paper's `GC^{Q×S}` – `P_p` notation).
 #[derive(Debug, Clone, Copy)]
@@ -110,8 +78,6 @@ pub struct AfConfig {
     pub plain_rnn: bool,
     /// Ablation D4: use Frobenius instead of Dirichlet regularization.
     pub frobenius_reg: bool,
-    /// Dense vs CSR graph representation (default: by city size).
-    pub graph: GraphMode,
 }
 
 impl Default for AfConfig {
@@ -139,7 +105,6 @@ impl Default for AfConfig {
             fc_factorization: false,
             plain_rnn: false,
             frobenius_reg: false,
-            graph: GraphMode::Auto,
         }
     }
 }
@@ -235,15 +200,6 @@ mod tests {
         let tc = TrainConfig::default();
         assert!((tc.schedule.initial - 1e-3).abs() < 1e-9);
         assert!((tc.dropout - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn graph_mode_auto_switches_at_threshold() {
-        assert!(!GraphMode::Auto.is_sparse(GraphMode::AUTO_SPARSE_AT - 1));
-        assert!(GraphMode::Auto.is_sparse(GraphMode::AUTO_SPARSE_AT));
-        assert!(!GraphMode::Dense.is_sparse(usize::MAX));
-        assert!(GraphMode::Sparse.is_sparse(2));
-        assert_eq!(AfConfig::default().graph, GraphMode::Auto);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod train;
 pub use af::AfModel;
 pub use bf::BfModel;
 pub use checkpoint::{CkptError, TrainCheckpoint};
-pub use config::{AfConfig, BfConfig, GraphMode, TrainConfig};
+pub use config::{AfConfig, BfConfig, TrainConfig};
 pub use evaluate::{evaluate, EvalReport};
 pub use model::{Mode, ModelOutput, OdForecaster};
 pub use train::{

@@ -26,8 +26,9 @@
 //!   same non-zero entries, so the matching — and therefore pooling
 //!   order, fake-slot layout, and coarse weights — is **identical**.
 //!
-//! The CSR property suite (`crates/graph/tests/csr_props.rs`) and the
-//! `Spmm` conformance kernel pin these claims down.
+//! The CSR property suite (`crates/graph/tests/csr_props.rs`) checks
+//! these claims over random centroids, (σ, α) and pooling levels; the
+//! `Spmm` conformance kernel checks the propagation itself.
 
 use crate::proximity::ProximityParams;
 use stod_tensor::rng::Rng64;
@@ -36,7 +37,9 @@ use stod_tensor::{CsrBuilder, CsrMatrix};
 /// Builds the thresholded-Gaussian proximity matrix for `centroids`
 /// directly in CSR form. Stored entries are bitwise equal to the dense
 /// [`crate::proximity_matrix`]'s non-zeros: `(x−y)²` is sign-symmetric,
-/// so computing each row independently matches the dense pair loop.
+/// so computing each row independently matches the dense pair loop. A
+/// weight that underflows to zero is not stored, even when `α = 0`
+/// admits it, so the pattern is exactly the dense matrix's non-zeros.
 pub fn proximity_csr(centroids: &[(f64, f64)], params: ProximityParams) -> CsrMatrix {
     let n = centroids.len();
     assert!(params.sigma > 0.0, "sigma must be positive");
@@ -54,7 +57,7 @@ pub fn proximity_csr(centroids: &[(f64, f64)], params: ProximityParams) -> CsrMa
             let dx = centroids[i].0 - centroids[j].0;
             let dy = centroids[i].1 - centroids[j].1;
             let v = (-(dx * dx + dy * dy) / s2).exp() as f32;
-            (v >= params.alpha).then_some((j, v))
+            (v >= params.alpha && v > 0.0).then_some((j, v))
         }));
     }
     b.finish()

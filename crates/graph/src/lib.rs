@@ -2,19 +2,19 @@
 //!
 //! The graph machinery behind the paper's advanced framework:
 //!
-//! * [`proximity`] — the thresholded-Gaussian *proximity matrix* `W`
+//! * [`csr`] — the graph operators the models run, built directly in
+//!   CSR form: the thresholded-Gaussian *proximity matrix* `W`
 //!   (§V-A.1) that captures spatial correlation among origin regions and
-//!   among destination regions.
-//! * [`laplacian`] — combinatorial Laplacian `L = D − W`, its scaled form
-//!   `L̃ = 2L/λ_max − I` used by Cheby-Net filters, and the Dirichlet
-//!   energy `xᵀLx` used by the Eq. 11 regularizers.
-//! * [`cheby`] — plain (non-autodiff) Chebyshev basis computation, used by
-//!   tests as a reference for the `stod-nn` layer.
-//! * [`coarsen`] — Graclus-style greedy graph coarsening producing the
-//!   cluster ordering that makes the paper's *geometric pooling* (§V-A.2)
-//!   pool genuinely adjacent regions together.
+//!   among destination regions, the combinatorial Laplacian `L = D − W`,
+//!   its scaled form `L̃ = 2L/λ_max − I` used by Cheby-Net filters, the
+//!   Dirichlet energy `xᵀLx` of the Eq. 11 regularizers, and the
+//!   Graclus-style coarsening behind the paper's *geometric pooling*
+//!   (§V-A.2).
+//! * [`proximity`], [`laplacian`], [`coarsen`] — the kernel parameters
+//!   ([`ProximityParams`]) and dense reference implementations of the
+//!   same builders. No model runs the dense builders; they are the
+//!   oracles the CSR builders are tested against (`tests/csr_props.rs`).
 
-pub mod cheby;
 pub mod coarsen;
 pub mod csr;
 pub mod laplacian;

@@ -16,20 +16,25 @@
 //! `Z [B·N, S·F]`; one `Z·W` GEMM and a row-pass bias add finish the
 //! layer. Only `Z` and the output stay alive for the backward pass.
 //!
+//! The graph operator is a CSR scaled Laplacian shared through an
+//! [`Arc`]: one model builds it once and every layer over that graph
+//! holds the same matrix. Propagation is one [`CsrMatrix::spmm_panel`]
+//! per Chebyshev order, and the backward pass multiplies by the same
+//! matrix again, which is sound because scaled Laplacians are symmetric
+//! (the constructor asserts it).
+//!
 //! The fused op is bitwise identical to the composed layer it replaced —
 //! forecasts, input gradients and parameter gradients — because:
 //!
-//! * dense propagation picks the blocked or naive kernel by the per-slice
-//!   shape `[N×N]·[N×F]` ([`gemm::uses_blocked`]), never by the panel
-//!   width, and both kernels give every element the same FMA chain at any
-//!   width;
+//! * `spmm_panel` accumulates every output element over its row's stored
+//!   entries in column order, whatever the panel width, so the merged
+//!   `[N, B·F]` product reproduces each per-slice product bit for bit;
 //! * `T_s` is rounded as scale-then-subtract, as the composed ops did;
-//! * the backward multiplies by an explicit `L̃ᵀ` (built once per layer),
-//!   computes `dW = Zᵀ·dY` and `db = Σ_rows dY` with the same `matmul` and
-//!   `sum_axis` calls, accumulates each `dT_k` as `slice_k`, then
-//!   `−dT_{k+2}`, then `L̃ᵀ·(2·dT_{k+1})`, and lists the input as a parent
-//!   up to three times so its contributions reach the tape in the old
-//!   order `[slice₀, −dT₂, L̃ᵀ·dT₁]` — which matters when the input has
+//! * the backward computes `dW = Zᵀ·dY` and `db = Σ_rows dY` with the same
+//!   `matmul` and `sum_axis` calls, accumulates each `dT_k` as `slice_k`,
+//!   then `−dT_{k+2}`, then `L̃·(2·dT_{k+1})`, and lists the input as a
+//!   parent up to three times so its contributions reach the tape in the
+//!   old order `[slice₀, −dT₂, L̃·dT₁]` — which matters when the input has
 //!   other consumers, as the GCGRU gates' shared `[X ‖ H]` does.
 //!
 //! The composed layer survives as the test oracle the unit suite compares
@@ -38,79 +43,9 @@
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use std::sync::Arc;
-use stod_tensor::ops::{elementwise as ew, gemm, matmul as mm, transform as tf};
+use stod_tensor::ops::{elementwise as ew, matmul as mm, transform as tf};
 use stod_tensor::rng::Rng64;
 use stod_tensor::{arena, CsrMatrix, Tensor};
-
-/// The fixed graph operator a [`ChebyConv`] propagates over — a scaled
-/// Laplacian held either dense or in CSR form.
-///
-/// Dense is the historical representation and stays the default (every
-/// `Tensor` call site converts implicitly via `From`). CSR is the
-/// city-scale path: propagation runs as a sparse-matrix × dense-panel
-/// product touching only stored entries, with the backward pass
-/// multiplying by the same matrix again — sound because scaled
-/// Laplacians are symmetric, which the CSR constructor asserts.
-/// The dense backward multiplies by an explicit transpose instead.
-#[derive(Clone)]
-pub enum ChebyFilter {
-    /// Dense scaled Laplacian `L̃ ∈ R^{N×N}`; propagation is one GEMM per
-    /// Chebyshev order over a node-major panel.
-    Dense(Tensor),
-    /// CSR scaled Laplacian; propagation is one `CsrMatrix::spmm_panel`
-    /// per Chebyshev order over a node-major panel.
-    Csr(Arc<CsrMatrix>),
-}
-
-impl ChebyFilter {
-    /// Number of graph nodes.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            ChebyFilter::Dense(l) => l.dim(0),
-            ChebyFilter::Csr(m) => m.rows(),
-        }
-    }
-
-    /// Whether this filter propagates over CSR.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, ChebyFilter::Csr(_))
-    }
-
-    fn validate(&self) {
-        match self {
-            ChebyFilter::Dense(l) => {
-                assert_eq!(l.ndim(), 2, "Laplacian must be 2-D");
-                assert_eq!(l.dim(0), l.dim(1), "Laplacian must be square");
-            }
-            ChebyFilter::Csr(m) => {
-                assert_eq!(m.rows(), m.cols(), "Laplacian must be square");
-                assert!(
-                    m.is_symmetric(),
-                    "CSR Cheby filter must be symmetric: the backward pass \
-                     multiplies by the same matrix instead of its transpose"
-                );
-            }
-        }
-    }
-}
-
-impl From<Tensor> for ChebyFilter {
-    fn from(l: Tensor) -> ChebyFilter {
-        ChebyFilter::Dense(l)
-    }
-}
-
-impl From<CsrMatrix> for ChebyFilter {
-    fn from(m: CsrMatrix) -> ChebyFilter {
-        ChebyFilter::Csr(Arc::new(m))
-    }
-}
-
-impl From<Arc<CsrMatrix>> for ChebyFilter {
-    fn from(m: Arc<CsrMatrix>) -> ChebyFilter {
-        ChebyFilter::Csr(m)
-    }
-}
 
 /// `y = L̃·x` for a CSR `L̃` and `x ∈ R^{B×N×F}`, differentiable in `x`.
 /// The gradient is `L̃ᵀ·g = L̃·g` (the filter is symmetric by
@@ -126,91 +61,28 @@ pub fn csr_propagate(tape: &mut Tape, m: Arc<CsrMatrix>, x: Var) -> Var {
     )
 }
 
-/// A layer's graph operator in the form the fused op consumes: dense `L̃`
-/// with its explicit transpose, both built once per layer, or the shared
-/// CSR matrix, which is symmetric and so its own transpose.
-#[derive(Clone)]
-enum Propagator {
-    Dense { l: Arc<Tensor>, lt: Arc<Tensor> },
-    Csr(Arc<CsrMatrix>),
-}
-
-impl Propagator {
-    fn new(filter: ChebyFilter) -> Propagator {
-        match filter {
-            ChebyFilter::Dense(l) => {
-                let lt = tf::transpose(&l, 0, 1);
-                Propagator::Dense {
-                    l: Arc::new(l),
-                    lt: Arc::new(lt),
-                }
-            }
-            ChebyFilter::Csr(m) => Propagator::Csr(m),
-        }
-    }
-
-    fn num_nodes(&self) -> usize {
-        match self {
-            Propagator::Dense { l, .. } => l.dim(0),
-            Propagator::Csr(m) => m.rows(),
-        }
-    }
-
-    /// `L̃·p`, or `L̃ᵀ·p` when `transposed`, for a node-major panel
-    /// `p [N, B·F]` holding `B` slices of `feat` features side by side.
-    ///
-    /// A dense product picks its kernel by the per-slice shape
-    /// `[N×N]·[N×feat]`, never by the panel width: the blocked and naive
-    /// kernels each give an element the same FMA chain at any width, so
-    /// every element comes out as the per-slice batched product made it.
-    fn propagate(&self, p: &Tensor, feat: usize, transposed: bool) -> Tensor {
-        match self {
-            Propagator::Dense { l, lt } => {
-                let a = if transposed { lt } else { l };
-                let (n, width) = (p.dim(0), p.dim(1));
-                let mut out = arena::alloc_filled(n * width, 0.0);
-                if gemm::uses_blocked(n, n, feat) {
-                    // Blocked at the slice width implies blocked at the
-                    // (wider) panel width, so gemm_rows stays blocked.
-                    gemm::gemm_rows(a.data(), p.data(), &mut out, n, n, width);
-                } else {
-                    gemm::naive_rows(a.data(), p.data(), &mut out, n, n, width);
-                }
-                Tensor::from_vec(&[n, width], out)
-            }
-            Propagator::Csr(m) => m.spmm_panel(p),
-        }
-    }
-}
-
 /// Records `Y = Σ_s T_s(X)·W_s + b` for `x [B, N, F]`, `w [S·F, O]` and
 /// `b [O]` as one `cheby_conv` tape node.
-fn cheby_conv(tape: &mut Tape, prop: &Propagator, order: usize, x: Var, w: Var, b: Var) -> Var {
-    let (y, z) = forward(prop, order, tape.value(x), tape.value(w), tape.value(b));
+fn cheby_conv(tape: &mut Tape, l: &Arc<CsrMatrix>, order: usize, x: Var, w: Var, b: Var) -> Var {
+    let (y, z) = forward(l, order, tape.value(x), tape.value(w), tape.value(b));
     // The input is listed once per contribution it receives, so the tape
     // accumulates them in the composed layer's order.
     let x_slots = order.min(3);
     let mut parents = vec![x; x_slots];
     parents.extend([w, b]);
-    let prop = prop.clone();
+    let l = Arc::clone(l);
     tape.custom_op(
         "cheby_conv",
         y,
         &parents,
-        Box::new(move |g, ps, _, needs| backward(&prop, order, &z, g, ps, needs)),
+        Box::new(move |g, ps, _, needs| backward(&l, order, &z, g, ps, needs)),
     )
 }
 
 /// The fused forward pass: `(Y [B, N, O], Z [B·N, S·F])`. `Z` holds `T_s`
 /// in column block `s` with batch-major rows; the backward pass keeps it
 /// for `dW = Zᵀ·dY`.
-fn forward(
-    prop: &Propagator,
-    order: usize,
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-) -> (Tensor, Tensor) {
+fn forward(l: &CsrMatrix, order: usize, x: &Tensor, w: &Tensor, b: &Tensor) -> (Tensor, Tensor) {
     let (batch, n, f) = (x.dim(0), x.dim(1), x.dim(2));
     let sf = order * f;
     let mut z = arena::alloc_raw(batch * n * sf);
@@ -224,7 +96,7 @@ fn forward(
         let mut prev: Option<Tensor> = None; // T_{s−2}
         let mut cur = tf::permute(x, &[1, 0, 2]).reshaped(&[n, batch * f]); // T_{s−1}
         for s in 1..order {
-            let mut t = prop.propagate(&cur, f, false);
+            let mut t = l.spmm_panel(&cur);
             if let Some(p2) = &prev {
                 // 2·L̃·T_{s−1} − T_{s−2}, rounded as scale then subtract.
                 for (v, &q) in t.data_mut().iter_mut().zip(p2.data()) {
@@ -249,7 +121,7 @@ fn forward(
 /// The fused backward pass: gradients for the parents
 /// `[x; min(S, 3)], w, b` of [`cheby_conv`].
 fn backward(
-    prop: &Propagator,
+    l: &CsrMatrix,
     order: usize,
     z: &Tensor,
     g: &Tensor,
@@ -263,7 +135,7 @@ fn backward(
     let mut grads = if needs[0] {
         // dZ = dY·Wᵀ, the mixing matmul's own input gradient.
         let dz = mm::matmul(&dy, &tf::transpose(w, 0, 1));
-        input_grads(prop, order, &dz, batch, n, f)
+        input_grads(l, order, &dz, batch, n, f)
     } else {
         vec![None; x_slots]
     };
@@ -274,9 +146,9 @@ fn backward(
 
 /// The input's gradient contributions from `dZ [B·N, S·F]`, in the order
 /// the composed layer's nodes delivered them: `slice₀`, then `−dT₂`
-/// (orders ≥ 3), then `L̃ᵀ·dT₁` (orders ≥ 2).
+/// (orders ≥ 3), then `L̃·dT₁` (orders ≥ 2).
 fn input_grads(
-    prop: &Propagator,
+    l: &CsrMatrix,
     order: usize,
     dz: &Tensor,
     batch: usize,
@@ -297,7 +169,7 @@ fn input_grads(
         Tensor::from_vec(&[batch, n, f], out)
     };
     // dT_k for k = S−1 … 1 accumulates slice_k, then −dT_{k+2}, then
-    // L̃ᵀ·(2·dT_{k+1}). Step k is dT_{k+2}'s last use.
+    // L̃·(2·dT_{k+1}) (L̃ is symmetric). Step k is dT_{k+2}'s last use.
     let mut d: Vec<Option<Tensor>> = (0..order).map(|_| None).collect();
     for k in (1..order).rev() {
         let mut dk = slice_panel(k);
@@ -307,7 +179,7 @@ fn input_grads(
             }
         }
         if let Some(d1) = d.get(k + 1).and_then(Option::as_ref) {
-            let back = prop.propagate(&ew::scale(d1, 2.0), f, true);
+            let back = l.spmm_panel(&ew::scale(d1, 2.0));
             for (a, &v) in dk.data_mut().iter_mut().zip(back.data()) {
                 *a += v;
             }
@@ -325,19 +197,19 @@ fn input_grads(
         grads.push(Some(neg));
     }
     if let Some(d1) = d.get(1).and_then(Option::as_ref) {
-        grads.push(Some(batch_major(&prop.propagate(d1, f, true))));
+        grads.push(Some(batch_major(&l.spmm_panel(d1))));
     }
     grads
 }
 
 /// A Chebyshev graph-convolution layer over a fixed graph.
 ///
-/// The scaled Laplacian is a fixed (non-learned) operator owned by the
-/// layer; the fused op differentiates the signal and the filter bank,
-/// never the graph.
+/// The scaled Laplacian is a fixed (non-learned) operator that every
+/// layer over the same graph shares; the fused op differentiates the
+/// signal and the filter bank, never the graph.
 pub struct ChebyConv {
-    /// Scaled Laplacian `L̃` (with `L̃ᵀ` when dense).
-    prop: Propagator,
+    /// Scaled Laplacian `L̃`, symmetric.
+    l: Arc<CsrMatrix>,
     ws: ParamId,
     b: ParamId,
     order: usize,
@@ -350,26 +222,31 @@ impl ChebyConv {
     /// support size), i.e. the number of basis terms.
     ///
     /// # Panics
-    /// Panics if `laplacian` is not square or `order == 0`.
+    /// Panics if `order == 0` or `laplacian` is not bitwise symmetric: the
+    /// backward pass multiplies by the same matrix instead of its
+    /// transpose.
     pub fn new(
         store: &mut ParamStore,
         prefix: &str,
-        laplacian: impl Into<ChebyFilter>,
+        laplacian: Arc<CsrMatrix>,
         order: usize,
         in_feat: usize,
         out_feat: usize,
         rng: &mut Rng64,
     ) -> Self {
         assert!(order >= 1, "Chebyshev order must be ≥ 1");
-        let filter = laplacian.into();
-        filter.validate();
+        assert!(
+            laplacian.is_symmetric(),
+            "Cheby filter must be a square symmetric matrix: the backward \
+             pass multiplies by the same matrix instead of its transpose"
+        );
         let ws = store.register(
             format!("{prefix}.ws"),
             Tensor::glorot(&[order * in_feat, out_feat], rng),
         );
         let b = store.register(format!("{prefix}.b"), Tensor::zeros(&[out_feat]));
         ChebyConv {
-            prop: Propagator::new(filter),
+            l: laplacian,
             ws,
             b,
             order,
@@ -380,12 +257,7 @@ impl ChebyConv {
 
     /// Number of graph nodes the layer operates on.
     pub fn num_nodes(&self) -> usize {
-        self.prop.num_nodes()
-    }
-
-    /// Whether propagation runs over the CSR (sparse) path.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.prop, Propagator::Csr(_))
+        self.l.rows()
     }
 
     /// Chebyshev order `S`.
@@ -413,7 +285,7 @@ impl ChebyConv {
         self.check_input(tape.value(x));
         let ws = tape.param(store, self.ws);
         let b = tape.param(store, self.b);
-        cheby_conv(tape, &self.prop, self.order, x, ws, b)
+        cheby_conv(tape, &self.l, self.order, x, ws, b)
     }
 
     fn check_input(&self, x: &Tensor) {
@@ -436,18 +308,7 @@ impl ChebyConv {
             let d = tape.value(x).dims();
             (d[0], d[1], d[2])
         };
-        enum Ctx {
-            Dense(Var),
-            Csr(Arc<CsrMatrix>),
-        }
-        let ctx = match &self.prop {
-            Propagator::Dense { l, .. } => Ctx::Dense(tape.constant(Tensor::clone(l))),
-            Propagator::Csr(m) => Ctx::Csr(m.clone()),
-        };
-        let propagate = |tape: &mut Tape, v: Var| match &ctx {
-            Ctx::Dense(l) => tape.batched_matmul(*l, v),
-            Ctx::Csr(m) => csr_propagate(tape, m.clone(), v),
-        };
+        let propagate = |tape: &mut Tape, v: Var| csr_propagate(tape, Arc::clone(&self.l), v);
         let mut basis: Vec<Var> = Vec::with_capacity(self.order);
         basis.push(x);
         if self.order >= 2 {
@@ -475,7 +336,7 @@ mod tests {
     use super::*;
 
     /// Scaled Laplacian of a 3-node path graph (precomputed by hand).
-    fn path3_scaled_laplacian() -> Tensor {
+    fn path3() -> Arc<CsrMatrix> {
         // W = path graph adjacency, L = D − W, λ_max = 3 → L̃ = 2L/3 − I.
         let l = Tensor::from_vec(
             &[3, 3],
@@ -486,22 +347,14 @@ mod tests {
             let v = lt.at(&[i, i]) - 1.0;
             lt.set(&[i, i], v);
         }
-        lt
+        Arc::new(CsrMatrix::from_dense(&lt))
     }
 
     #[test]
     fn output_shape() {
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(0);
-        let conv = ChebyConv::new(
-            &mut store,
-            "gc",
-            path3_scaled_laplacian(),
-            3,
-            2,
-            5,
-            &mut rng,
-        );
+        let conv = ChebyConv::new(&mut store, "gc", path3(), 3, 2, 5, &mut rng);
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::ones(&[4, 3, 2]));
         let y = conv.apply(&mut tape, &store, x);
@@ -514,15 +367,7 @@ mod tests {
         // and must be insensitive to the graph.
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(1);
-        let conv = ChebyConv::new(
-            &mut store,
-            "gc",
-            path3_scaled_laplacian(),
-            1,
-            2,
-            2,
-            &mut rng,
-        );
+        let conv = ChebyConv::new(&mut store, "gc", path3(), 1, 2, 2, &mut rng);
         let mut tape = Tape::new();
         // Two nodes with identical features must give identical outputs.
         let x = tape.leaf(Tensor::from_vec(
@@ -541,15 +386,7 @@ mod tests {
         // have identical features but different neighborhoods.
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(2);
-        let conv = ChebyConv::new(
-            &mut store,
-            "gc",
-            path3_scaled_laplacian(),
-            2,
-            2,
-            2,
-            &mut rng,
-        );
+        let conv = ChebyConv::new(&mut store, "gc", path3(), 2, 2, 2, &mut rng);
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec(
             &[1, 3, 2],
@@ -568,15 +405,7 @@ mod tests {
     fn gradients_reach_filters() {
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(3);
-        let conv = ChebyConv::new(
-            &mut store,
-            "gc",
-            path3_scaled_laplacian(),
-            3,
-            2,
-            2,
-            &mut rng,
-        );
+        let conv = ChebyConv::new(&mut store, "gc", path3(), 3, 2, 2, &mut rng);
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::ones(&[2, 3, 2]));
         let y = conv.apply(&mut tape, &store, x);
@@ -589,59 +418,8 @@ mod tests {
     }
 
     #[test]
-    fn csr_filter_forward_matches_dense_within_ulp() {
-        // Same weights (same RNG stream), dense vs CSR filter: the CSR
-        // path accumulates only stored entries while the dense GEMM sums
-        // all N terms, so equality is tight-tolerance, not bitwise.
-        let lap = path3_scaled_laplacian();
-        let csr = CsrMatrix::from_dense(&lap);
-        let mut sd = ParamStore::new();
-        let mut ss = ParamStore::new();
-        let dense = ChebyConv::new(&mut sd, "gc", lap, 3, 2, 4, &mut Rng64::new(9));
-        let sparse = ChebyConv::new(&mut ss, "gc", csr, 3, 2, 4, &mut Rng64::new(9));
-        assert!(sparse.is_sparse() && !dense.is_sparse());
-        let x0 = Tensor::randn(&[2, 3, 2], 1.0, &mut Rng64::new(10));
-        let mut tape = Tape::new();
-        let x = tape.leaf(x0.clone());
-        let yd = dense.apply(&mut tape, &sd, x);
-        let ys = sparse.apply(&mut tape, &ss, x);
-        let (vd, vs) = (tape.value(yd), tape.value(ys));
-        assert!(
-            vd.max_abs_diff(vs) <= 1e-5,
-            "CSR/dense diverged: {}",
-            vd.max_abs_diff(vs)
-        );
-    }
-
-    #[test]
-    fn csr_filter_gradients_match_dense() {
-        let lap = path3_scaled_laplacian();
-        let csr = CsrMatrix::from_dense(&lap);
-        let x0 = Tensor::randn(&[2, 3, 2], 0.7, &mut Rng64::new(11));
-        let grads = |filter: ChebyFilter| {
-            let mut store = ParamStore::new();
-            let conv = ChebyConv::new(&mut store, "gc", filter, 3, 2, 2, &mut Rng64::new(12));
-            let mut tape = Tape::new();
-            let x = tape.leaf(x0.clone());
-            let y = conv.apply(&mut tape, &store, x);
-            let sq = tape.mul(y, y);
-            let loss = tape.sum_all(sq);
-            let g = tape.backward(loss);
-            let gx = tape.backward_wrt(loss, &[x])[0]
-                .clone()
-                .expect("input grad");
-            (g.get(store.id_of("gc.ws").unwrap()).unwrap().clone(), gx)
-        };
-        let (gw_d, gx_d) = grads(ChebyFilter::from(lap));
-        let (gw_s, gx_s) = grads(ChebyFilter::from(csr));
-        assert!(gw_d.max_abs_diff(&gw_s) <= 1e-4, "ws grads diverged");
-        assert!(gx_d.max_abs_diff(&gx_s) <= 1e-4, "input grads diverged");
-    }
-
-    #[test]
     fn csr_propagate_gradcheck() {
-        let lap = path3_scaled_laplacian();
-        let csr = std::sync::Arc::new(CsrMatrix::from_dense(&lap));
+        let csr = path3();
         let x0 = Tensor::randn(&[2, 3, 2], 0.5, &mut Rng64::new(13));
         crate::gradcheck::assert_grad_ok(&[x0], move |t, v| {
             let t1 = csr_propagate(t, csr.clone(), v[0]);
@@ -660,7 +438,7 @@ mod tests {
         ChebyConv::new(
             &mut store,
             "gc",
-            CsrMatrix::from_dense(&w),
+            Arc::new(CsrMatrix::from_dense(&w)),
             2,
             1,
             1,
@@ -671,15 +449,7 @@ mod tests {
     #[test]
     fn apply_records_one_fused_node() {
         let mut store = ParamStore::new();
-        let conv = ChebyConv::new(
-            &mut store,
-            "gc",
-            path3_scaled_laplacian(),
-            4,
-            2,
-            3,
-            &mut Rng64::new(5),
-        );
+        let conv = ChebyConv::new(&mut store, "gc", path3(), 4, 2, 3, &mut Rng64::new(5));
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::ones(&[2, 3, 2]));
         let before = tape.len();
@@ -690,7 +460,7 @@ mod tests {
     #[test]
     fn gradcheck_through_cheby_recurrence() {
         // Rebuild the recurrence manually with leaf weights to finite-diff it.
-        let lap = path3_scaled_laplacian();
+        let lap = path3().to_dense();
         let mut rng = Rng64::new(4);
         let x0 = Tensor::randn(&[2, 3, 2], 0.5, &mut rng);
         let w0 = Tensor::randn(&[3 * 2, 2], 0.5, &mut rng);
@@ -711,34 +481,29 @@ mod tests {
 
     #[test]
     fn gradcheck_fused_op() {
-        // x, W and b as plain leaves, over the dense and the CSR operator,
-        // at an order that exercises every backward contribution.
-        let lap = path3_scaled_laplacian();
+        // x, W and b as plain leaves, at an order that exercises every
+        // backward contribution.
+        let l = path3();
         let mut rng = Rng64::new(4);
         let x0 = Tensor::randn(&[2, 3, 2], 0.5, &mut rng);
         let w0 = Tensor::randn(&[4 * 2, 2], 0.5, &mut rng);
         let b0 = Tensor::randn(&[2], 0.5, &mut rng);
-        for prop in [
-            Propagator::new(ChebyFilter::from(lap.clone())),
-            Propagator::new(ChebyFilter::from(CsrMatrix::from_dense(&lap))),
-        ] {
-            crate::gradcheck::assert_grad_ok_at_threads(
-                &[x0.clone(), w0.clone(), b0.clone()],
-                move |t, v| {
-                    let y = cheby_conv(t, &prop, 4, v[0], v[1], v[2]);
-                    let sq = t.mul(y, y);
-                    t.sum_all(sq)
-                },
-                &[4],
-            );
-        }
+        crate::gradcheck::assert_grad_ok_at_threads(
+            &[x0, w0, b0],
+            move |t, v| {
+                let y = cheby_conv(t, &l, 4, v[0], v[1], v[2]);
+                let sq = t.mul(y, y);
+                t.sum_all(sq)
+            },
+            &[4],
+        );
     }
 
     /// A symmetric scaled-Laplacian-like operator over a random sparse
     /// graph: `2L/λ̂ − I` with `λ̂ = 2·max degree ≥ λ_max`, so the spectrum
-    /// sits in `[−1, 1]` like a real scaled Laplacian's, and the zero
-    /// off-diagonal entries exercise the naive kernel's zero skip.
-    fn random_scaled_laplacian(n: usize, seed: u64) -> Tensor {
+    /// sits in `[−1, 1]` like a real scaled Laplacian's, with about 80% of
+    /// the off-diagonal entries left unstored.
+    fn random_scaled_laplacian(n: usize, seed: u64) -> Arc<CsrMatrix> {
         let mut rng = Rng64::new(seed);
         let mut w = Tensor::zeros(&[n, n]);
         for i in 0..n {
@@ -765,7 +530,7 @@ mod tests {
                 l.set(&[i, j], v);
             }
         }
-        l
+        Arc::new(CsrMatrix::from_dense(&l))
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -781,19 +546,13 @@ mod tests {
         params: Vec<(String, Vec<u32>)>,
     }
 
-    fn run(
-        filter: &ChebyFilter,
-        order: usize,
-        dims: [usize; 3],
-        constant: bool,
-        fused: bool,
-    ) -> Run {
+    fn run(l: &Arc<CsrMatrix>, order: usize, dims: [usize; 3], constant: bool, fused: bool) -> Run {
         let [batch, n, f] = dims;
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(40 + order as u64);
         let convs = [
-            ChebyConv::new(&mut store, "c0", filter.clone(), order, f, 5, &mut rng),
-            ChebyConv::new(&mut store, "c1", filter.clone(), order, f, 3, &mut rng),
+            ChebyConv::new(&mut store, "c0", Arc::clone(l), order, f, 5, &mut rng),
+            ChebyConv::new(&mut store, "c1", Arc::clone(l), order, f, 3, &mut rng),
         ];
         // Non-zero biases, so the bias add is exercised too.
         for name in ["c0.b", "c1.b"] {
@@ -842,8 +601,8 @@ mod tests {
         Run { y: ys, dx, params }
     }
 
-    fn assert_fused_matches_composed(filter: ChebyFilter, f: usize, label: &str) {
-        let n = filter.num_nodes();
+    fn assert_fused_matches_composed(l: Arc<CsrMatrix>, f: usize, label: &str) {
+        let n = l.rows();
         for threads in [1, 4] {
             for order in 1..=5 {
                 for batch in [1, 3] {
@@ -855,8 +614,8 @@ mod tests {
                         let (fused, composed) =
                             stod_tensor::par::with_forced_threads(threads, || {
                                 (
-                                    run(&filter, order, dims, constant, true),
-                                    run(&filter, order, dims, constant, false),
+                                    run(&l, order, dims, constant, true),
+                                    run(&l, order, dims, constant, false),
                                 )
                             });
                         assert!(fused.y == composed.y, "{case}: forward bits differ");
@@ -874,26 +633,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_composed_bitwise_dense_blocked() {
-        // N = 67, F = 7: the per-slice product takes the blocked kernel on
-        // AVX2+FMA hosts (the naive one elsewhere, equally bitwise).
-        assert!(gemm::uses_blocked(67, 67, 7) == gemm::blocked_available());
-        let filter = ChebyFilter::from(random_scaled_laplacian(67, 1));
-        assert_fused_matches_composed(filter, 7, "dense blocked");
+    fn fused_matches_composed_bitwise_n67_f7() {
+        // train_paper's first factorization stage: N = 67, F = 7.
+        assert_fused_matches_composed(random_scaled_laplacian(67, 1), 7, "n67 f7");
     }
 
     #[test]
-    fn fused_matches_composed_bitwise_dense_naive() {
-        // N = 17, F = 32: the per-slice product stays naive even though
-        // the merged panel (B·F wide) would clear the blocked threshold.
-        assert!(!gemm::uses_blocked(17, 17, 32));
-        let filter = ChebyFilter::from(random_scaled_laplacian(17, 2));
-        assert_fused_matches_composed(filter, 32, "dense naive");
+    fn fused_matches_composed_bitwise_n17_f32() {
+        // A coarsened stage: few nodes, a merged panel B·F wide.
+        assert_fused_matches_composed(random_scaled_laplacian(17, 2), 32, "n17 f32");
     }
 
     #[test]
-    fn fused_matches_composed_bitwise_csr() {
-        let csr = CsrMatrix::from_dense(&random_scaled_laplacian(23, 3));
-        assert_fused_matches_composed(ChebyFilter::from(csr), 4, "csr");
+    fn fused_matches_composed_bitwise_n23_f4() {
+        assert_fused_matches_composed(random_scaled_laplacian(23, 3), 4, "n23 f4");
     }
 }

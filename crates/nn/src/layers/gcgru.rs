@@ -19,11 +19,12 @@
 //! convolution layer"). We implement the standard gated form above, which
 //! is also what the authors' released TensorFlow code does.
 
-use crate::layers::{ChebyConv, ChebyFilter};
+use crate::layers::ChebyConv;
 use crate::params::ParamStore;
 use crate::tape::{Tape, Var};
+use std::sync::Arc;
 use stod_tensor::rng::Rng64;
-use stod_tensor::Tensor;
+use stod_tensor::{CsrMatrix, Tensor};
 
 /// A graph-convolutional GRU cell over states shaped `[B, N, F]`.
 pub struct GcGruCell {
@@ -37,24 +38,23 @@ pub struct GcGruCell {
 
 impl GcGruCell {
     /// Registers a new cell. All three gates use Chebyshev order `order`
-    /// over the same `laplacian` (the scaled Laplacian of the origin or
+    /// and share one `laplacian` (the scaled Laplacian of the origin or
     /// destination proximity graph).
     pub fn new(
         store: &mut ParamStore,
         prefix: &str,
-        laplacian: impl Into<ChebyFilter>,
+        laplacian: Arc<CsrMatrix>,
         order: usize,
         in_feat: usize,
         hidden_feat: usize,
         rng: &mut Rng64,
     ) -> Self {
-        let filter = laplacian.into();
-        let num_nodes = filter.num_nodes();
+        let num_nodes = laplacian.rows();
         let cat = in_feat + hidden_feat;
         let conv_s = ChebyConv::new(
             store,
             &format!("{prefix}.gate_s"),
-            filter.clone(),
+            Arc::clone(&laplacian),
             order,
             cat,
             hidden_feat,
@@ -63,7 +63,7 @@ impl GcGruCell {
         let conv_u = ChebyConv::new(
             store,
             &format!("{prefix}.gate_u"),
-            filter.clone(),
+            Arc::clone(&laplacian),
             order,
             cat,
             hidden_feat,
@@ -72,7 +72,7 @@ impl GcGruCell {
         let conv_h = ChebyConv::new(
             store,
             &format!("{prefix}.gate_h"),
-            filter,
+            laplacian,
             order,
             cat,
             hidden_feat,
@@ -143,7 +143,7 @@ impl GcGruCell {
 mod tests {
     use super::*;
 
-    fn ring4_scaled_laplacian() -> Tensor {
+    fn ring4_scaled_laplacian() -> Arc<CsrMatrix> {
         // 4-cycle: L = 2I − W_ring, λ_max = 4 → L̃ = L/2 − I.
         let w = Tensor::from_vec(
             &[4, 4],
@@ -163,7 +163,7 @@ mod tests {
             let v = lt.at(&[i, i]) - 1.0;
             lt.set(&[i, i], v);
         }
-        lt
+        Arc::new(CsrMatrix::from_dense(&lt))
     }
 
     #[test]

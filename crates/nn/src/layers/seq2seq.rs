@@ -3,10 +3,12 @@
 //! rolls out predictions for the `h` future intervals, feeding each output
 //! back as the next decoder input.
 
-use crate::layers::{ChebyConv, ChebyFilter, GcGruCell, GruCell, Linear};
+use crate::layers::{ChebyConv, GcGruCell, GruCell, Linear};
 use crate::params::ParamStore;
 use crate::tape::{Tape, Var};
+use std::sync::Arc;
 use stod_tensor::rng::Rng64;
+use stod_tensor::CsrMatrix;
 #[cfg(test)]
 use stod_tensor::Tensor;
 
@@ -80,24 +82,23 @@ pub struct GcGruSeq2Seq {
 }
 
 impl GcGruSeq2Seq {
-    /// Registers the CNRNN encoder/decoder and a Chebyshev output head over
-    /// the same graph.
+    /// Registers the CNRNN encoder/decoder and a Chebyshev output head; all
+    /// seven graph convolutions share the one `laplacian`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         store: &mut ParamStore,
         prefix: &str,
-        laplacian: impl Into<ChebyFilter>,
+        laplacian: Arc<CsrMatrix>,
         order: usize,
         feat: usize,
         hidden_feat: usize,
         rng: &mut Rng64,
     ) -> Self {
-        let filter = laplacian.into();
         GcGruSeq2Seq {
             encoder: GcGruCell::new(
                 store,
                 &format!("{prefix}.enc"),
-                filter.clone(),
+                Arc::clone(&laplacian),
                 order,
                 feat,
                 hidden_feat,
@@ -106,7 +107,7 @@ impl GcGruSeq2Seq {
             decoder: GcGruCell::new(
                 store,
                 &format!("{prefix}.dec"),
-                filter.clone(),
+                Arc::clone(&laplacian),
                 order,
                 feat,
                 hidden_feat,
@@ -115,7 +116,7 @@ impl GcGruSeq2Seq {
             head: ChebyConv::new(
                 store,
                 &format!("{prefix}.head"),
-                filter,
+                laplacian,
                 order,
                 hidden_feat,
                 feat,
@@ -222,7 +223,7 @@ mod tests {
                 let v = lt.at(&[i, i]) - 1.0;
                 lt.set(&[i, i], v);
             }
-            lt
+            Arc::new(CsrMatrix::from_dense(&lt))
         };
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(2);

@@ -59,9 +59,10 @@
 # clients are served, and lands results/BENCH_adapt.json (fine-tune wall,
 # shadow-eval wall, promote latency, serve p99 during adaptation).
 #
-# --scale runs the big-city scale gate: the CSR/dense equivalence slice
-# (sparse-vs-dense AF model tests + the sparse spmm metamorphic test) at
-# each thread count, then the city probe (`M=city`, STOD_SCALE=city) —
+# --scale runs the big-city scale gate: the CSR slice (the csr_props
+# suite of CSR graph builders against their dense references, the AF
+# model unit tests, and the sparse spmm metamorphic test) at each thread
+# count, then the city probe (`M=city`, STOD_SCALE=city) —
 # the dense-vs-CSR propagation sweep with its >= 3x speedup assert at
 # N = 1000, the 500-region end-to-end train slice, the f16 <= 55%
 # checkpoint-size and 1e-2 forecast-error gates, and the STOD_MODEL_MEM
@@ -240,8 +241,9 @@ stage_durability() {
 stage_scale() {
   cargo build -q --release -p stod-bench
   for t in $VERIFY_THREADS; do
-    echo "==> CSR/dense equivalence slice, STOD_THREADS=$t"
-    STOD_THREADS="$t" cargo test -q -p stod-core sparse_mode
+    echo "==> CSR slice, STOD_THREADS=$t"
+    STOD_THREADS="$t" cargo test -q -p stod-graph --test csr_props
+    STOD_THREADS="$t" cargo test -q -p stod-core --lib af::tests::
     STOD_THREADS="$t" cargo test -q -p stod-conformance --test metamorphic csr_spmm
     echo "==> city probe gates (M=city, STOD_THREADS=$t)"
     STOD_THREADS="$t" M=city STOD_SCALE=city STOD_CITY_OUT="results/BENCH_city_t$t.json" \
