@@ -445,9 +445,7 @@ impl CityAdapter {
         // (checksum + layout); corrupt bytes are a typed reject that
         // leaves the incumbent serving.
         let cand_path = self.candidate_path();
-        let store = ParamStore::from_bytes(candidate.params().to_bytes())
-            .expect("round-tripping an in-memory ParamStore cannot fail");
-        store.save(&cand_path).map_err(|e| {
+        candidate.params().save(&cand_path).map_err(|e| {
             self.stats.failed.fetch_add(1, Ordering::Relaxed);
             self.decide(t_last, Decision::Failed);
             AdaptError::Io(e)
@@ -491,11 +489,14 @@ impl CityAdapter {
         // crash between the two loses no decision — `recover` replays the
         // record on restart.
         let promote_start = Instant::now();
-        store.save(&self.promoted_path()).map_err(|e| {
-            self.stats.failed.fetch_add(1, Ordering::Relaxed);
-            self.decide(t_last, Decision::Failed);
-            AdaptError::Io(e)
-        })?;
+        candidate
+            .params()
+            .save(&self.promoted_path())
+            .map_err(|e| {
+                self.stats.failed.fetch_add(1, Ordering::Relaxed);
+                self.decide(t_last, Decision::Failed);
+                AdaptError::Io(e)
+            })?;
         if stod_faultline::fire(FaultSite::PromoteCrash).is_some() {
             self.stats.crashed.fetch_add(1, Ordering::Relaxed);
             self.decide(t_last, Decision::Crashed);

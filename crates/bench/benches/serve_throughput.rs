@@ -18,7 +18,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stod_baselines::NaiveHistograms;
 use stod_core::BfConfig;
-use stod_nn::ParamStore;
 use stod_serve::{
     Broker, BrokerConfig, FeatureStore, ForecastRequest, ModelConfig, ModelKind, Registry,
     ServeStats,
@@ -44,9 +43,7 @@ fn build_stack(ds: &OdDataset) -> Broker {
     };
     let registry = Arc::new(Registry::new(config.clone(), Arc::clone(&stats)));
     let model = config.build(1);
-    let v = registry
-        .register_store(ParamStore::from_bytes(model.params().to_bytes()).unwrap())
-        .unwrap();
+    let v = registry.register_store(model.params().clone()).unwrap();
     registry.promote(v).unwrap();
     let features = Arc::new(FeatureStore::new(N, ds.spec, ds.num_intervals()));
     for (t, tensor) in ds.tensors.iter().enumerate() {

@@ -240,7 +240,6 @@ fn run_parallel_bench(ds: &stod_traffic::OdDataset, split: &stod_traffic::Split)
 fn run_obs_bench(ds: &stod_traffic::OdDataset, split: &stod_traffic::Split) {
     use std::sync::Arc;
     use std::time::Duration;
-    use stod_nn::ParamStore;
     use stod_serve::{
         Broker, BrokerConfig, FeatureStore, ForecastRequest, ModelConfig, ModelKind, Registry,
         ServeStats,
@@ -306,9 +305,7 @@ fn run_obs_bench(ds: &stod_traffic::OdDataset, split: &stod_traffic::Split) {
     };
     let registry = Arc::new(Registry::new(config.clone(), Arc::clone(&stats)));
     let built = config.build(17);
-    let v = registry
-        .register_store(ParamStore::from_bytes(built.params().to_bytes()).unwrap())
-        .unwrap();
+    let v = registry.register_store(built.params().clone()).unwrap();
     registry.promote(v).unwrap();
     let features = Arc::new(FeatureStore::new(n, ds.spec, ds.num_intervals()));
     for (t, tensor) in ds.tensors.iter().enumerate() {
@@ -700,7 +697,7 @@ fn run_adapt_bench() {
         },
     );
     shard
-        .install_checkpoint(stod_nn::ParamStore::from_bytes(incumbent.params().to_bytes()).unwrap())
+        .install_checkpoint(incumbent.params().clone())
         .unwrap();
     let fleet = Fleet::new(
         &FleetConfig {
@@ -825,12 +822,11 @@ fn run_adapt_bench() {
 ///   scaled-Laplacian propagation `L·X` at N ∈ {256, 512, 1000} on
 ///   metropolis-density graphs (paper-default kernel σ = 1 km, α = 0.1).
 ///   Gate: CSR at least 3× faster than dense at N = 1000.
-/// * **compact serving** — an end-to-end city slice: train an AF model
-///   (sparse graph path, N = 500) for one epoch, checkpoint it as f32
-///   and f16, register both in a memory-budgeted registry, and compare
-///   forecasts. Gates: f16 checkpoint ≤ 55 % of the f32 bytes, f16
-///   forecast within 1e-2 of f32, resident bytes within the
-///   `STOD_MODEL_MEM` budget (default 64 MiB when unset).
+/// * **budgeted serving** — an end-to-end city slice: train an AF model
+///   (CSR graph path, N = 500) for one epoch, checkpoint it, register
+///   it in a memory-budgeted registry, and serve one forecast. Gates:
+///   the forecast is a set of finite histograms, and the resident bytes
+///   are within the `STOD_MODEL_MEM` budget (default 64 MiB when unset).
 ///
 /// Writes `results/BENCH_city.json` (override `STOD_CITY_OUT`) stamped
 /// with the shared bench header; `bench_gate` compares the sweep's
@@ -844,7 +840,7 @@ fn run_city_bench() {
     use stod_serve::{ModelConfig, ModelKind, Registry, ServeStats};
     use stod_tensor::{matmul, rng::Rng64, stack, Tensor};
 
-    println!("-- city bench: CSR propagation sweep + compact f16 serving --");
+    println!("-- city bench: CSR propagation sweep + budgeted serving --");
 
     // Section A: dense vs CSR scaled-Laplacian propagation over a
     // 64-feature panel. Sub-metropolis sizes use the uniform `irregular`
@@ -945,26 +941,9 @@ fn run_city_bench() {
         windows.len()
     );
 
-    // Compact checkpoints: the serving tier stores f16, trains f32.
     let f32_bytes = model.params().to_bytes();
-    let f16_bytes = model
-        .params()
-        .to_bytes_f16()
-        .expect("trained city weights must be f16-representable");
-    let (f32_len, f16_len) = (f32_bytes.len(), f16_bytes.len());
-    let ratio = f16_len as f64 / f32_len as f64;
-    println!(
-        "checkpoint: f32 {} B, f16 {} B ({:.1}% of f32)",
-        f32_bytes.len(),
-        f16_bytes.len(),
-        ratio * 100.0
-    );
-    assert!(
-        f16_bytes.len() * 100 <= f32_bytes.len() * 55,
-        "city gate: f16 checkpoint must be <= 55% of f32 ({} vs {} bytes)",
-        f16_bytes.len(),
-        f32_bytes.len()
-    );
+    let f32_len = f32_bytes.len();
+    println!("checkpoint: {f32_len} B");
 
     // Memory-budgeted registry: `STOD_MODEL_MEM` when set, else 64 MiB.
     let budget = stod_tensor::env_knob("STOD_MODEL_MEM", 1, u64::MAX)
@@ -976,41 +955,38 @@ fn run_city_bench() {
         num_buckets: k,
     };
     let registry = Registry::with_mem_budget(config, Arc::new(ServeStats::new()), Some(budget));
-    let v32 = registry
-        .register_store(ParamStore::from_bytes(f32_bytes).expect("f32 roundtrip"))
-        .expect("f32 version must register under the memory budget");
-    let v16 = registry
-        .register_store(ParamStore::from_bytes(f16_bytes.clone()).expect("f16 roundtrip"))
-        .expect("f16 version must register under the memory budget");
-    registry.promote(v16).expect("promote f16 version");
-    let m16 = registry.get(v16).expect("f16 version resolvable");
-    let m32 = registry.get(v32).expect("f32 version resolvable");
-    let mem_bytes = m16.mem_bytes();
+    let version = registry
+        .register_store(ParamStore::from_bytes(f32_bytes).expect("checkpoint roundtrip"))
+        .expect("the city model must register under the memory budget");
+    registry.promote(version).expect("promote the city model");
+    let served = registry.get(version).expect("city version resolvable");
+    let mem_bytes = served.mem_bytes();
     assert!(
         mem_bytes <= budget,
         "city gate: resident {mem_bytes} B over the {budget} B budget"
     );
 
-    // Serve smoke + f16 error gate: forecast the last train window on
-    // both versions; the compact path must match f32 to 1e-2.
+    // Serve smoke: forecast the last train window through the registry;
+    // every predicted cell must be a finite histogram.
     let w = windows[windows.len() - 1];
     let inputs: Vec<Tensor> = w
         .input_indices()
         .iter()
         .map(|&t| stack(&[&ds.tensors[t].data], 0))
         .collect();
-    let half = m16.forecast(&inputs, 1);
-    let full = m32.forecast(&inputs, 1);
-    let drift = half[0]
-        .data()
-        .iter()
-        .zip(full[0].data())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    println!("serving: resident {mem_bytes} B (budget {budget} B), f16 forecast drift {drift:.2e}");
-    assert!(
-        drift < 1e-2,
-        "city gate: f16 forecast drifted {drift} from the f32 oracle"
+    let forecast = served.forecast(&inputs, 1);
+    let pred = &forecast[0];
+    assert_eq!(pred.dims(), &[1, n, n, k], "city forecast shape");
+    for cell in pred.data().chunks_exact(k) {
+        let mass: f32 = cell.iter().sum();
+        assert!(
+            cell.iter().all(|p| p.is_finite()) && (mass - 1.0).abs() < 1e-3,
+            "city gate: forecast cell is not a histogram: {cell:?}"
+        );
+    }
+    println!(
+        "serving: resident {mem_bytes} B (budget {budget} B), forecast {:?}",
+        pred.dims()
     );
 
     // Artifact: shared provenance header + sweep rows + serving section.
@@ -1034,7 +1010,7 @@ fn run_city_bench() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"city\": {{\"regions\": {n}, \"buckets\": {k}, \"train_windows\": {}, \"final_loss\": {final_loss:.6}, \"train_ms\": {train_ms:.1}, \"f32_bytes\": {f32_len}, \"f16_bytes\": {f16_len}, \"f16_ratio\": {ratio:.4}, \"resident_bytes\": {mem_bytes}, \"mem_budget_bytes\": {budget}, \"f16_forecast_drift\": {drift:.3e}}}\n",
+        "  \"city\": {{\"regions\": {n}, \"buckets\": {k}, \"train_windows\": {}, \"final_loss\": {final_loss:.6}, \"train_ms\": {train_ms:.1}, \"f32_bytes\": {f32_len}, \"resident_bytes\": {mem_bytes}, \"mem_budget_bytes\": {budget}}}\n",
         windows.len(),
     ));
     json.push_str("}\n");

@@ -10,8 +10,8 @@
 //! * `paper` — 67/79-region cities, 20 days, 96 intervals/day: the paper's
 //!   spatial scale (hours of CPU).
 //! * `city` — 500/600-region metropolis cities with a one-day horizon:
-//!   the big-city tier that exercises the CSR sparse-graph path and the
-//!   compact f16 serving pipeline (see the `city` bench probe).
+//!   the big-city tier that exercises the CSR sparse-graph path and
+//!   memory-budgeted serving (see the `city` bench probe).
 //!
 //! `STOD_EPOCHS` overrides the training epochs of the deep models.
 
@@ -54,8 +54,8 @@ pub enum Scale {
     /// Paper-sized cities and horizons.
     Paper,
     /// Big-city tier: metropolis cities (≥ 500 regions) with a short
-    /// horizon — exercises the CSR sparse-graph path and the compact
-    /// f16 serving pipeline rather than the paper's full experiments.
+    /// horizon — exercises the CSR sparse-graph path and memory-budgeted
+    /// serving rather than the paper's full experiments.
     City,
 }
 

@@ -12,69 +12,20 @@
 //!
 //! # On-disk format
 //!
-//! Version 1: magic `STCK`, version `u32`, the fields in declaration
-//! order (little-endian; vectors as `u64` length + elements), then a
-//! CRC-32 (IEEE) footer over everything before it. Files are written via
+//! Version 1, in a [`stod_faultline::codec`] envelope: magic `STCK`,
+//! version `u32`, the fields in declaration order (little-endian;
+//! vectors as `u64` length + elements), then a CRC-32 (IEEE) footer over
+//! everything before it. Files are written via
 //! [`stod_faultline::io::atomic_write`] — write-tmp, fsync, rename — so a
 //! crash, full disk, or interrupted syscall during a save can never
 //! damage the previous checkpoint. Corruption on load surfaces as
-//! [`CkptError::Checksum`], distinct from [`CkptError::Malformed`]
-//! (wrong-format file) and [`CkptError::Io`].
+//! [`StoreError::Checksum`], distinct from [`StoreError::Malformed`]
+//! (wrong-format file) and [`StoreError::Io`].
 
 use std::path::Path;
-use stod_faultline::crc::crc32;
+use stod_faultline::codec::{self, Reader, StoreError, Writer};
 use stod_tensor::rng::RngState;
 use stod_traffic::Window;
-
-/// Why a checkpoint failed to load.
-#[derive(Debug)]
-pub enum CkptError {
-    /// The file could not be read or written.
-    Io(std::io::Error),
-    /// The CRC-32 footer did not match — a bit-flip, truncation, or torn
-    /// write corrupted the bytes.
-    Checksum {
-        /// CRC recorded in the footer.
-        expected: u32,
-        /// CRC recomputed over the payload.
-        found: u32,
-    },
-    /// The bytes are structurally invalid (bad magic, version, or field
-    /// encoding).
-    Malformed(String),
-}
-
-impl std::fmt::Display for CkptError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CkptError::Io(e) => write!(f, "checkpoint io error: {e}"),
-            CkptError::Checksum { expected, found } => write!(
-                f,
-                "checkpoint corrupt: crc {expected:#010x} recorded, {found:#010x} computed"
-            ),
-            CkptError::Malformed(d) => write!(f, "checkpoint malformed: {d}"),
-        }
-    }
-}
-
-impl std::error::Error for CkptError {}
-
-impl From<stod_nn::StoreError> for CkptError {
-    fn from(e: stod_nn::StoreError) -> CkptError {
-        match e {
-            stod_nn::StoreError::Io(e) => CkptError::Io(e),
-            stod_nn::StoreError::Checksum { expected, found } => {
-                CkptError::Checksum { expected, found }
-            }
-            stod_nn::StoreError::Malformed(d) => CkptError::Malformed(d),
-            // Training checkpoints are always full-precision f32; an f16
-            // quantization failure can only come from the serving codec.
-            stod_nn::StoreError::Unquantizable { name, value } => CkptError::Malformed(format!(
-                "parameter {name} value {value} is not representable in f16"
-            )),
-        }
-    }
-}
 
 /// A complete, resumable capture of the training loop. See the module
 /// docs for the determinism contract.
@@ -123,148 +74,106 @@ const VERSION: u32 = 1;
 impl TrainCheckpoint {
     /// Serializes the checkpoint (format version 1, CRC-32 footer).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.params.len() + self.opt.len());
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.epoch.to_le_bytes());
-        buf.extend_from_slice(&self.next_mb.to_le_bytes());
-        buf.extend_from_slice(&(self.order.len() as u64).to_le_bytes());
-        for w in &self.order {
-            for v in [w.t_end as u64, w.s as u64, w.h as u64] {
-                buf.extend_from_slice(&v.to_le_bytes());
+        let mut w = Writer::header(MAGIC, VERSION);
+        w.u64(self.epoch);
+        w.u64(self.next_mb);
+        w.u64(self.order.len() as u64);
+        for win in &self.order {
+            for v in [win.t_end, win.s, win.h] {
+                w.u64(v as u64);
             }
         }
         for s in self.rng.s {
-            buf.extend_from_slice(&s.to_le_bytes());
+            w.u64(s);
         }
         match self.rng.gauss_spare {
-            None => buf.push(0),
+            None => w.u8(0),
             Some(v) => {
-                buf.push(1);
-                buf.extend_from_slice(&v.to_bits().to_le_bytes());
+                w.u8(1);
+                w.f64(v);
             }
         }
-        buf.extend_from_slice(&self.steps.to_le_bytes());
-        buf.extend_from_slice(&self.epoch_loss.to_bits().to_le_bytes());
+        w.u64(self.steps);
+        w.f64(self.epoch_loss);
         for c in [
             self.batches,
             self.nonfinite_batches,
             self.rollbacks,
             self.ckpt_save_failures,
         ] {
-            buf.extend_from_slice(&c.to_le_bytes());
+            w.u64(c);
         }
         match self.best_val {
-            None => buf.push(0),
+            None => w.u8(0),
             Some((epoch, emd)) => {
-                buf.push(1);
-                buf.extend_from_slice(&epoch.to_le_bytes());
-                buf.extend_from_slice(&emd.to_bits().to_le_bytes());
+                w.u8(1);
+                w.u64(epoch);
+                w.f64(emd);
             }
         }
-        buf.extend_from_slice(&(self.epoch_losses.len() as u64).to_le_bytes());
-        for &l in &self.epoch_losses {
-            buf.extend_from_slice(&l.to_bits().to_le_bytes());
-        }
-        buf.extend_from_slice(&(self.val_emd.len() as u64).to_le_bytes());
+        w.u64(self.epoch_losses.len() as u64);
+        w.f32s(&self.epoch_losses);
+        w.u64(self.val_emd.len() as u64);
         for &v in &self.val_emd {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+            w.f64(v);
         }
-        buf.extend_from_slice(&(self.epoch_lrs.len() as u64).to_le_bytes());
-        for &l in &self.epoch_lrs {
-            buf.extend_from_slice(&l.to_bits().to_le_bytes());
+        w.u64(self.epoch_lrs.len() as u64);
+        w.f32s(&self.epoch_lrs);
+        for blob in [&self.params, &self.opt] {
+            w.u64(blob.len() as u64);
+            w.bytes(blob);
         }
-        buf.extend_from_slice(&(self.params.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&self.params);
-        buf.extend_from_slice(&(self.opt.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&self.opt);
-        let crc = {
-            let _span = stod_obs::span!("ckpt/crc");
-            crc32(&buf)
-        };
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf
+        let _span = stod_obs::span!("ckpt/crc");
+        w.seal()
     }
 
     /// Deserializes a checkpoint, verifying the CRC footer before any
     /// field is interpreted.
-    pub fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint, CkptError> {
-        if bytes.len() < 12 {
-            return Err(CkptError::Malformed(format!(
-                "{} bytes is shorter than the fixed header + footer",
-                bytes.len()
-            )));
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(CkptError::Malformed("bad magic (not a checkpoint)".into()));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION {
-            return Err(CkptError::Malformed(format!(
-                "unsupported checkpoint version {version}"
-            )));
-        }
-        let body = &bytes[..bytes.len() - 4];
-        let expected = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-        let found = {
+    pub fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint, StoreError> {
+        let mut r = {
             let _span = stod_obs::span!("ckpt/crc");
-            crc32(body)
+            codec::open(bytes, MAGIC, VERSION)?
         };
-        if expected != found {
-            return Err(CkptError::Checksum { expected, found });
-        }
-
-        let mut cur = Cursor {
-            bytes: body,
-            pos: 8,
-        };
-        let epoch = cur.u64()?;
-        let next_mb = cur.u64()?;
-        let order_len = cur.u64()? as usize;
-        if order_len > 1 << 28 {
-            return Err(CkptError::Malformed(format!(
-                "window order length {order_len} implausible"
-            )));
-        }
+        let epoch = r.u64()?;
+        let next_mb = r.u64()?;
+        let order_len = r.len_u64(24)?;
         let mut order = Vec::with_capacity(order_len);
         for _ in 0..order_len {
             order.push(Window {
-                t_end: cur.u64()? as usize,
-                s: cur.u64()? as usize,
-                h: cur.u64()? as usize,
+                t_end: r.u64()? as usize,
+                s: r.u64()? as usize,
+                h: r.u64()? as usize,
             });
         }
         let mut s = [0u64; 4];
         for slot in &mut s {
-            *slot = cur.u64()?;
+            *slot = r.u64()?;
         }
-        let gauss_spare = match cur.u8()? {
+        let gauss_spare = match r.u8()? {
             0 => None,
-            1 => Some(f64::from_bits(cur.u64()?)),
-            k => return Err(CkptError::Malformed(format!("bad rng spare flag {k}"))),
+            1 => Some(r.f64()?),
+            k => return Err(StoreError::Malformed(format!("bad rng spare flag {k}"))),
         };
-        let steps = cur.u64()?;
-        let epoch_loss = f64::from_bits(cur.u64()?);
-        let batches = cur.u64()?;
-        let nonfinite_batches = cur.u64()?;
-        let rollbacks = cur.u64()?;
-        let ckpt_save_failures = cur.u64()?;
-        let best_val = match cur.u8()? {
+        let steps = r.u64()?;
+        let epoch_loss = r.f64()?;
+        let batches = r.u64()?;
+        let nonfinite_batches = r.u64()?;
+        let rollbacks = r.u64()?;
+        let ckpt_save_failures = r.u64()?;
+        let best_val = match r.u8()? {
             0 => None,
-            1 => Some((cur.u64()?, f64::from_bits(cur.u64()?))),
-            k => return Err(CkptError::Malformed(format!("bad best-val flag {k}"))),
+            1 => Some((r.u64()?, r.f64()?)),
+            k => return Err(StoreError::Malformed(format!("bad best-val flag {k}"))),
         };
-        let epoch_losses = cur.vec_f32()?;
-        let val_emd = cur.vec_f64()?;
-        let epoch_lrs = cur.vec_f32()?;
-        let params = cur.vec_u8()?;
-        let opt = cur.vec_u8()?;
-        if cur.pos != body.len() {
-            return Err(CkptError::Malformed(format!(
-                "{} trailing bytes after checkpoint fields",
-                body.len() - cur.pos
-            )));
-        }
+        let n = r.len_u64(4)?;
+        let epoch_losses = r.f32s(n)?;
+        let n = r.len_u64(8)?;
+        let val_emd = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
+        let n = r.len_u64(4)?;
+        let epoch_lrs = r.f32s(n)?;
+        let params = blob(&mut r)?;
+        let opt = blob(&mut r)?;
+        r.finish()?;
         Ok(TrainCheckpoint {
             epoch,
             next_mb,
@@ -298,9 +207,9 @@ impl TrainCheckpoint {
     }
 
     /// Loads and verifies a checkpoint file.
-    pub fn load(path: &Path) -> Result<TrainCheckpoint, CkptError> {
+    pub fn load(path: &Path) -> Result<TrainCheckpoint, StoreError> {
         let _span = stod_obs::span!("ckpt/load");
-        let bytes = std::fs::read(path).map_err(CkptError::Io)?;
+        let bytes = std::fs::read(path).map_err(StoreError::Io)?;
         if stod_obs::armed() {
             stod_obs::count("ckpt/loads", 1);
         }
@@ -308,60 +217,10 @@ impl TrainCheckpoint {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CkptError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(CkptError::Malformed(format!(
-                "checkpoint truncated at byte {}",
-                self.pos
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u64(&mut self) -> Result<u64, CkptError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn len_checked(&mut self, elem_size: usize) -> Result<usize, CkptError> {
-        let n = self.u64()? as usize;
-        if n.saturating_mul(elem_size) > self.bytes.len() - self.pos {
-            return Err(CkptError::Malformed(format!(
-                "vector length {n} exceeds remaining bytes"
-            )));
-        }
-        Ok(n)
-    }
-    fn vec_f32(&mut self) -> Result<Vec<f32>, CkptError> {
-        let n = self.len_checked(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(f32::from_bits(u32::from_le_bytes(
-                self.take(4)?.try_into().unwrap(),
-            )));
-        }
-        Ok(v)
-    }
-    fn vec_f64(&mut self) -> Result<Vec<f64>, CkptError> {
-        let n = self.len_checked(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(f64::from_bits(self.u64()?));
-        }
-        Ok(v)
-    }
-    fn vec_u8(&mut self) -> Result<Vec<u8>, CkptError> {
-        let n = self.len_checked(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
+/// Reads a `u64`-length-prefixed byte blob.
+fn blob(r: &mut Reader<'_>) -> Result<Vec<u8>, StoreError> {
+    let n = r.len_u64(1)?;
+    Ok(r.take(n)?.to_vec())
 }
 
 #[cfg(test)]
@@ -431,7 +290,7 @@ mod tests {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x02;
             match TrainCheckpoint::from_bytes(&bad) {
-                Err(CkptError::Checksum { .. }) => {}
+                Err(StoreError::Checksum { .. }) => {}
                 other => panic!("flip at {pos}: expected checksum error, got {other:?}"),
             }
         }
@@ -445,7 +304,7 @@ mod tests {
         }
         assert!(matches!(
             TrainCheckpoint::from_bytes(b"STPW\x02\x00\x00\x00\x00\x00\x00\x00"),
-            Err(CkptError::Malformed(_))
+            Err(StoreError::Malformed(_))
         ));
         let mut padded = bytes.clone();
         padded.push(0);

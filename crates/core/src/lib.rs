@@ -39,7 +39,7 @@ pub mod train;
 
 pub use af::AfModel;
 pub use bf::BfModel;
-pub use checkpoint::{CkptError, TrainCheckpoint};
+pub use checkpoint::TrainCheckpoint;
 pub use config::{AfConfig, BfConfig, TrainConfig};
 pub use evaluate::{evaluate, EvalReport};
 pub use model::{Mode, ModelOutput, OdForecaster};

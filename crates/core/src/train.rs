@@ -13,12 +13,12 @@
 //! trajectory at `STOD_THREADS=4` is identical to `STOD_THREADS=1`.
 
 use crate::batch::{make_batch, minibatches, Batch};
-use crate::checkpoint::{CkptError, TrainCheckpoint};
+use crate::checkpoint::TrainCheckpoint;
 use crate::config::TrainConfig;
 use crate::model::{Mode, OdForecaster};
 use std::path::PathBuf;
 use stod_nn::optim::{clip_global_norm, Adam, ClipStatus};
-use stod_nn::{Gradients, ParamStore, Tape, Var};
+use stod_nn::{Gradients, ParamStore, StoreError, Tape, Var};
 use stod_tensor::rng::Rng64;
 use stod_traffic::{OdDataset, Window};
 
@@ -303,7 +303,7 @@ pub enum TrainError {
         steps: u64,
     },
     /// The checkpoint to resume from could not be loaded or applied.
-    Resume(CkptError),
+    Resume(StoreError),
 }
 
 impl std::fmt::Display for TrainError {
@@ -326,8 +326,8 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-impl From<CkptError> for TrainError {
-    fn from(e: CkptError) -> TrainError {
+impl From<StoreError> for TrainError {
+    fn from(e: StoreError) -> TrainError {
         TrainError::Resume(e)
     }
 }
@@ -360,7 +360,7 @@ fn capture(model: &dyn OdForecaster, adam: &Adam, rng: &Rng64, st: &LoopState) -
         epoch_losses: st.report.epoch_losses.clone(),
         val_emd: st.report.val_emd.clone(),
         epoch_lrs: st.report.epoch_lrs.clone(),
-        params: model.params().to_bytes().to_vec(),
+        params: model.params().to_bytes(),
         opt: adam.state_to_bytes(),
     }
 }
@@ -377,10 +377,9 @@ fn apply(
     st: &mut LoopState,
     preserve_counters: bool,
 ) -> Result<(), TrainError> {
-    let params =
-        ParamStore::from_bytes(bytes::Bytes::from(ck.params.clone())).map_err(CkptError::from)?;
+    let params = ParamStore::from_bytes(&ck.params)?;
     model.params_mut().copy_from(&params);
-    adam.restore_state(&ck.opt).map_err(CkptError::from)?;
+    adam.restore_state(&ck.opt)?;
     *rng = Rng64::from_state(ck.rng);
     st.epoch = ck.epoch;
     st.next_mb = ck.next_mb;

@@ -11,7 +11,7 @@ use stod_core::{
     RobustConfig, TrainConfig, TrainError, TrainReport,
 };
 use stod_faultline::{install, quiet, FaultPlan, FaultSite};
-use stod_nn::{ParamStore, Tape};
+use stod_nn::{ParamStore, StoreError, Tape};
 use stod_tensor::rng::Rng64;
 use stod_tensor::Tensor;
 use stod_traffic::{CityModel, OdDataset, SimConfig, Window};
@@ -258,7 +258,7 @@ fn resume_rejects_damaged_checkpoint() {
     std::fs::write(&path, &bytes).unwrap();
     let mut model = fresh_model(4);
     match train_resume(&mut model, &ds, &windows, None, &cfg, &rcfg) {
-        Err(TrainError::Resume(stod_core::CkptError::Checksum { .. })) => {}
+        Err(TrainError::Resume(StoreError::Checksum { .. })) => {}
         other => panic!("expected checksum resume error, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);

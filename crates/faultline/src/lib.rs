@@ -6,7 +6,7 @@
 //! The paper's system is a long-running train-then-serve pipeline; to hit
 //! the ROADMAP's production-scale north star every failure mode we can
 //! inject must degrade gracefully, and we must be able to *replay* a fault
-//! schedule from a single seed. Three pieces live here:
+//! schedule from a single seed. Four pieces live here:
 //!
 //! * **The injector** — named [`FaultSite`]s are compiled into the train,
 //!   checkpoint-I/O and serve paths. A [`FaultPlan`] (from the
@@ -19,6 +19,10 @@
 //!   load returning `None`: zero overhead in production.
 //! * **[`crc::crc32`]** — the CRC-32 (IEEE) checksum that footers every
 //!   checkpoint byte format in the workspace.
+//! * **[`codec`]** — the one binary framing those formats share: a
+//!   CRC-checked file envelope, a CRC-checked log record frame, a
+//!   bounds-checked little-endian reader and writer, and the
+//!   [`codec::StoreError`] every decoder returns.
 //! * **[`io::atomic_write`]** — write-tmp → fsync → rename persistence with
 //!   built-in injection points ([`FaultSite::SaveInterrupt`],
 //!   [`FaultSite::SaveDiskFull`]), guaranteeing a failed save never damages
@@ -35,6 +39,7 @@
 //! seed 7. Parameters default to 0 and are site-specific (sleep duration in
 //! milliseconds for `slow_worker`, corruption mode for `ckpt_corrupt`).
 
+pub mod codec;
 pub mod crc;
 pub mod io;
 

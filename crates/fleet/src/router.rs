@@ -555,10 +555,8 @@ fn build_shard(
         shard_cfg,
     );
     let built = model.build(checkpoint_seed ^ city.city_id as u64);
-    let store = ParamStore::from_bytes(built.params().to_bytes())
-        .expect("freshly-serialized checkpoint roundtrips");
     shard
-        .install_checkpoint(store)
+        .install_checkpoint(built.params().clone())
         .expect("freshly-built checkpoint matches its own config");
     shard
 }

@@ -6,8 +6,9 @@
 //! * [`tape::Tape`] — a dynamically-built computation graph. Every
 //!   operation evaluates eagerly and records a backward closure; calling
 //!   [`tape::Tape::backward`] propagates gradients to parameter leaves.
-//! * [`params::ParamStore`] — named parameter tensors with binary
-//!   save/load, shared across forward passes.
+//! * [`params::ParamStore`] — named parameter tensors with CRC-checked
+//!   binary save/load (framed by `stod_faultline::codec`), shared across
+//!   forward passes.
 //! * [`layers`] — `Linear`, `GruCell`, `ChebyConv` (Cheby-Net graph
 //!   convolution), `GcGruCell` (the paper's CNRNN cell, Eqs. 7–10) and
 //!   sequence-to-sequence drivers.
@@ -19,7 +20,6 @@
 //! Every differentiable op ships with a gradient-check test; the layers are
 //! additionally checked end-to-end through composed losses.
 
-pub mod f16;
 pub mod gradcheck;
 pub mod layers;
 pub mod optim;

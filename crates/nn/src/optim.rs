@@ -4,8 +4,9 @@
 //! by a factor 0.8 every 5 epochs ([`StepDecay`]), dropout 0.2 and implicit
 //! gradient clipping; all of that is provided here.
 
-use crate::params::{ParamStore, StoreError};
+use crate::params::{put_tensor, read_tensor, ParamStore, StoreError};
 use crate::tape::Gradients;
+use stod_faultline::codec::{Reader, Writer};
 use stod_tensor::Tensor;
 
 /// Outcome of [`clip_global_norm`].
@@ -133,54 +134,59 @@ impl Adam {
     /// and both moment vectors) for crash-safe checkpointing. The format is
     /// an internal fragment embedded in `TrainCheckpoint`; it carries no
     /// magic/checksum of its own because the enclosing checkpoint does.
+    /// Each moment slot is a presence byte, then (when present) the tensor
+    /// in the parameter-store encoding.
     pub fn state_to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&self.t.to_le_bytes());
+        let mut w = Writer::new();
+        w.u64(self.t);
         for h in [self.lr, self.beta1, self.beta2, self.eps, self.weight_decay] {
-            buf.extend_from_slice(&h.to_le_bytes());
+            w.f32(h);
         }
         debug_assert_eq!(self.m.len(), self.v.len());
-        buf.extend_from_slice(&(self.m.len() as u32).to_le_bytes());
-        for slots in [&self.m, &self.v] {
-            for slot in slots {
-                write_opt_tensor(&mut buf, slot.as_ref());
+        w.u32(self.m.len() as u32);
+        for slot in self.m.iter().chain(&self.v) {
+            match slot {
+                None => w.u8(0),
+                Some(t) => {
+                    w.u8(1);
+                    put_tensor(&mut w, t);
+                }
             }
         }
-        buf
+        w.into_bytes()
     }
 
     /// Restores state previously captured by [`Adam::state_to_bytes`],
     /// resuming the moment estimates and bias-correction step count bitwise.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        self.t = cur.u64()?;
-        self.lr = cur.f32()?;
-        self.beta1 = cur.f32()?;
-        self.beta2 = cur.f32()?;
-        self.eps = cur.f32()?;
-        self.weight_decay = cur.f32()?;
-        let n = cur.u32()? as usize;
+        let mut r = Reader::new(bytes);
+        let t = r.u64()?;
+        let [lr, beta1, beta2, eps, weight_decay] =
+            [r.f32()?, r.f32()?, r.f32()?, r.f32()?, r.f32()?];
+        let n = r.u32()? as usize;
         if n > 1 << 20 {
             return Err(StoreError::Malformed(format!(
                 "optimizer slot count {n} implausible"
             )));
         }
-        let mut m = Vec::with_capacity(n);
-        for _ in 0..n {
-            m.push(read_opt_tensor(&mut cur)?);
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(read_opt_tensor(&mut cur)?);
-        }
-        if cur.pos != bytes.len() {
-            return Err(StoreError::Malformed(format!(
-                "{} trailing bytes after optimizer state",
-                bytes.len() - cur.pos
-            )));
-        }
-        self.m = m;
-        self.v = v;
+        let mut slots = (0..2 * n)
+            .map(|_| match r.u8()? {
+                0 => Ok(None),
+                1 => read_tensor(&mut r).map(Some),
+                k => Err(StoreError::Malformed(format!("bad tensor slot flag {k}"))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        r.finish()?;
+        self.v = slots.split_off(n);
+        self.m = slots;
+        (
+            self.t,
+            self.lr,
+            self.beta1,
+            self.beta2,
+            self.eps,
+            self.weight_decay,
+        ) = (t, lr, beta1, beta2, eps, weight_decay);
         Ok(())
     }
 
@@ -218,84 +224,6 @@ impl Adam {
                 *w -= upd;
             }
         }
-    }
-}
-
-/// Byte-level cursor shared by the optimizer-state readers.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], StoreError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(StoreError::Malformed(format!(
-                "optimizer state truncated at byte {}",
-                self.pos
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f32(&mut self) -> Result<f32, StoreError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-}
-
-fn write_opt_tensor(buf: &mut Vec<u8>, t: Option<&Tensor>) {
-    match t {
-        None => buf.push(0),
-        Some(t) => {
-            buf.push(1);
-            buf.extend_from_slice(&(t.dims().len() as u32).to_le_bytes());
-            for &d in t.dims() {
-                buf.extend_from_slice(&(d as u64).to_le_bytes());
-            }
-            for &x in t.data() {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-    }
-}
-
-fn read_opt_tensor(cur: &mut Cursor<'_>) -> Result<Option<Tensor>, StoreError> {
-    match cur.u8()? {
-        0 => Ok(None),
-        1 => {
-            let rank = cur.u32()? as usize;
-            if rank > 8 {
-                return Err(StoreError::Malformed(format!("tensor rank {rank}")));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            let mut len = 1usize;
-            for _ in 0..rank {
-                let d = cur.u64()? as usize;
-                len = len
-                    .checked_mul(d)
-                    .ok_or_else(|| StoreError::Malformed("tensor dims overflow".into()))?;
-                dims.push(d);
-            }
-            if len > 1 << 28 {
-                return Err(StoreError::Malformed(format!("tensor len {len}")));
-            }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(cur.f32()?);
-            }
-            Ok(Some(Tensor::from_vec(&dims, data)))
-        }
-        k => Err(StoreError::Malformed(format!("bad tensor slot flag {k}"))),
     }
 }
 

@@ -2,60 +2,53 @@
 //! CRC-checksummed binary serialization format and crash-consistent
 //! (atomic write-tmp → fsync → rename) persistence for checkpointing.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use stod_faultline::crc::crc32;
+use stod_faultline::codec::{self, Reader, Writer};
 use stod_tensor::Tensor;
 
-/// Why parameter bytes were rejected. Structural damage and checksum
-/// damage are distinct variants on purpose: a [`StoreError::Checksum`]
-/// means the payload was altered after being written (bit rot, torn write,
-/// truncation), while [`StoreError::Malformed`] means the bytes never were
-/// a valid store of this version — callers surface them differently.
-#[derive(Debug)]
-pub enum StoreError {
-    /// The bytes are not a well-formed parameter store (bad magic,
-    /// unsupported version, or inconsistent internal layout).
-    Malformed(String),
-    /// The CRC-32 footer does not match the payload.
-    Checksum {
-        /// Checksum recorded in the footer.
-        expected: u32,
-        /// Checksum of the bytes actually read.
-        found: u32,
-    },
-    /// The file could not be read at all.
-    Io(std::io::Error),
-    /// A weight cannot be stored as f16 within the quantization error
-    /// bound (non-finite, or magnitude ≥ 65520 rounds to infinity).
-    /// Saturation is typed, never silent: the compact codec refuses the
-    /// whole store rather than write a weight that decodes wrong.
-    Unquantizable {
-        /// Name of the offending parameter.
-        name: String,
-        /// The value that does not fit in f16.
-        value: f32,
-    },
-}
+pub use stod_faultline::codec::StoreError;
 
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::Malformed(d) => write!(f, "malformed parameter store: {d}"),
-            StoreError::Checksum { expected, found } => write!(
-                f,
-                "parameter store checksum mismatch: footer {expected:#010x}, payload {found:#010x}"
-            ),
-            StoreError::Io(e) => write!(f, "parameter store io error: {e}"),
-            StoreError::Unquantizable { name, value } => write!(
-                f,
-                "parameter '{name}' has value {value} outside the f16 range; \
-                 refusing to write a saturated compact checkpoint"
-            ),
-        }
+/// Parameter-store magic.
+const MAGIC: &[u8; 4] = b"STPW";
+/// Parameter-store format version.
+const VERSION: u32 = 2;
+/// Largest rank a stored tensor may declare.
+const MAX_RANK: usize = 8;
+/// Largest element count a stored tensor may declare (1 GiB of f32).
+const MAX_NUMEL: usize = 1 << 28;
+
+/// Appends a tensor as rank `u32`, dims (`u64` each), then its f32 data —
+/// the one tensor encoding parameter stores and optimizer state share.
+pub(crate) fn put_tensor(w: &mut Writer, t: &Tensor) {
+    w.u32(t.ndim() as u32);
+    for &d in t.dims() {
+        w.u64(d as u64);
     }
+    w.f32s(t.data());
 }
 
-impl std::error::Error for StoreError {}
+/// Reads a tensor written by [`put_tensor`]. Stored bytes are untrusted:
+/// the rank and element count are capped and the dims product is
+/// overflow-checked before anything is allocated.
+pub(crate) fn read_tensor(r: &mut Reader<'_>) -> Result<Tensor, StoreError> {
+    let rank = r.u32()? as usize;
+    if rank > MAX_RANK {
+        return Err(StoreError::Malformed(format!("tensor rank {rank}")));
+    }
+    let mut dims = Vec::with_capacity(rank);
+    let mut numel = 1usize;
+    for _ in 0..rank {
+        let d = r.u64()?;
+        numel = usize::try_from(d)
+            .ok()
+            .and_then(|d| numel.checked_mul(d))
+            .ok_or_else(|| StoreError::Malformed(format!("tensor dims {dims:?} × {d} overflow")))?;
+        dims.push(d as usize);
+    }
+    if numel > MAX_NUMEL {
+        return Err(StoreError::Malformed(format!("tensor of {numel} elements")));
+    }
+    Ok(Tensor::from_vec(&dims, r.f32s(numel)?))
+}
 
 /// Handle to a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,7 +66,7 @@ impl ParamId {
 /// Models register their weights here once; each training step reads the
 /// current values through the tape and writes updates back through an
 /// optimizer. Names must be unique — they key serialization.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Tensor>,
@@ -165,64 +158,19 @@ impl ParamStore {
 
     /// Serializes all parameters (names, shapes, data) to bytes.
     ///
-    /// Format version 2: magic `STPW`, version u32, count u32, then per
-    /// parameter: name (u32 len + utf8), rank u32, dims (u64 each), f32
-    /// data (LE); finally a CRC-32 (IEEE) footer over everything before it.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"STPW");
-        buf.put_u32_le(2);
-        buf.put_u32_le(self.values.len() as u32);
-        for (name, value) in self.names.iter().zip(self.values.iter()) {
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name.as_bytes());
-            buf.put_u32_le(value.ndim() as u32);
-            for &d in value.dims() {
-                buf.put_u64_le(d as u64);
-            }
-            for &x in value.data() {
-                buf.put_f32_le(x);
-            }
+    /// Format version 2, in a [`codec`] envelope: magic `STPW`, version
+    /// u32, count u32, then per parameter: name (u32 len + utf8), rank
+    /// u32, dims (u64 each), f32 data (LE); finally a CRC-32 (IEEE)
+    /// footer over everything before it.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::header(MAGIC, VERSION);
+        w.u32(self.values.len() as u32);
+        for (name, value) in self.names.iter().zip(&self.values) {
+            w.u32(name.len() as u32);
+            w.bytes(name.as_bytes());
+            put_tensor(&mut w, value);
         }
-        let body = buf.freeze();
-        let crc = crc32(&body);
-        let mut out = BytesMut::with_capacity(body.len() + 4);
-        out.put_slice(&body);
-        out.put_u32_le(crc);
-        out.freeze()
-    }
-
-    /// Serializes all parameters with f16 weight data — format version 3,
-    /// identical to version 2 except the per-parameter data is u16 f16
-    /// bits (LE), roughly halving the checkpoint size. Quantization is
-    /// round-to-nearest-even; a weight outside the f16 range is a typed
-    /// [`StoreError::Unquantizable`], never a silently saturated value.
-    pub fn to_bytes_f16(&self) -> Result<Bytes, StoreError> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"STPW");
-        buf.put_u32_le(3);
-        buf.put_u32_le(self.values.len() as u32);
-        for (name, value) in self.names.iter().zip(self.values.iter()) {
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name.as_bytes());
-            buf.put_u32_le(value.ndim() as u32);
-            for &d in value.dims() {
-                buf.put_u64_le(d as u64);
-            }
-            for &x in value.data() {
-                let h = crate::f16::quantize(x).map_err(|e| StoreError::Unquantizable {
-                    name: name.clone(),
-                    value: e.0,
-                })?;
-                buf.put_u16_le(h);
-            }
-        }
-        let body = buf.freeze();
-        let crc = crc32(&body);
-        let mut out = BytesMut::with_capacity(body.len() + 4);
-        out.put_slice(&body);
-        out.put_u32_le(crc);
-        Ok(out.freeze())
+        w.seal()
     }
 
     /// Deserializes a store written by [`ParamStore::to_bytes`].
@@ -230,77 +178,25 @@ impl ParamStore {
     /// The CRC footer is verified before the payload is interpreted, so a
     /// bit-flip or truncation anywhere surfaces as
     /// [`StoreError::Checksum`], distinct from structurally invalid input
-    /// ([`StoreError::Malformed`]).
-    pub fn from_bytes(bytes: Bytes) -> Result<Self, StoreError> {
-        // Header (magic + version + count) and footer must both fit.
-        if bytes.len() < 16 {
-            return Err(StoreError::Malformed(format!(
-                "{} bytes is shorter than the fixed header + footer",
-                bytes.len()
-            )));
-        }
-        if &bytes[..4] != b"STPW" {
-            return Err(StoreError::Malformed(
-                "bad magic, not a parameter store".into(),
-            ));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != 2 && version != 3 {
-            return Err(StoreError::Malformed(format!(
-                "unsupported format version {version} (this build reads 2 and 3)"
-            )));
-        }
-        // Version 3 stores f16 weight data, dequantized to f32 on load.
-        let elem_size = if version == 3 { 2 } else { 4 };
-        let body_end = bytes.len() - 4;
-        let expected = u32::from_le_bytes(bytes[body_end..].try_into().expect("4 bytes"));
-        let found = crc32(&bytes[..body_end]);
-        if expected != found {
-            return Err(StoreError::Checksum { expected, found });
-        }
-        let mut body = bytes.slice(8..body_end);
-        let count = body.get_u32_le() as usize;
+    /// ([`StoreError::Malformed`]), which includes any other format
+    /// version.
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<Self, StoreError> {
+        let mut r = codec::open(bytes.as_ref(), MAGIC, VERSION)?;
+        let count = r.u32()?;
         let mut store = ParamStore::new();
-        let fail = |what: &str| StoreError::Malformed(format!("truncated at {what}"));
         for i in 0..count {
-            if body.remaining() < 4 {
-                return Err(fail(&format!("name length of parameter {i}")));
-            }
-            let name_len = body.get_u32_le() as usize;
-            if body.remaining() < name_len {
-                return Err(fail(&format!("name of parameter {i}")));
-            }
-            let name = String::from_utf8(body.copy_to_bytes(name_len).to_vec())
+            let name_len = r.u32()? as usize;
+            let name = std::str::from_utf8(r.take(name_len)?)
                 .map_err(|_| StoreError::Malformed(format!("non-utf8 name of parameter {i}")))?;
-            if body.remaining() < 4 {
-                return Err(fail(&format!("rank of '{name}'")));
+            if store.id_of(name).is_some() {
+                return Err(StoreError::Malformed(format!(
+                    "duplicate parameter name '{name}'"
+                )));
             }
-            let rank = body.get_u32_le() as usize;
-            if body.remaining() < rank * 8 {
-                return Err(fail(&format!("dims of '{name}'")));
-            }
-            let dims: Vec<usize> = (0..rank).map(|_| body.get_u64_le() as usize).collect();
-            let numel: usize = dims.iter().product();
-            if body.remaining() < numel * elem_size {
-                return Err(fail(&format!("data of '{name}'")));
-            }
-            let data: Vec<f32> = if version == 3 {
-                (0..numel)
-                    .map(|_| crate::f16::f32_from_f16_bits(body.get_u16_le()))
-                    .collect()
-            } else {
-                (0..numel).map(|_| body.get_f32_le()).collect()
-            };
-            store.register(name, Tensor::from_vec(&dims, data));
+            let value = read_tensor(&mut r)?;
+            store.register(name, value);
         }
-        // A well-formed checkpoint ends exactly with its payload; trailing
-        // garbage means truncated-then-concatenated or corrupted input.
-        if body.remaining() != 0 {
-            return Err(StoreError::Malformed(format!(
-                "{} trailing bytes after the last parameter",
-                body.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(store)
     }
 
@@ -312,18 +208,9 @@ impl ParamStore {
         stod_faultline::io::atomic_write(path, &self.to_bytes())
     }
 
-    /// [`ParamStore::save`] with the compact f16 codec (format version
-    /// 3). Fails with [`StoreError::Unquantizable`] before touching the
-    /// filesystem if any weight is outside the f16 range.
-    pub fn save_f16(&self, path: &std::path::Path) -> Result<(), StoreError> {
-        let bytes = self.to_bytes_f16()?;
-        stod_faultline::io::atomic_write(path, &bytes).map_err(StoreError::Io)
-    }
-
     /// Reads a store from a file written by [`ParamStore::save`].
     pub fn load(path: &std::path::Path) -> Result<Self, StoreError> {
-        let data = std::fs::read(path).map_err(StoreError::Io)?;
-        ParamStore::from_bytes(Bytes::from(data))
+        ParamStore::from_bytes(std::fs::read(path).map_err(StoreError::Io)?)
     }
 
     /// Copies all values from another store with identical layout.
@@ -396,95 +283,60 @@ mod tests {
     }
 
     #[test]
-    fn f16_roundtrip_within_bound_and_compact() {
-        let mut s = ParamStore::new();
-        let vals: Vec<f32> = (0..257)
-            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.37)
-            .collect();
-        s.register("w", Tensor::from_vec(&[257], vals.clone()));
-        s.register("b", Tensor::from_vec(&[3], vec![65504.0, -6.1e-5, 0.0]));
-        let f32_bytes = s.to_bytes();
-        let f16_bytes = s.to_bytes_f16().unwrap();
-        assert!(
-            f16_bytes.len() * 100 <= f32_bytes.len() * 55,
-            "f16 store must be ≤55% of f32 size: {} vs {}",
-            f16_bytes.len(),
-            f32_bytes.len()
-        );
-        let back = ParamStore::from_bytes(f16_bytes).unwrap();
-        assert_eq!(back.name(ParamId(0)), "w");
-        for (a, b) in back.get(ParamId(0)).data().iter().zip(&vals) {
-            let bound = (b.abs() / 2048.0).max(1.0 / 33_554_432.0);
-            assert!((a - b).abs() <= bound, "{b} decoded as {a}");
-        }
-        // Exactly-representable extremes roundtrip bitwise.
-        assert_eq!(back.get(ParamId(1)).data()[0], 65504.0);
-    }
-
-    #[test]
-    fn f16_out_of_range_weight_is_typed_error() {
-        let mut s = ParamStore::new();
-        s.register("ok", Tensor::ones(&[2]));
-        s.register("huge", Tensor::from_vec(&[2], vec![1.0, 70000.0]));
-        match s.to_bytes_f16() {
-            Err(StoreError::Unquantizable { name, value }) => {
-                assert_eq!(name, "huge");
-                assert_eq!(value, 70000.0);
-            }
-            other => panic!("expected Unquantizable, got {other:?}"),
-        }
-        let mut s = ParamStore::new();
-        s.register("nan", Tensor::from_vec(&[1], vec![f32::NAN]));
-        assert!(matches!(
-            s.to_bytes_f16(),
-            Err(StoreError::Unquantizable { .. })
-        ));
-    }
-
-    #[test]
-    fn f16_bit_flips_caught_by_checksum() {
-        let mut s = ParamStore::new();
-        s.register("w", Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]));
-        let clean = s.to_bytes_f16().unwrap().to_vec();
-        for pos in 8..clean.len() - 4 {
-            let mut bad = clean.clone();
-            bad[pos] ^= 0x10;
-            assert!(
-                matches!(
-                    ParamStore::from_bytes(Bytes::from(bad)),
-                    Err(StoreError::Checksum { .. })
-                ),
-                "flip at {pos} must be a checksum error"
-            );
-        }
-    }
-
-    #[test]
     fn corrupt_bytes_rejected() {
         assert!(matches!(
-            ParamStore::from_bytes(Bytes::from_static(b"nope")),
+            ParamStore::from_bytes(b"nope"),
             Err(StoreError::Malformed(_))
         ));
         assert!(matches!(
-            ParamStore::from_bytes(Bytes::from_static(
-                b"QQQQ\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
-            )),
+            ParamStore::from_bytes(b"QQQQ\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
             Err(StoreError::Malformed(_))
         ));
         // Unsupported version (with a plausible length).
         assert!(matches!(
-            ParamStore::from_bytes(Bytes::from_static(
-                b"STPW\x63\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
-            )),
+            ParamStore::from_bytes(b"STPW\x63\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
+            Err(StoreError::Malformed(_))
+        ));
+        // A CRC-valid version-3 store (the retired half-precision codec) is an
+        // unsupported version, not a checksum failure.
+        let mut v3 = Writer::header(MAGIC, 3);
+        v3.u32(0);
+        match ParamStore::from_bytes(v3.seal()).err() {
+            Some(StoreError::Malformed(d)) => assert!(d.contains("unsupported format version 3")),
+            other => panic!("a v3 store must be Malformed, got {other:?}"),
+        }
+        // A CRC-valid store whose dims product overflows `usize` must be
+        // rejected before anything is allocated, not wrap around to a
+        // tiny tensor (or panic in a debug build).
+        let mut huge = Writer::header(MAGIC, VERSION);
+        huge.u32(1);
+        huge.u32(1);
+        huge.bytes(b"w");
+        huge.u32(2);
+        huge.u64(1 << 32);
+        huge.u64(1 << 32);
+        assert!(matches!(
+            ParamStore::from_bytes(huge.seal()),
+            Err(StoreError::Malformed(_))
+        ));
+        // A CRC-valid store that names one parameter twice.
+        let mut twice = Writer::header(MAGIC, VERSION);
+        twice.u32(2);
+        for _ in 0..2 {
+            twice.u32(1);
+            twice.bytes(b"w");
+            put_tensor(&mut twice, &Tensor::ones(&[1]));
+        }
+        assert!(matches!(
+            ParamStore::from_bytes(twice.seal()),
             Err(StoreError::Malformed(_))
         ));
         // Truncated payload: the CRC footer no longer matches.
         let mut s = ParamStore::new();
         s.register("w", Tensor::ones(&[4]));
         let full = s.to_bytes();
-        let truncated = full.slice(0..full.len() - 3);
         assert!(matches!(
-            ParamStore::from_bytes(truncated),
+            ParamStore::from_bytes(&full[..full.len() - 3]),
             Err(StoreError::Checksum { .. })
         ));
     }
@@ -493,13 +345,13 @@ mod tests {
     fn bit_flip_yields_checksum_error_distinct_from_layout_damage() {
         let mut s = ParamStore::new();
         s.register("w", Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]));
-        let clean = s.to_bytes().to_vec();
+        let clean = s.to_bytes();
         // Flip one bit in every byte position of the body in turn; each
         // must be caught by the checksum, never panic, never parse.
         for pos in 8..clean.len() - 4 {
             let mut bad = clean.clone();
             bad[pos] ^= 0x10;
-            match ParamStore::from_bytes(Bytes::from(bad)) {
+            match ParamStore::from_bytes(bad) {
                 Err(StoreError::Checksum { expected, found }) => assert_ne!(expected, found),
                 Err(other) => panic!("flip at {pos}: expected checksum error, got {other}"),
                 Ok(_) => panic!("flip at {pos} parsed successfully"),
@@ -511,10 +363,10 @@ mod tests {
     fn trailing_bytes_rejected() {
         let mut s = ParamStore::new();
         s.register("w", Tensor::ones(&[4]));
-        let mut padded = s.to_bytes().to_vec();
+        let mut padded = s.to_bytes();
         padded.push(0);
         assert!(
-            ParamStore::from_bytes(Bytes::from(padded)).is_err(),
+            ParamStore::from_bytes(padded).is_err(),
             "payload followed by garbage must not deserialize"
         );
     }

@@ -150,10 +150,10 @@ proptest! {
             let t = Tensor::from_vec(&[*r, *c], data[..r * c].to_vec());
             store.register(format!("p{i}"), t);
         }
-        let mut padded = store.to_bytes().to_vec();
+        let mut padded = store.to_bytes();
         padded.extend_from_slice(&trailer);
         prop_assert!(
-            ParamStore::from_bytes(bytes::Bytes::from(padded)).is_err(),
+            ParamStore::from_bytes(padded).is_err(),
             "payload + {} trailing bytes must not deserialize",
             trailer.len()
         );

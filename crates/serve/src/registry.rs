@@ -84,8 +84,8 @@ pub enum RegistryError {
     /// The checkpoint's parameters do not match the configured
     /// architecture (wrong count, name or shape).
     LayoutMismatch(String),
-    /// The checkpoint's resident (dequantized f32) size exceeds the
-    /// per-version serving memory budget (`STOD_MODEL_MEM`, bytes).
+    /// The checkpoint's resident f32 size exceeds the per-version
+    /// serving memory budget (`STOD_MODEL_MEM`, bytes).
     OverBudget {
         /// Bytes the version would hold resident.
         needed: u64,
@@ -127,11 +127,6 @@ impl From<stod_nn::StoreError> for RegistryError {
                 RegistryError::Corrupt { expected, found }
             }
             stod_nn::StoreError::Malformed(d) => RegistryError::Malformed(d),
-            // Quantization failures happen on *save*; a registry only ever
-            // loads, so this arm exists for exhaustiveness.
-            stod_nn::StoreError::Unquantizable { name, value } => RegistryError::Malformed(
-                format!("parameter {name} value {value} is not representable in f16"),
-            ),
         }
     }
 }
@@ -160,13 +155,12 @@ impl ServedModel {
     /// pipeline copies the live incumbent's parameters into a fresh model
     /// without racing in-flight forecasts (versions are immutable).
     pub fn export_store(&self) -> ParamStore {
-        ParamStore::from_bytes(self.model.params().to_bytes())
-            .expect("round-tripping an in-memory ParamStore cannot fail")
+        self.model.params().clone()
     }
 
-    /// Resident parameter memory of this version in bytes (weights are
-    /// always dequantized to f32 in memory, whatever the checkpoint
-    /// stored). This is the quantity `STOD_MODEL_MEM` budgets.
+    /// Resident parameter memory of this version in bytes (every weight
+    /// is an f32 in memory). This is the quantity `STOD_MODEL_MEM`
+    /// budgets.
     pub fn mem_bytes(&self) -> u64 {
         store_mem_bytes(self.model.params())
     }
@@ -290,7 +284,7 @@ impl Registry {
             let mut raw = std::fs::read(path).map_err(RegistryError::Io)?;
             stod_faultline::maybe_corrupt(stod_faultline::FaultSite::CkptCorrupt, &mut raw);
             let crc = stod_faultline::crc::crc32(&raw);
-            let store = ParamStore::from_bytes(bytes::Bytes::from(raw))?;
+            let store = ParamStore::from_bytes(raw)?;
             self.register_validated(store, crc, Some(path.to_path_buf()))
         })();
         if result.is_err() {
@@ -376,7 +370,7 @@ impl Registry {
                             found,
                         });
                     }
-                    ParamStore::from_bytes(bytes::Bytes::from(raw))?;
+                    ParamStore::from_bytes(raw)?;
                     Ok(())
                 })(),
                 None => {
@@ -724,50 +718,6 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(report.checked, 1);
         assert_eq!(reg.active_version(), Some(v));
-    }
-
-    /// An f16 checkpoint (ParamStore format v3) registers, promotes and
-    /// serves; the dequantized weights forecast within the codec's error
-    /// bound of the f32 original.
-    #[test]
-    fn f16_checkpoint_registers_and_forecasts_close_to_f32() {
-        let config = bf_config(4);
-        let reg = Registry::new(config.clone(), Arc::new(ServeStats::new()));
-        let model = config.build(5);
-        let f32_bytes = model.params().to_bytes();
-        let f16_bytes = model.params().to_bytes_f16().unwrap();
-        assert!(
-            f16_bytes.len() * 100 <= f32_bytes.len() * 55,
-            "f16 checkpoint is {} bytes vs f32 {}",
-            f16_bytes.len(),
-            f32_bytes.len()
-        );
-        let path = write_tmp_file("half.stpw", &f16_bytes);
-        let v16 = reg.register_file(&path).unwrap();
-        let v32 = reg
-            .register_store(ParamStore::from_bytes(f32_bytes).unwrap())
-            .unwrap();
-        reg.promote(v16).unwrap();
-
-        let input = stack(&[&Tensor::ones(&[4, 4, 7])], 0);
-        let half = reg
-            .get(v16)
-            .unwrap()
-            .forecast(std::slice::from_ref(&input), 1);
-        let full = reg
-            .get(v32)
-            .unwrap()
-            .forecast(std::slice::from_ref(&input), 1);
-        let worst = half[0]
-            .data()
-            .iter()
-            .zip(full[0].data())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(
-            worst < 1e-2,
-            "f16 forecast drifted {worst} from the f32 oracle"
-        );
     }
 
     /// A version over the `STOD_MODEL_MEM` budget is refused with a typed

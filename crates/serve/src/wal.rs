@@ -19,14 +19,14 @@
 //! magic "STWL" (4) | format version u32 LE (1) | city id u32 LE
 //! ```
 //!
-//! followed by frames:
+//! followed by [`stod_faultline::codec`] frames:
 //!
 //! ```text
 //! kind u8 | payload len u32 LE | payload | crc32 u32 LE
 //! ```
 //!
 //! where the CRC covers `kind ‖ len ‖ payload` (CRC-32/IEEE, the same
-//! checksum every checkpoint format in the workspace uses). Kind 1 is a
+//! framing module every checkpoint format in the workspace uses). Kind 1 is a
 //! push (origin u32, dest u32, interval u64, distance-km f64 bits, speed
 //! f64 bits — 32 bytes, all LE); kind 2 is a seal (interval u64). Payload
 //! lengths are *fixed per kind* and enforced on decode, so a flipped
@@ -60,7 +60,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use stod_faultline::crc::crc32;
+use stod_faultline::codec::{self, Reader, StoreError, Writer};
 use stod_faultline::FaultSite;
 use stod_traffic::Trip;
 
@@ -69,9 +69,11 @@ const MAGIC: &[u8; 4] = b"STWL";
 /// On-disk format version.
 const FORMAT_VERSION: u32 = 1;
 /// Header length: magic + version + city id.
-const HEADER_LEN: usize = 12;
-/// Frame overhead: kind + payload length + trailing CRC.
-const FRAME_OVERHEAD: usize = 1 + 4 + 4;
+const HEADER_LEN: usize = codec::HEADER_LEN + 4;
+/// Frame kind of a push record.
+const KIND_PUSH: u8 = 1;
+/// Frame kind of a seal record.
+const KIND_SEAL: u8 = 2;
 /// Payload length of a push frame.
 const PUSH_PAYLOAD: usize = 32;
 /// Payload length of a seal frame.
@@ -86,27 +88,51 @@ pub enum WalRecord {
     Seal(u64),
 }
 
-/// Serializes one record into `out` (header not included).
+/// The fixed payload length of each record kind; `None` for a kind the
+/// log does not know.
+fn payload_len(kind: u8) -> Option<usize> {
+    match kind {
+        KIND_PUSH => Some(PUSH_PAYLOAD),
+        KIND_SEAL => Some(SEAL_PAYLOAD),
+        _ => None,
+    }
+}
+
+/// Serializes one record as a [`codec`] frame into `out` (header not
+/// included).
 pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
-    let start = out.len();
-    match rec {
+    let mut w = Writer::new();
+    let kind = match rec {
         WalRecord::Push(trip) => {
-            out.push(1);
-            out.extend_from_slice(&(PUSH_PAYLOAD as u32).to_le_bytes());
-            out.extend_from_slice(&(trip.origin as u32).to_le_bytes());
-            out.extend_from_slice(&(trip.dest as u32).to_le_bytes());
-            out.extend_from_slice(&(trip.interval as u64).to_le_bytes());
-            out.extend_from_slice(&trip.distance_km.to_bits().to_le_bytes());
-            out.extend_from_slice(&trip.speed_ms.to_bits().to_le_bytes());
+            w.u32(trip.origin as u32);
+            w.u32(trip.dest as u32);
+            w.u64(trip.interval as u64);
+            w.f64(trip.distance_km);
+            w.f64(trip.speed_ms);
+            KIND_PUSH
         }
         WalRecord::Seal(t) => {
-            out.push(2);
-            out.extend_from_slice(&(SEAL_PAYLOAD as u32).to_le_bytes());
-            out.extend_from_slice(&t.to_le_bytes());
+            w.u64(*t);
+            KIND_SEAL
         }
-    }
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    };
+    codec::put_frame(out, kind, w.as_bytes());
+}
+
+/// Decodes one frame's payload; [`codec::scan_frames`] has already
+/// checked its CRC and that its length is the one its kind fixes.
+fn decode_record(kind: u8, payload: &[u8]) -> Result<WalRecord, StoreError> {
+    let mut r = Reader::new(payload);
+    Ok(match kind {
+        KIND_PUSH => WalRecord::Push(Trip {
+            origin: r.u32()? as usize,
+            dest: r.u32()? as usize,
+            interval: r.u64()? as usize,
+            distance_km: r.f64()?,
+            speed_ms: r.f64()?,
+        }),
+        _ => WalRecord::Seal(r.u64()?),
+    })
 }
 
 /// What a frame scan found: the decoded longest valid prefix.
@@ -124,82 +150,33 @@ pub struct ScanResult {
 /// first invalid frame. Never panics: arbitrary bytes yield the longest
 /// valid prefix, and a record is only returned when its CRC verified.
 pub fn scan_records(buf: &[u8]) -> ScanResult {
-    let mut records = Vec::new();
-    let mut at = 0usize;
-    loop {
-        let rest = &buf[at..];
-        if rest.is_empty() {
-            return ScanResult {
-                records,
-                valid_len: at,
-                clean: true,
-            };
-        }
-        let Some(rec) = decode_frame(rest) else {
-            return ScanResult {
-                records,
-                valid_len: at,
-                clean: false,
-            };
-        };
-        let (record, frame_len) = rec;
-        records.push(record);
-        at += frame_len;
+    let scan = codec::scan_frames(buf, payload_len);
+    ScanResult {
+        records: scan
+            .frames
+            .iter()
+            .map(|&(kind, payload)| {
+                decode_record(kind, payload).expect("the scan fixed each payload's length")
+            })
+            .collect(),
+        valid_len: scan.valid_len,
+        clean: scan.clean,
     }
-}
-
-/// Decodes the frame at the start of `buf`; `None` on anything invalid.
-fn decode_frame(buf: &[u8]) -> Option<(WalRecord, usize)> {
-    if buf.len() < FRAME_OVERHEAD {
-        return None;
-    }
-    let kind = buf[0];
-    let len = u32::from_le_bytes(buf[1..5].try_into().unwrap()) as usize;
-    let want = match kind {
-        1 => PUSH_PAYLOAD,
-        2 => SEAL_PAYLOAD,
-        _ => return None,
-    };
-    if len != want || buf.len() < FRAME_OVERHEAD + len {
-        return None;
-    }
-    let body = &buf[..5 + len];
-    let stored = u32::from_le_bytes(buf[5 + len..9 + len].try_into().unwrap());
-    if crc32(body) != stored {
-        return None;
-    }
-    let payload = &buf[5..5 + len];
-    let record = match kind {
-        1 => WalRecord::Push(Trip {
-            origin: u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize,
-            dest: u32::from_le_bytes(payload[4..8].try_into().unwrap()) as usize,
-            interval: u64::from_le_bytes(payload[8..16].try_into().unwrap()) as usize,
-            distance_km: f64::from_bits(u64::from_le_bytes(payload[16..24].try_into().unwrap())),
-            speed_ms: f64::from_bits(u64::from_le_bytes(payload[24..32].try_into().unwrap())),
-        }),
-        _ => WalRecord::Seal(u64::from_le_bytes(payload[0..8].try_into().unwrap())),
-    };
-    Some((record, FRAME_OVERHEAD + len))
 }
 
 /// Builds the 12-byte segment header for one shard's log.
-pub fn segment_header(city: u32) -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[0..4].copy_from_slice(MAGIC);
-    h[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    h[8..12].copy_from_slice(&city.to_le_bytes());
-    h
+pub fn segment_header(city: u32) -> Vec<u8> {
+    let mut w = Writer::header(MAGIC, FORMAT_VERSION);
+    w.u32(city);
+    w.into_bytes()
 }
 
 /// Validates a segment header against the expected city; returns the
 /// header length on success.
 pub fn parse_segment_header(buf: &[u8], city: u32) -> Option<usize> {
-    if buf.len() < HEADER_LEN || &buf[0..4] != MAGIC {
-        return None;
-    }
-    let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    let got_city = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-    (version == FORMAT_VERSION && got_city == city).then_some(HEADER_LEN)
+    let mut r = Reader::new(buf);
+    r.header(MAGIC, FORMAT_VERSION).ok()?;
+    (r.u32().ok()? == city).then_some(HEADER_LEN)
 }
 
 /// When appended records are fsynced.
@@ -637,7 +614,7 @@ impl TripWal {
                 "wal handle is dead after a torn write (restart and recover)",
             ));
         }
-        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + PUSH_PAYLOAD);
+        let mut frame = Vec::with_capacity(codec::FRAME_OVERHEAD + PUSH_PAYLOAD);
         encode_record(rec, &mut frame);
         if stod_faultline::fire(FaultSite::WalTornWrite).is_some() {
             // Simulate a kill mid-append: a prefix of the frame lands,

@@ -1,18 +1,14 @@
-//! Property tests for the write-ahead log's frame codec (ISSUE 9,
-//! satellite 3).
+//! End-to-end property test for the write-ahead log's recovery.
 //!
-//! The WAL's recovery guarantee reduces to three codec properties:
-//! encode/scan round-trips bitwise, *every* truncation point recovers
-//! exactly the longest whole-frame prefix, and corruption is never
-//! silently accepted — a flipped byte either lands past the valid prefix
-//! or stops the scan at the frame that holds it (CRC-32 detects all
-//! single-byte errors within a frame). The tests drive randomized record
-//! batches, truncation points, and byte flips against the pure codec
-//! (`encode_record` / `scan_records`), plus one end-to-end property
-//! through `TripWal::open` on a real directory.
+//! The frame codec's own properties — round-trip, every truncation point
+//! recovering the longest whole-frame prefix, flipped bytes never
+//! accepted, garbage never panicking — are proven once for every format
+//! in `crates/faultline/tests/codec_props.rs`. This suite drives the
+//! real `TripWal` on a directory: write a batch, truncate the segment
+//! file anywhere, and reopen.
 
 use proptest::prelude::*;
-use stod_serve::wal::{encode_record, scan_records, segment_header, WalConfig};
+use stod_serve::wal::{encode_record, segment_header, WalConfig};
 use stod_serve::{TripWal, WalRecord};
 use stod_traffic::Trip;
 
@@ -54,78 +50,6 @@ fn batch(raw: &[RecordTuple]) -> Vec<WalRecord> {
 }
 
 proptest! {
-    /// Any batch of valid records round-trips bitwise through the codec.
-    #[test]
-    fn encode_scan_roundtrips(
-        raw in proptest::collection::vec(
-            (0u8..2, 0u32..500, 0u32..500, 0u64..100_000, 0.0f64..100.0, 0.1f64..60.0),
-            0..60,
-        )
-    ) {
-        let records = batch(&raw);
-        let (buf, _) = encode_batch(&records);
-        let scan = scan_records(&buf);
-        prop_assert_eq!(&scan.records, &records);
-        prop_assert_eq!(scan.valid_len, buf.len());
-        prop_assert!(scan.clean);
-    }
-
-    /// Truncating the encoded stream at *any* byte recovers exactly the
-    /// records whose frames fit whole before the cut — never a torn
-    /// record, never one fewer than durable.
-    #[test]
-    fn every_truncation_point_recovers_the_longest_whole_prefix(
-        raw in proptest::collection::vec(
-            (0u8..2, 0u32..500, 0u32..500, 0u64..100_000, 0.0f64..100.0, 0.1f64..60.0),
-            1..40,
-        ),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        let records = batch(&raw);
-        let (buf, ends) = encode_batch(&records);
-        let cut = ((buf.len() as f64) * cut_frac) as usize;
-        let survivors = ends.iter().take_while(|&&e| e <= cut).count();
-        let scan = scan_records(&buf[..cut]);
-        prop_assert_eq!(&scan.records, &records[..survivors]);
-        prop_assert_eq!(scan.valid_len, if survivors == 0 { 0 } else { ends[survivors - 1] });
-        prop_assert_eq!(scan.clean, cut == scan.valid_len);
-    }
-
-    /// Flipping any byte anywhere in the stream never panics and is never
-    /// silently accepted: the scan returns exactly the frames *before*
-    /// the corrupted one and stops (CRC-32 catches every single-byte
-    /// error within a frame).
-    #[test]
-    fn a_flipped_byte_never_silently_passes_the_crc(
-        raw in proptest::collection::vec(
-            (0u8..2, 0u32..500, 0u32..500, 0u64..100_000, 0.0f64..100.0, 0.1f64..60.0),
-            1..40,
-        ),
-        pos_frac in 0.0f64..1.0,
-        mask in 1u8..=255,
-    ) {
-        let records = batch(&raw);
-        let (mut buf, ends) = encode_batch(&records);
-        let pos = (((buf.len() - 1) as f64) * pos_frac) as usize;
-        buf[pos] ^= mask;
-        let hit = ends.iter().take_while(|&&e| e <= pos).count();
-        let scan = scan_records(&buf);
-        prop_assert_eq!(&scan.records, &records[..hit]);
-        prop_assert_eq!(scan.valid_len, if hit == 0 { 0 } else { ends[hit - 1] });
-        prop_assert!(!scan.clean, "a corrupt frame must leave an unconsumed tail");
-    }
-
-    /// Arbitrary garbage (no valid framing at all) never panics the
-    /// scanner, and whatever prefix it does accept is within bounds.
-    #[test]
-    fn arbitrary_garbage_never_panics_the_scanner(
-        bytes in proptest::collection::vec(0u8..=255, 0..200)
-    ) {
-        let scan = scan_records(&bytes);
-        prop_assert!(scan.valid_len <= bytes.len());
-        prop_assert_eq!(scan.clean, scan.valid_len == bytes.len());
-    }
-
     /// End to end: write a batch through a real `TripWal`, truncate the
     /// (single-segment) file at an arbitrary byte past the header, and
     /// reopen — recovery replays exactly the whole frames before the cut

@@ -64,11 +64,10 @@
 # model unit tests, and the sparse spmm metamorphic test) at each thread
 # count, then the city probe (`M=city`, STOD_SCALE=city) —
 # the dense-vs-CSR propagation sweep with its >= 3x speedup assert at
-# N = 1000, the 500-region end-to-end train slice, the f16 <= 55%
-# checkpoint-size and 1e-2 forecast-error gates, and the STOD_MODEL_MEM
-# serving budget — and finally the CSR propagation regression gate
-# (scripts/bench_gate.sh --city) against the blessed
-# results/BENCH_city.json.
+# N = 1000, the 500-region end-to-end train slice, and a forecast served
+# from a registry under the STOD_MODEL_MEM budget — and finally the CSR
+# propagation regression gate (scripts/bench_gate.sh --city) against the
+# blessed results/BENCH_city.json.
 #
 # --durability runs the crash-consistency gate (tests/durability_gate.rs)
 # at its full matrix (STOD_CHAOS=full widens the tier-1 kill-point slice)
@@ -78,7 +77,9 @@
 # cycle under a WorkerPanic storm with other tenants serving and all
 # ledgers balanced, ShardCrash self-healing from the WAL, recovery-scrub
 # demotion of bit-rotted checkpoints, and WalCorrupt replay robustness —
-# plus the WAL frame-codec property suite (crates/serve wal_props).
+# plus the shared codec's frame and envelope property suite (crates/faultline
+# codec_props) and the WAL's end-to-end recovery property (crates/serve
+# wal_props).
 #
 # Every stage prints its wall time at the end of the run.
 
@@ -234,7 +235,8 @@ stage_durability() {
     echo "==> durability gate, full kill-point matrix, STOD_THREADS=$t"
     STOD_THREADS="$t" STOD_CHAOS=full cargo test -q --test durability_gate
   done
-  echo "==> WAL frame-codec property suite"
+  echo "==> codec frame + envelope property suite, WAL recovery property"
+  STOD_THREADS=1 cargo test -q -p stod-faultline --test codec_props
   STOD_THREADS=1 cargo test -q -p stod-serve --test wal_props
 }
 
