@@ -1,40 +1,25 @@
-//! Adaptation knobs and their environment bindings.
+//! Continual-adaptation configuration.
 //!
-//! Four knobs are operator-facing and bind to environment variables:
-//!
-//! | variable                 | meaning                                        | range    | default |
-//! |--------------------------|------------------------------------------------|----------|---------|
-//! | `STOD_ADAPT_EPOCHS`      | fine-tune epochs per adaptation cycle          | 1 … 64   | 4       |
-//! | `STOD_ADAPT_HOLDOUT`     | trailing snapshot intervals held out for eval  | 2 … 256  | 4       |
-//! | `STOD_ADAPT_MARGIN`      | promotion margin, integer percent              | 0 … 50   | 2       |
-//! | `STOD_ADAPT_MIN_WINDOWS` | minimum training windows to attempt a cycle    | 1 … 4096 | 4       |
-//!
-//! Same contract as `STOD_SHARDS` and friends: an *unset* variable takes
-//! its default; a *set but invalid* one is a typed [`AdaptConfigError`],
-//! never a silent default. The remaining fields (lookback, batch size,
-//! learning rate, seeds, Kalman gains) are programmatic — they shape the
-//! determinism contract, so tests pin them in code rather than reading
+//! Callers fill [`AdaptConfig`] in code. Its fields shape the
+//! determinism contract (identical ingest gives identical candidates and
+//! decisions), so tests and probes pin them in code rather than reading
 //! them from a mutable process environment.
-
-use std::fmt;
 
 /// Continual-adaptation configuration for one city's [`crate::CityAdapter`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
-    /// Fine-tune epochs per cycle (`STOD_ADAPT_EPOCHS`).
+    /// Fine-tune epochs per cycle.
     pub epochs: usize,
     /// Trailing snapshot intervals held out from training and used for
-    /// shadow + confirm evaluation (`STOD_ADAPT_HOLDOUT`). Split in half
-    /// chronologically: the shadow slice decides promotion, the confirm
-    /// slice decides rollback.
+    /// shadow + confirm evaluation. Split in half chronologically: the
+    /// shadow slice decides promotion, the confirm slice decides rollback.
     pub holdout: usize,
     /// Relative EMD improvement the candidate must clear against the
-    /// incumbent to promote, as a fraction (`STOD_ADAPT_MARGIN` is the
-    /// integer-percent binding; `0.02` = 2 %).
+    /// incumbent to promote, as a fraction (`0.02` = 2 %).
     pub margin: f64,
     /// Minimum training windows the snapshot must yield before a cycle is
-    /// attempted at all (`STOD_ADAPT_MIN_WINDOWS`); below it the cycle is
-    /// a typed skip, not a fine-tune on noise.
+    /// attempted at all; below it the cycle is a typed skip, not a
+    /// fine-tune on noise.
     pub min_windows: usize,
     /// Historical steps `s` per training window.
     pub lookback: usize,
@@ -74,199 +59,5 @@ impl Default for AdaptConfig {
             kalman_r: 0.35,
             kalman_p0: 0.25,
         }
-    }
-}
-
-/// A rejected `STOD_ADAPT_*` environment knob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdaptConfigError {
-    /// The value is not a plain base-10 unsigned integer.
-    NotANumber {
-        /// Which environment variable.
-        var: &'static str,
-        /// The rejected value, verbatim.
-        value: String,
-    },
-    /// The value parsed but falls outside the knob's valid range.
-    OutOfRange {
-        /// Which environment variable.
-        var: &'static str,
-        /// The parsed value.
-        value: u64,
-        /// Smallest accepted value.
-        min: u64,
-        /// Largest accepted value.
-        max: u64,
-    },
-}
-
-impl fmt::Display for AdaptConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdaptConfigError::NotANumber { var, value } => {
-                write!(f, "{var} must be a plain unsigned integer, got {value:?}")
-            }
-            AdaptConfigError::OutOfRange {
-                var,
-                value,
-                min,
-                max,
-            } => {
-                write!(f, "{var} must be in {min}..={max}, got {value}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AdaptConfigError {}
-
-/// Parses one knob: digits only, then range-checked.
-fn parse_knob(var: &'static str, value: &str, min: u64, max: u64) -> Result<u64, AdaptConfigError> {
-    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(AdaptConfigError::NotANumber {
-            var,
-            value: value.to_string(),
-        });
-    }
-    let parsed: u64 = value.parse().map_err(|_| AdaptConfigError::OutOfRange {
-        var,
-        value: u64::MAX,
-        min,
-        max,
-    })?;
-    if parsed < min || parsed > max {
-        return Err(AdaptConfigError::OutOfRange {
-            var,
-            value: parsed,
-            min,
-            max,
-        });
-    }
-    Ok(parsed)
-}
-
-impl AdaptConfig {
-    /// Resolves the configuration from the process environment
-    /// (`STOD_ADAPT_EPOCHS`, `STOD_ADAPT_HOLDOUT`, `STOD_ADAPT_MARGIN`,
-    /// `STOD_ADAPT_MIN_WINDOWS`).
-    pub fn from_env() -> Result<AdaptConfig, AdaptConfigError> {
-        AdaptConfig::from_lookup(|var| std::env::var(var).ok())
-    }
-
-    /// [`AdaptConfig::from_env`] with an injectable variable lookup, so
-    /// tests can exercise every parse path without mutating the (process
-    /// global, test-parallel) environment.
-    pub fn from_lookup(
-        get: impl Fn(&'static str) -> Option<String>,
-    ) -> Result<AdaptConfig, AdaptConfigError> {
-        let mut cfg = AdaptConfig::default();
-        if let Some(v) = get("STOD_ADAPT_EPOCHS") {
-            cfg.epochs = parse_knob("STOD_ADAPT_EPOCHS", &v, 1, 64)? as usize;
-        }
-        if let Some(v) = get("STOD_ADAPT_HOLDOUT") {
-            cfg.holdout = parse_knob("STOD_ADAPT_HOLDOUT", &v, 2, 256)? as usize;
-        }
-        if let Some(v) = get("STOD_ADAPT_MARGIN") {
-            cfg.margin = parse_knob("STOD_ADAPT_MARGIN", &v, 0, 50)? as f64 / 100.0;
-        }
-        if let Some(v) = get("STOD_ADAPT_MIN_WINDOWS") {
-            cfg.min_windows = parse_knob("STOD_ADAPT_MIN_WINDOWS", &v, 1, 4096)? as usize;
-        }
-        Ok(cfg)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lookup<'a>(
-        pairs: &'a [(&'static str, &'a str)],
-    ) -> impl Fn(&'static str) -> Option<String> + 'a {
-        move |var| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == var)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
-    #[test]
-    fn unset_knobs_take_defaults() {
-        let cfg = AdaptConfig::from_lookup(|_| None).unwrap();
-        assert_eq!(cfg, AdaptConfig::default());
-        assert_eq!((cfg.epochs, cfg.holdout, cfg.min_windows), (4, 4, 4));
-        assert!((cfg.margin - 0.02).abs() < 1e-12);
-    }
-
-    #[test]
-    fn valid_knobs_apply() {
-        let cfg = AdaptConfig::from_lookup(lookup(&[
-            ("STOD_ADAPT_EPOCHS", "8"),
-            ("STOD_ADAPT_HOLDOUT", "6"),
-            ("STOD_ADAPT_MARGIN", "5"),
-            ("STOD_ADAPT_MIN_WINDOWS", "2"),
-        ]))
-        .unwrap();
-        assert_eq!(cfg.epochs, 8);
-        assert_eq!(cfg.holdout, 6);
-        assert!((cfg.margin - 0.05).abs() < 1e-12);
-        assert_eq!(cfg.min_windows, 2);
-    }
-
-    #[test]
-    fn zero_margin_is_legal_but_zero_epochs_is_not() {
-        let cfg = AdaptConfig::from_lookup(lookup(&[("STOD_ADAPT_MARGIN", "0")])).unwrap();
-        assert_eq!(cfg.margin, 0.0);
-        let err = AdaptConfig::from_lookup(lookup(&[("STOD_ADAPT_EPOCHS", "0")])).unwrap_err();
-        assert!(matches!(
-            err,
-            AdaptConfigError::OutOfRange {
-                var: "STOD_ADAPT_EPOCHS",
-                value: 0,
-                min: 1,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn garbage_is_a_typed_error_not_a_default() {
-        for bad in ["fourr", "", " 4", "+4", "-1", "0x10", "4.0"] {
-            let err = AdaptConfig::from_lookup(lookup(&[("STOD_ADAPT_HOLDOUT", bad)])).unwrap_err();
-            assert_eq!(
-                err,
-                AdaptConfigError::NotANumber {
-                    var: "STOD_ADAPT_HOLDOUT",
-                    value: bad.to_string()
-                },
-                "{bad:?} must be rejected as not-a-number"
-            );
-            assert!(err.to_string().contains("STOD_ADAPT_HOLDOUT"), "{err}");
-        }
-    }
-
-    #[test]
-    fn margin_above_fifty_percent_rejected() {
-        let err = AdaptConfig::from_lookup(lookup(&[("STOD_ADAPT_MARGIN", "51")])).unwrap_err();
-        assert!(matches!(
-            err,
-            AdaptConfigError::OutOfRange {
-                var: "STOD_ADAPT_MARGIN",
-                value: 51,
-                max: 50,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn one_bad_knob_fails_even_when_others_are_fine() {
-        let err = AdaptConfig::from_lookup(lookup(&[
-            ("STOD_ADAPT_EPOCHS", "4"),
-            ("STOD_ADAPT_MIN_WINDOWS", "lots"),
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("STOD_ADAPT_MIN_WINDOWS"));
     }
 }

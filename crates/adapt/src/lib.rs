@@ -35,7 +35,7 @@ pub mod corrector;
 pub mod pipeline;
 pub mod stats;
 
-pub use config::{AdaptConfig, AdaptConfigError};
+pub use config::AdaptConfig;
 pub use corrector::OnlineCorrector;
 pub use pipeline::{AdaptError, CityAdapter, CycleOutcome, Decision, SkipReason};
 pub use stats::{AdaptObsPaths, AdaptSnapshot, AdaptStats};

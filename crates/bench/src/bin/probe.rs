@@ -9,6 +9,46 @@ use stod_nn::optim::StepDecay;
 /// Thread counts the parallel sweep compares (serial baseline first).
 const SWEEP_THREADS: [usize; 3] = [1, 2, 4];
 
+/// `M` values that run one mode alone.
+const SOLO_MODES: [&str; 5] = ["city", "serve_load", "adapt", "parallel", "obs"];
+
+/// `M` values that may be listed comma-separated (`M=bf,af`); after the
+/// NH baseline, the listed ones run in this order.
+const MODEL_MODES: [&str; 6] = ["oracle", "mr", "fc", "var", "bf", "af"];
+
+/// The modes `M` selects (unset means `af`): one solo mode, or one or
+/// more model modes. Names match exactly; anything else is an error that
+/// lists the valid names.
+fn parse_modes(m: Option<&str>) -> Result<Vec<&'static str>, String> {
+    let m = m.unwrap_or("af");
+    if let Some(&solo) = SOLO_MODES.iter().find(|&&s| s == m) {
+        return Ok(vec![solo]);
+    }
+    m.split(',')
+        .map(|name| MODEL_MODES.iter().find(|&&v| v == name).copied())
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| {
+            format!(
+                "unknown probe mode M={m:?}: run one of {SOLO_MODES:?} alone, \
+                 or list any of {MODEL_MODES:?} comma-separated (unset means \"af\")"
+            )
+        })
+}
+
+/// `var` parsed as a `T`, or `default` when unset. A set value that does
+/// not parse panics naming the variable, never a silent default.
+fn env_num<T: std::str::FromStr>(var: &str, default: T) -> T {
+    match std::env::var(var) {
+        Ok(v) => v.parse().unwrap_or_else(|_| {
+            panic!(
+                "{var} must parse as {}, got {v:?}",
+                std::any::type_name::<T>()
+            )
+        }),
+        Err(_) => default,
+    }
+}
+
 /// Best-of-`reps` wall-clock of `f`, in milliseconds.
 fn time_ms_best_of(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -368,10 +408,11 @@ fn run_obs_bench(ds: &stod_traffic::OdDataset, split: &stod_traffic::Split) {
     println!("wrote {out}");
 }
 
-/// `M=serve_load`: the fleet load harness. Builds a ≥4-city serving fleet
-/// from replayed synthetic traffic (`stod_traffic::generate_fleet` →
-/// live-ingest `push_trip`/`seal_interval`), installs a fresh checkpoint
-/// per shard, then drives three measured phases, each on a fresh fleet so
+/// `M=serve_load`: the fleet load harness. Builds a 4-city serving fleet
+/// (`FleetConfig::default()`) from replayed synthetic traffic
+/// (`stod_traffic::generate_fleet` → live-ingest
+/// `push_trip`/`seal_interval`), installs a fresh checkpoint per shard,
+/// then drives three measured phases, each on a fresh fleet so
 /// the books are per-phase exact:
 ///
 /// * **slo** — paced open-loop arrivals (`STOD_LOAD_RATE` req/s, Poisson)
@@ -393,40 +434,19 @@ fn run_serve_load_bench() {
     use stod_serve::ModelKind;
     use stod_traffic::{generate_fleet, FleetSimConfig};
 
-    let env_usize = |var: &str, default: usize| {
-        std::env::var(var)
-            .ok()
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{var} must be an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
-    };
-    let env_f64 = |var: &str, default: f64| {
-        std::env::var(var)
-            .ok()
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{var} must be a number, got {v:?}"))
-            })
-            .unwrap_or(default)
-    };
     let gate = std::env::var("STOD_LOAD_GATE").is_ok_and(|v| v == "1");
-    let fleet_cfg = match FleetConfig::from_env() {
-        Ok(cfg) => cfg,
-        Err(e) => panic!("invalid fleet configuration: {e}"),
-    };
+    let fleet_cfg = FleetConfig::default();
     assert!(
         fleet_cfg.shards >= 4,
-        "the load harness wants a ≥4-city fleet (STOD_SHARDS={})",
+        "the load harness wants a ≥4-city fleet, FleetConfig::default() has {} shards",
         fleet_cfg.shards
     );
-    let total = env_usize("STOD_LOAD_N", 2000);
-    let clients = env_usize("STOD_LOAD_CLIENTS", 8);
-    let rate = env_f64("STOD_LOAD_RATE", 400.0);
-    let p99_budget_us = env_usize("STOD_LOAD_P99_US", 200_000) as u64;
-    let min_hit_rate = env_f64("STOD_LOAD_MIN_HITRATE", 0.5);
-    let min_speedup = env_f64("STOD_LOAD_MIN_SPEEDUP", 10.0);
+    let total: usize = env_num("STOD_LOAD_N", 2000);
+    let clients: usize = env_num("STOD_LOAD_CLIENTS", 8);
+    let rate: f64 = env_num("STOD_LOAD_RATE", 400.0);
+    let p99_budget_us: u64 = env_num("STOD_LOAD_P99_US", 200_000);
+    let min_hit_rate: f64 = env_num("STOD_LOAD_MIN_HITRATE", 0.5);
+    let min_speedup: f64 = env_num("STOD_LOAD_MIN_SPEEDUP", 10.0);
 
     let sim = FleetSimConfig {
         num_cities: fleet_cfg.shards,
@@ -591,9 +611,7 @@ fn run_serve_load_bench() {
 /// Reports fine-tune wall, shadow-eval wall, promote latency (from the
 /// pipeline's own `adapt/latency/*` histograms) and the serve p99
 /// observed *during* the adaptation, and writes
-/// `results/BENCH_adapt.json` (override `STOD_ADAPT_OUT`). The
-/// `STOD_ADAPT_{EPOCHS,HOLDOUT,MARGIN,MIN_WINDOWS}` knobs override the
-/// scenario-tuned cycle configuration.
+/// `results/BENCH_adapt.json` (override `STOD_ADAPT_OUT`).
 fn run_adapt_bench() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
@@ -606,11 +624,7 @@ fn run_adapt_bench() {
     let seed: u64 = 53279;
     let clients = 4usize;
 
-    // Honor the documented env knobs on top of the scenario-tuned cycle
-    // configuration (the parse also validates them — a bad knob panics
-    // here instead of silently running the wrong experiment).
-    let envd = AdaptConfig::from_env().unwrap_or_else(|e| panic!("invalid adapt knob: {e}"));
-    let mut acfg = AdaptConfig {
+    let acfg = AdaptConfig {
         epochs: 20,
         holdout: 8,
         min_windows: 4,
@@ -618,18 +632,6 @@ fn run_adapt_bench() {
         ckpt_every_steps: 4,
         ..AdaptConfig::default()
     };
-    if std::env::var_os("STOD_ADAPT_EPOCHS").is_some() {
-        acfg.epochs = envd.epochs;
-    }
-    if std::env::var_os("STOD_ADAPT_HOLDOUT").is_some() {
-        acfg.holdout = envd.holdout;
-    }
-    if std::env::var_os("STOD_ADAPT_MARGIN").is_some() {
-        acfg.margin = envd.margin;
-    }
-    if std::env::var_os("STOD_ADAPT_MIN_WINDOWS").is_some() {
-        acfg.min_windows = envd.min_windows;
-    }
 
     // The adapt_gate drift scenario: stationary past trains the incumbent,
     // the live stream shifts its daily regime a quarter day at onset.
@@ -1024,17 +1026,22 @@ fn run_city_bench() {
 }
 
 fn main() {
+    let modes = parse_modes(std::env::var("M").ok().as_deref()).unwrap_or_else(|e| {
+        eprintln!("probe: {e}");
+        std::process::exit(2);
+    });
+    let runs = |mode: &str| modes.contains(&mode);
     // Modes that bring their own data short-circuit before the shared
     // NYC dataset build.
-    if std::env::var("M").is_ok_and(|m| m.contains("city")) {
+    if runs("city") {
         run_city_bench();
         return;
     }
-    if std::env::var("M").is_ok_and(|m| m.contains("serve_load")) {
+    if runs("serve_load") {
         run_serve_load_bench();
         return;
     }
-    if std::env::var("M").is_ok_and(|m| m.contains("adapt")) {
+    if runs("adapt") {
         run_adapt_bench();
         return;
     }
@@ -1042,18 +1049,9 @@ fn main() {
     let split = standard_split(&ds, 3, 1);
     let n = ds.num_regions();
     let k = ds.spec.num_buckets;
-    let epochs: usize = std::env::var("E")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let lr: f32 = std::env::var("LR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3e-3);
-    let dropout: f32 = std::env::var("DO")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.2);
+    let epochs: usize = env_num("E", 20);
+    let lr: f32 = env_num("LR", 3e-3);
+    let dropout: f32 = env_num("DO", 0.2);
     let tc = TrainConfig {
         epochs,
         batch_size: 16,
@@ -1071,16 +1069,15 @@ fn main() {
     let nh = NaiveHistograms::fit(&ds, train_end);
     let r = evaluate_predictor(&nh, &ds, &split.test);
     println!("NH  EMD {:.4}", r.per_step[0][2]);
-    let which = std::env::var("M").unwrap_or_else(|_| "af".into());
-    if which.contains("parallel") {
+    if runs("parallel") {
         run_parallel_bench(&ds, &split);
         return;
     }
-    if which.contains("obs") {
+    if runs("obs") {
         run_obs_bench(&ds, &split);
         return;
     }
-    if which.contains("oracle") {
+    if runs("oracle") {
         use stod_traffic::speed::{SpeedField, SpeedParams};
         use stod_traffic::{OdDataset, Window};
         // Rebuild the latent field exactly as build_dataset(Nyc, Small, 11) does.
@@ -1123,40 +1120,28 @@ fn main() {
             r.per_step[0][2], r.per_step[0][0]
         );
     }
-    if which.contains("mr") {
+    if runs("mr") {
         let m = MrModel::fit(&ds, train_end, Default::default(), 23);
         let r = evaluate_predictor(&m, &ds, &split.test);
         println!("MR  EMD {:.4}", r.per_step[0][2]);
     }
-    if which.contains("fc") {
+    if runs("fc") {
         let mut m = FcModel::new(n, k, Default::default(), 23);
         println!("-- FC --");
         train(&mut m, &ds, &split.train, Some(&split.val), &tc);
         let r = evaluate(&m, &ds, &split.test, 32);
         println!("FC  EMD {:.4}", r.per_step[0][2]);
     }
-    if which.contains("var") {
+    if runs("var") {
         let m = VarModel::fit(&ds, train_end, Default::default());
         let r = evaluate_predictor(&m, &ds, &split.test);
         println!("VAR EMD {:.4}", r.per_step[0][2]);
     }
-    if which.contains("bf") {
-        let enc: usize = std::env::var("ENC")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(32);
-        let hid: usize = std::env::var("HID")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(48);
-        let rank: usize = std::env::var("RANK")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(5);
-        let lam: f32 = std::env::var("LAM")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1e-4);
+    if runs("bf") {
+        let enc: usize = env_num("ENC", 32);
+        let hid: usize = env_num("HID", 48);
+        let rank: usize = env_num("RANK", 5);
+        let lam: f32 = env_num("LAM", 1e-4);
         let mut m = BfModel::new(
             n,
             k,
@@ -1175,16 +1160,10 @@ fn main() {
         let r = evaluate(&m, &ds, &split.test, 32);
         println!("BF  EMD {:.4}  ({:?})", r.per_step[0][2], t0.elapsed());
     }
-    if which.contains("af") {
+    if runs("af") {
         let t1 = std::time::Instant::now();
-        let lam: f32 = std::env::var("LAM")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1e-4);
-        let rh: usize = std::env::var("RH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(16);
+        let lam: f32 = env_num("LAM", 1e-4);
+        let rh: usize = env_num("RH", 16);
         let mut m = AfModel::new(
             &ds.city.centroids(),
             k,
@@ -1200,5 +1179,40 @@ fn main() {
         train(&mut m, &ds, &split.train, Some(&split.val), &tc);
         let r = evaluate(&m, &ds, &split.test, 32);
         println!("AF  EMD {:.4}  ({:?})", r.per_step[0][2], t1.elapsed());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unset_mode_is_af_and_solo_modes_run_alone() {
+        assert_eq!(parse_modes(None), Ok(vec!["af"]));
+        for solo in SOLO_MODES {
+            assert_eq!(parse_modes(Some(solo)), Ok(vec![solo]));
+        }
+    }
+
+    #[test]
+    fn model_modes_list_comma_separated() {
+        assert_eq!(parse_modes(Some("bf,af")), Ok(vec!["bf", "af"]));
+        assert_eq!(parse_modes(Some("var")), Ok(vec!["var"]));
+        assert_eq!(
+            parse_modes(Some("oracle,mr,fc,var,bf,af")),
+            Ok(MODEL_MODES.to_vec())
+        );
+    }
+
+    #[test]
+    fn unknown_or_mixed_modes_are_errors_listing_the_valid_names() {
+        for bad in [
+            "paralel", "bfaf", "city,af", "af,obs", "", "af,", " af", "AF",
+        ] {
+            let err = parse_modes(Some(bad)).unwrap_err();
+            for name in SOLO_MODES.iter().chain(&MODEL_MODES) {
+                assert!(err.contains(name), "{bad:?}: {err}");
+            }
+        }
     }
 }

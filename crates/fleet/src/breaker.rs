@@ -30,21 +30,12 @@
 //! so the chaos gate can assert the exact trip/probe/close schedule of a
 //! seeded run instead of sleeping and hoping.
 
-use crate::config::{parse_knob, FleetConfigError};
 use parking_lot::Mutex;
 use serde::{json, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Breaker tuning knobs and their environment bindings.
-///
-/// | variable                 | meaning                             | range      | default |
-/// |--------------------------|-------------------------------------|------------|---------|
-/// | `STOD_BREAKER_THRESHOLD` | consecutive failures that trip      | 1 … 10⁶    | 5       |
-/// | `STOD_BREAKER_BACKOFF_MS`| base open-state backoff (ms)        | 1 … 600000 | 100     |
-///
-/// Same contract as [`crate::FleetConfig`]: unset takes the default, a
-/// set-but-invalid value is a typed [`FleetConfigError`].
+/// Breaker tuning, one per shard ([`crate::ShardConfig::breaker`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip a closed breaker.
@@ -62,29 +53,6 @@ impl Default for BreakerConfig {
             backoff: Duration::from_millis(100),
             seed: 0x0B4E_A4E4,
         }
-    }
-}
-
-impl BreakerConfig {
-    /// Resolves the configuration from the process environment
-    /// (`STOD_BREAKER_THRESHOLD`, `STOD_BREAKER_BACKOFF_MS`).
-    pub fn from_env() -> Result<BreakerConfig, FleetConfigError> {
-        BreakerConfig::from_lookup(|var| std::env::var(var).ok())
-    }
-
-    /// [`BreakerConfig::from_env`] with an injectable variable lookup.
-    pub fn from_lookup(
-        get: impl Fn(&'static str) -> Option<String>,
-    ) -> Result<BreakerConfig, FleetConfigError> {
-        let mut cfg = BreakerConfig::default();
-        if let Some(v) = get("STOD_BREAKER_THRESHOLD") {
-            cfg.threshold = parse_knob("STOD_BREAKER_THRESHOLD", &v, 1, 1_000_000)? as u32;
-        }
-        if let Some(v) = get("STOD_BREAKER_BACKOFF_MS") {
-            cfg.backoff =
-                Duration::from_millis(parse_knob("STOD_BREAKER_BACKOFF_MS", &v, 1, 600_000)?);
-        }
-        Ok(cfg)
     }
 }
 
@@ -343,45 +311,11 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn lookup<'a>(
-        pairs: &'a [(&'static str, &'a str)],
-    ) -> impl Fn(&'static str) -> Option<String> + 'a {
-        move |var| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == var)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
     fn fast() -> BreakerConfig {
         BreakerConfig {
             threshold: 3,
             backoff: Duration::from_millis(5),
             seed: 7,
-        }
-    }
-
-    #[test]
-    fn knobs_parse_and_reject() {
-        let cfg = BreakerConfig::from_lookup(|_| None).unwrap();
-        assert_eq!(cfg, BreakerConfig::default());
-        let cfg = BreakerConfig::from_lookup(lookup(&[
-            ("STOD_BREAKER_THRESHOLD", "2"),
-            ("STOD_BREAKER_BACKOFF_MS", "250"),
-        ]))
-        .unwrap();
-        assert_eq!(cfg.threshold, 2);
-        assert_eq!(cfg.backoff, Duration::from_millis(250));
-        for (var, bad) in [
-            ("STOD_BREAKER_THRESHOLD", "0"),
-            ("STOD_BREAKER_THRESHOLD", "three"),
-            ("STOD_BREAKER_BACKOFF_MS", "0"),
-            ("STOD_BREAKER_BACKOFF_MS", "-5"),
-            ("STOD_BREAKER_BACKOFF_MS", "600001"),
-        ] {
-            let err = BreakerConfig::from_lookup(lookup(&[(var, bad)])).unwrap_err();
-            assert!(err.to_string().contains(var), "{var}={bad:?}: {err}");
         }
     }
 

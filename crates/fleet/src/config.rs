@@ -1,25 +1,9 @@
-//! Fleet sizing knobs and their environment bindings.
+//! Fleet sizing: shard count, result cache and admission control.
 //!
-//! Three knobs are operator-facing and bind to environment variables:
-//!
-//! | variable          | meaning                                   | range      | default |
-//! |-------------------|-------------------------------------------|------------|---------|
-//! | `STOD_SHARDS`     | number of per-city shards                 | 1 … 64     | 4       |
-//! | `STOD_CACHE_CAP`  | forecast result cache capacity (entries)  | 1 … 10⁶    | 256     |
-//! | `STOD_SHED_DEPTH` | max admissible shard queue depth          | 0 … 10⁶    | 64      |
-//!
-//! An *unset* variable takes its default; a *set but invalid* variable is
-//! a typed [`FleetConfigError`], never a silent default — the same
-//! contract as `STOD_THREADS` and the bench probe's `SCALE`. A fleet
-//! silently running with 1 shard because `STOD_SHARDS=fourr` failed to
-//! parse would invalidate every number the load harness reports.
-//!
-//! Circuit-breaker knobs (`STOD_BREAKER_THRESHOLD`,
-//! `STOD_BREAKER_BACKOFF_MS`) live in [`crate::breaker::BreakerConfig`]
-//! and WAL knobs (`STOD_WAL_FSYNC`, `STOD_WAL_SEGMENT`) in
-//! [`stod_serve::wal::WalConfig`], all under the same contract.
-
-use std::fmt;
+//! Callers fill [`FleetConfig`] in code. Circuit breakers are tuned
+//! through [`crate::breaker::BreakerConfig`] (one per shard, inside
+//! [`crate::ShardConfig`]) and the WAL through
+//! [`stod_serve::wal::WalConfig`].
 
 /// Fleet-level configuration (shard count, result cache, admission
 /// control). Per-shard serving knobs live in [`crate::ShardConfig`].
@@ -53,227 +37,5 @@ impl Default for FleetConfig {
             shed_depth: 64,
             cache_enabled: true,
         }
-    }
-}
-
-/// A rejected environment knob. The offending variable and value are
-/// carried so the error message an operator sees names exactly what to
-/// fix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetConfigError {
-    /// The value is not a plain base-10 unsigned integer (signs,
-    /// whitespace, separators, and empty strings are all rejected).
-    NotANumber {
-        /// Which environment variable.
-        var: &'static str,
-        /// The rejected value, verbatim.
-        value: String,
-    },
-    /// The value parsed but falls outside the knob's valid range.
-    OutOfRange {
-        /// Which environment variable.
-        var: &'static str,
-        /// The parsed value.
-        value: u64,
-        /// Smallest accepted value.
-        min: u64,
-        /// Largest accepted value.
-        max: u64,
-    },
-}
-
-impl fmt::Display for FleetConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FleetConfigError::NotANumber { var, value } => {
-                write!(f, "{var} must be a plain unsigned integer, got {value:?}")
-            }
-            FleetConfigError::OutOfRange {
-                var,
-                value,
-                min,
-                max,
-            } => {
-                write!(f, "{var} must be in {min}..={max}, got {value}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FleetConfigError {}
-
-impl From<stod_tensor::knob::KnobError> for FleetConfigError {
-    fn from(err: stod_tensor::knob::KnobError) -> FleetConfigError {
-        match err {
-            stod_tensor::knob::KnobError::NotANumber { var, value } => {
-                FleetConfigError::NotANumber { var, value }
-            }
-            stod_tensor::knob::KnobError::OutOfRange {
-                var,
-                value,
-                min,
-                max,
-            } => FleetConfigError::OutOfRange {
-                var,
-                value,
-                min,
-                max,
-            },
-        }
-    }
-}
-
-/// Parses one knob: digits only, then range-checked. Shared with the
-/// breaker's `STOD_BREAKER_*` knobs ([`crate::breaker::BreakerConfig`]).
-/// Delegates to [`stod_tensor::knob::parse_knob`] — the workspace-wide
-/// implementation of the digits-then-range contract — and maps its error
-/// into the fleet's typed [`FleetConfigError`].
-pub(crate) fn parse_knob(
-    var: &'static str,
-    value: &str,
-    min: u64,
-    max: u64,
-) -> Result<u64, FleetConfigError> {
-    stod_tensor::knob::parse_knob(var, value, min, max).map_err(FleetConfigError::from)
-}
-
-impl FleetConfig {
-    /// Resolves the configuration from the process environment
-    /// (`STOD_SHARDS`, `STOD_CACHE_CAP`, `STOD_SHED_DEPTH`).
-    pub fn from_env() -> Result<FleetConfig, FleetConfigError> {
-        FleetConfig::from_lookup(|var| std::env::var(var).ok())
-    }
-
-    /// [`FleetConfig::from_env`] with an injectable variable lookup, so
-    /// tests can exercise every parse path without mutating the (process
-    /// global, test-parallel) environment.
-    pub fn from_lookup(
-        get: impl Fn(&'static str) -> Option<String>,
-    ) -> Result<FleetConfig, FleetConfigError> {
-        let mut cfg = FleetConfig::default();
-        if let Some(v) = get("STOD_SHARDS") {
-            cfg.shards = parse_knob("STOD_SHARDS", &v, 1, 64)? as usize;
-        }
-        if let Some(v) = get("STOD_CACHE_CAP") {
-            cfg.cache_capacity = parse_knob("STOD_CACHE_CAP", &v, 1, 1_000_000)? as usize;
-        }
-        if let Some(v) = get("STOD_SHED_DEPTH") {
-            cfg.shed_depth = parse_knob("STOD_SHED_DEPTH", &v, 0, 1_000_000)? as usize;
-        }
-        Ok(cfg)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lookup<'a>(
-        pairs: &'a [(&'static str, &'a str)],
-    ) -> impl Fn(&'static str) -> Option<String> + 'a {
-        move |var| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == var)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
-    #[test]
-    fn unset_knobs_take_defaults() {
-        let cfg = FleetConfig::from_lookup(|_| None).unwrap();
-        assert_eq!(cfg, FleetConfig::default());
-        assert_eq!(
-            (cfg.shards, cfg.cache_capacity, cfg.shed_depth),
-            (4, 256, 64)
-        );
-        assert!(cfg.cache_enabled);
-    }
-
-    #[test]
-    fn valid_knobs_apply() {
-        let cfg = FleetConfig::from_lookup(lookup(&[
-            ("STOD_SHARDS", "8"),
-            ("STOD_CACHE_CAP", "1000"),
-            ("STOD_SHED_DEPTH", "0"),
-        ]))
-        .unwrap();
-        assert_eq!(cfg.shards, 8);
-        assert_eq!(cfg.cache_capacity, 1000);
-        assert_eq!(cfg.shed_depth, 0);
-    }
-
-    #[test]
-    fn garbage_shards_is_a_typed_error_not_a_default() {
-        for bad in ["fourr", "", " 4", "4 ", "+4", "-1", "0x10", "4_0", "4.0"] {
-            let err = FleetConfig::from_lookup(lookup(&[("STOD_SHARDS", bad)])).unwrap_err();
-            assert_eq!(
-                err,
-                FleetConfigError::NotANumber {
-                    var: "STOD_SHARDS",
-                    value: bad.to_string()
-                },
-                "{bad:?} must be rejected as not-a-number"
-            );
-            assert!(err.to_string().contains("STOD_SHARDS"), "{err}");
-        }
-    }
-
-    #[test]
-    fn out_of_range_shards_rejected() {
-        for (bad, value) in [("0", 0u64), ("65", 65), ("18446744073709551616", u64::MAX)] {
-            let err = FleetConfig::from_lookup(lookup(&[("STOD_SHARDS", bad)])).unwrap_err();
-            match err {
-                FleetConfigError::OutOfRange {
-                    var, value: v, min, ..
-                } => {
-                    assert_eq!((var, v, min), ("STOD_SHARDS", value, 1));
-                }
-                other => panic!("expected OutOfRange, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn cache_cap_rejects_zero_and_garbage() {
-        let err = FleetConfig::from_lookup(lookup(&[("STOD_CACHE_CAP", "0")])).unwrap_err();
-        assert!(matches!(
-            err,
-            FleetConfigError::OutOfRange {
-                var: "STOD_CACHE_CAP",
-                value: 0,
-                min: 1,
-                ..
-            }
-        ));
-        let err = FleetConfig::from_lookup(lookup(&[("STOD_CACHE_CAP", "many")])).unwrap_err();
-        assert!(matches!(err, FleetConfigError::NotANumber { .. }));
-    }
-
-    #[test]
-    fn shed_depth_allows_zero_but_not_garbage() {
-        let cfg = FleetConfig::from_lookup(lookup(&[("STOD_SHED_DEPTH", "0")])).unwrap();
-        assert_eq!(cfg.shed_depth, 0);
-        let err = FleetConfig::from_lookup(lookup(&[("STOD_SHED_DEPTH", "-3")])).unwrap_err();
-        assert!(matches!(
-            err,
-            FleetConfigError::NotANumber {
-                var: "STOD_SHED_DEPTH",
-                ..
-            }
-        ));
-        let err = FleetConfig::from_lookup(lookup(&[("STOD_SHED_DEPTH", "1000001")])).unwrap_err();
-        assert!(matches!(err, FleetConfigError::OutOfRange { .. }));
-    }
-
-    #[test]
-    fn one_bad_knob_fails_even_when_others_are_fine() {
-        let err = FleetConfig::from_lookup(lookup(&[
-            ("STOD_SHARDS", "4"),
-            ("STOD_CACHE_CAP", "64"),
-            ("STOD_SHED_DEPTH", "deep"),
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("STOD_SHED_DEPTH"));
     }
 }

@@ -50,14 +50,14 @@
 //! per-shard obs counters (`fleet/shard{i}/…`) when observability is
 //! armed.
 //!
-//! ## Env knobs
+//! ## Configuration
 //!
-//! `STOD_SHARDS`, `STOD_CACHE_CAP`, `STOD_SHED_DEPTH` — validated, typed
-//! errors on garbage; see [`config::FleetConfig`]. The breaker adds
-//! `STOD_BREAKER_THRESHOLD` / `STOD_BREAKER_BACKOFF_MS`
-//! ([`breaker::BreakerConfig`]) and the WAL adds `STOD_WAL_FSYNC` /
-//! `STOD_WAL_SEGMENT` ([`stod_serve::WalConfig`]), all under the same
-//! contract.
+//! Every setting is a struct field the caller fills in code:
+//! [`config::FleetConfig`] (shards, result cache, shed depth),
+//! [`shard::ShardConfig`] (workers, window, per-shard
+//! [`breaker::BreakerConfig`]) and [`router::DurabilityConfig`] (log
+//! root and [`stod_serve::WalConfig`]). No environment variable
+//! overrides them.
 
 pub mod breaker;
 pub mod cache;
@@ -68,7 +68,7 @@ pub mod shard;
 
 pub use breaker::{Admission, BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use cache::{CacheKey, ForecastCache};
-pub use config::{FleetConfig, FleetConfigError};
+pub use config::FleetConfig;
 pub use loadgen::{
     build_schedule, run_load, LoadConfig, LoadReport, OutcomeTally, ScheduledRequest,
 };

@@ -123,9 +123,9 @@ pub struct Fleet {
 impl Fleet {
     /// Assembles a fleet from already-built shards. Shard `i` must carry
     /// `city_id == i` (requests route by index), and the shard count must
-    /// match the configuration the caller resolved — a mismatch means the
-    /// operator's `STOD_SHARDS` and the actual fleet disagree, which would
-    /// silently skew every per-shard number the harness reports.
+    /// match `cfg.shards` — a mismatch means the configuration and the
+    /// actual fleet disagree, which would silently skew every per-shard
+    /// number the harness reports.
     pub fn new(cfg: &FleetConfig, shards: Vec<Shard>) -> Fleet {
         assert_eq!(
             shards.len(),
@@ -581,8 +581,7 @@ fn replay_city(shard: &Shard, city: &FleetCity) {
 pub struct DurabilityConfig {
     /// Root directory for the fleet's per-shard log directories.
     pub root: PathBuf,
-    /// WAL tuning (fsync batching, segment rotation size); see
-    /// [`WalConfig::from_env`] for the `STOD_WAL_*` bindings.
+    /// WAL tuning (fsync batching, segment rotation size).
     pub wal: WalConfig,
 }
 

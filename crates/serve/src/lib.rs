@@ -64,7 +64,7 @@ pub use broker::{
 pub use ingest::{interval_for_departure, FeatureStore, IngestError, IngestSnapshot};
 pub use registry::{ModelConfig, ModelKind, Registry, RegistryError, ScrubReport, ServedModel};
 pub use stats::{LatencyHistogram, LedgerObsPaths, ServeStats, StatsSnapshot};
-pub use wal::{FsyncPolicy, TripWal, WalConfig, WalConfigError, WalRecord, WalReplay, WalStats};
+pub use wal::{FsyncPolicy, TripWal, WalConfig, WalRecord, WalReplay, WalStats};
 
 /// The serving stack is shared across request threads; keep the central
 /// types `Send + Sync` (compile-time check).

@@ -44,10 +44,11 @@
 //!
 //! ## Fsync policy and rotation
 //!
-//! `STOD_WAL_FSYNC` picks the durability/throughput trade: `every`
-//! fsyncs per append, `group:N` fsyncs once per `N` appends
-//! (group commit, the default at `N = 32`), `off` leaves flushing to the
-//! OS. `STOD_WAL_SEGMENT` bounds segment size in bytes; on overflow the
+//! [`WalConfig::fsync`] picks the durability/throughput trade:
+//! [`FsyncPolicy::Every`] fsyncs per append, [`FsyncPolicy::Group`]`(N)`
+//! fsyncs once per `N` appends (group commit, the default at `N = 32`),
+//! [`FsyncPolicy::Off`] leaves flushing to the OS.
+//! [`WalConfig::segment_bytes`] bounds segment size; on overflow the
 //! tail is fsynced, closed, and a new segment opened. Closed segments
 //! whose newest referenced interval has fallen behind the sliding
 //! window's retention horizon are deleted — the log never grows beyond
@@ -190,16 +191,7 @@ pub enum FsyncPolicy {
     Off,
 }
 
-/// WAL tuning knobs and their environment bindings.
-///
-/// | variable           | meaning                          | values                     | default    |
-/// |--------------------|----------------------------------|----------------------------|------------|
-/// | `STOD_WAL_FSYNC`   | append durability policy         | `every`, `group:N`, `off`  | `group:32` |
-/// | `STOD_WAL_SEGMENT` | max segment size before rotation | 1024 … 10⁹ bytes           | 1 MiB      |
-///
-/// Same contract as every other `STOD_*` knob: unset takes the default, a
-/// set-but-invalid value is a typed [`WalConfigError`], never a silent
-/// fallback.
+/// WAL tuning: when appends are fsynced and when segments rotate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalConfig {
     /// Fsync batching policy.
@@ -214,117 +206,6 @@ impl Default for WalConfig {
             fsync: FsyncPolicy::Group(32),
             segment_bytes: 1 << 20,
         }
-    }
-}
-
-/// A rejected WAL environment knob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalConfigError {
-    /// `STOD_WAL_FSYNC` is not `every`, `off`, or `group:N`.
-    BadFsyncPolicy {
-        /// The rejected value, verbatim.
-        value: String,
-    },
-    /// A numeric knob is not a plain base-10 unsigned integer.
-    NotANumber {
-        /// Which environment variable (or sub-field).
-        var: &'static str,
-        /// The rejected value, verbatim.
-        value: String,
-    },
-    /// A numeric knob parsed but falls outside its valid range.
-    OutOfRange {
-        /// Which environment variable (or sub-field).
-        var: &'static str,
-        /// The parsed value.
-        value: u64,
-        /// Smallest accepted value.
-        min: u64,
-        /// Largest accepted value.
-        max: u64,
-    },
-}
-
-impl std::fmt::Display for WalConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalConfigError::BadFsyncPolicy { value } => write!(
-                f,
-                "STOD_WAL_FSYNC must be 'every', 'off', or 'group:N', got {value:?}"
-            ),
-            WalConfigError::NotANumber { var, value } => {
-                write!(f, "{var} must be a plain unsigned integer, got {value:?}")
-            }
-            WalConfigError::OutOfRange {
-                var,
-                value,
-                min,
-                max,
-            } => write!(f, "{var} must be in {min}..={max}, got {value}"),
-        }
-    }
-}
-
-impl std::error::Error for WalConfigError {}
-
-/// Digits-only parse, then range check (the `FleetConfig` knob contract).
-fn parse_knob(var: &'static str, value: &str, min: u64, max: u64) -> Result<u64, WalConfigError> {
-    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(WalConfigError::NotANumber {
-            var,
-            value: value.to_string(),
-        });
-    }
-    let parsed: u64 = value.parse().map_err(|_| WalConfigError::OutOfRange {
-        var,
-        value: u64::MAX,
-        min,
-        max,
-    })?;
-    if parsed < min || parsed > max {
-        return Err(WalConfigError::OutOfRange {
-            var,
-            value: parsed,
-            min,
-            max,
-        });
-    }
-    Ok(parsed)
-}
-
-impl WalConfig {
-    /// Resolves the configuration from the process environment
-    /// (`STOD_WAL_FSYNC`, `STOD_WAL_SEGMENT`).
-    pub fn from_env() -> Result<WalConfig, WalConfigError> {
-        WalConfig::from_lookup(|var| std::env::var(var).ok())
-    }
-
-    /// [`WalConfig::from_env`] with an injectable variable lookup, so
-    /// tests cover every parse path without touching the process
-    /// environment.
-    pub fn from_lookup(
-        get: impl Fn(&'static str) -> Option<String>,
-    ) -> Result<WalConfig, WalConfigError> {
-        let mut cfg = WalConfig::default();
-        if let Some(v) = get("STOD_WAL_FSYNC") {
-            cfg.fsync = match v.as_str() {
-                "every" => FsyncPolicy::Every,
-                "off" => FsyncPolicy::Off,
-                other => match other.strip_prefix("group:") {
-                    Some(n) => FsyncPolicy::Group(parse_knob(
-                        "STOD_WAL_FSYNC group size",
-                        n,
-                        1,
-                        1_000_000,
-                    )?),
-                    None => return Err(WalConfigError::BadFsyncPolicy { value: v }),
-                },
-            };
-        }
-        if let Some(v) = get("STOD_WAL_SEGMENT") {
-            cfg.segment_bytes = parse_knob("STOD_WAL_SEGMENT", &v, 1024, 1_000_000_000)?;
-        }
-        Ok(cfg)
     }
 }
 
@@ -815,45 +696,6 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&d);
         d
-    }
-
-    #[test]
-    fn fsync_policy_parses_and_rejects() {
-        let get = |pairs: &'static [(&'static str, &'static str)]| {
-            move |var: &'static str| {
-                pairs
-                    .iter()
-                    .find(|(k, _)| *k == var)
-                    .map(|(_, v)| v.to_string())
-            }
-        };
-        assert_eq!(
-            WalConfig::from_lookup(|_| None).unwrap(),
-            WalConfig::default()
-        );
-        let cfg = WalConfig::from_lookup(get(&[("STOD_WAL_FSYNC", "every")])).unwrap();
-        assert_eq!(cfg.fsync, FsyncPolicy::Every);
-        let cfg = WalConfig::from_lookup(get(&[("STOD_WAL_FSYNC", "off")])).unwrap();
-        assert_eq!(cfg.fsync, FsyncPolicy::Off);
-        let cfg = WalConfig::from_lookup(get(&[("STOD_WAL_FSYNC", "group:7")])).unwrap();
-        assert_eq!(cfg.fsync, FsyncPolicy::Group(7));
-        for bad in ["always", "", "group:", "group:0", "group:x", "EVERY"] {
-            let pairs: Vec<(&'static str, String)> = vec![("STOD_WAL_FSYNC", bad.to_string())];
-            let err = WalConfig::from_lookup(|var| {
-                pairs
-                    .iter()
-                    .find(|(k, _)| *k == var)
-                    .map(|(_, v)| v.clone())
-            })
-            .unwrap_err();
-            assert!(err.to_string().contains("STOD_WAL_FSYNC"), "{bad:?}: {err}");
-        }
-        let err = WalConfig::from_lookup(get(&[("STOD_WAL_SEGMENT", "100")])).unwrap_err();
-        assert!(matches!(err, WalConfigError::OutOfRange { min: 1024, .. }));
-        let err = WalConfig::from_lookup(get(&[("STOD_WAL_SEGMENT", "4k")])).unwrap_err();
-        assert!(matches!(err, WalConfigError::NotANumber { .. }));
-        let cfg = WalConfig::from_lookup(get(&[("STOD_WAL_SEGMENT", "4096")])).unwrap();
-        assert_eq!(cfg.segment_bytes, 4096);
     }
 
     #[test]

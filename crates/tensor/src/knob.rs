@@ -1,11 +1,10 @@
 //! Shared environment-knob parsing.
 //!
-//! Every operator-facing `STOD_*` integer knob in the workspace follows
-//! the same contract: an *unset* variable takes its default, a *set but
-//! invalid* variable is a typed error — never a silent default. The
-//! digits-then-range parse used to be duplicated per crate
-//! (`stod_fleet::config`, the breaker, the WAL); this module is the one
-//! implementation they all delegate to.
+//! An integer `STOD_*` knob follows one contract: an *unset* variable
+//! takes its default, a *set but invalid* variable is a typed error —
+//! never a silent default. This module is the workspace's one
+//! digits-then-range parser; the serving registry reads its
+//! `STOD_MODEL_MEM` budget through [`env_knob`].
 //!
 //! Accepted values are plain base-10 unsigned integers: no signs, no
 //! whitespace, no separators, no empty strings. Anything else is

@@ -17,9 +17,10 @@
 # Tier-1 (the gate CI enforces) is the root package: its integration
 # tests in tests/ exercise every crate end-to-end.
 #
-# Stages that sweep kernel thread counts (full, conformance, chaos,
-# durability, scale) run at STOD_THREADS=1 and 4 by default; STOD_VERIFY_THREADS
-# overrides the list (e.g. STOD_VERIFY_THREADS=4 in a CI matrix leg).
+# Stages that sweep kernel thread counts (full, conformance, chaos, adapt,
+# durability, scale) run at STOD_THREADS=1 and 4 by default;
+# STOD_VERIFY_THREADS overrides the list (e.g. STOD_VERIFY_THREADS=4 in a CI
+# matrix leg).
 #
 # --conformance runs the differential fuzzer + metamorphic suite in
 # crates/conformance at a bounded budget (STOD_FUZZ_CASES, default 256
@@ -221,7 +222,7 @@ stage_load() {
 }
 
 stage_adapt() {
-  for t in 1 4; do
+  for t in $VERIFY_THREADS; do
     echo "==> adapt gate, full drift-seed matrix, STOD_THREADS=$t"
     STOD_THREADS="$t" STOD_CHAOS=full cargo test -q --test adapt_gate
   done

@@ -2,8 +2,9 @@
 //!
 //! End-to-end checks on the city-scale serving fleet:
 //!
-//! * env knobs (`STOD_SHARDS`, `STOD_CACHE_CAP`, `STOD_SHED_DEPTH`) are
-//!   validated with typed errors, never silent defaults;
+//! * the fleet's sizing is fixed in `FleetConfig::default()`, and the
+//!   workspace's one knob parser (the registry's `STOD_MODEL_MEM`)
+//!   rejects garbage with typed errors, never silent defaults;
 //! * a hot-swap never lets a stale cached forecast escape — the version
 //!   is part of the cache key, verified bitwise across a swap;
 //! * the result cache's exact LRU never exceeds its capacity under
@@ -19,13 +20,11 @@
 
 use od_forecast::core::BfConfig;
 use od_forecast::faultline::{install, FaultPlan, FaultSite};
-use od_forecast::fleet::{
-    Fleet, FleetConfig, FleetConfigError, FleetRequest, FleetSource, ShardConfig,
-};
+use od_forecast::fleet::{Fleet, FleetConfig, FleetRequest, FleetSource, ShardConfig};
 use od_forecast::nn::ParamStore;
 use od_forecast::obs;
 use od_forecast::serve::{ModelConfig, ModelKind};
-use od_forecast::tensor::par;
+use od_forecast::tensor::{par, parse_knob, KnobError};
 use od_forecast::traffic::{generate_fleet, FleetCity, FleetSimConfig};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -109,58 +108,54 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// Satellite 2: set-but-invalid knobs are typed errors naming the
-/// offending variable; unset knobs take documented defaults.
+/// The fleet's defaults are fixed in code, and the parser `Registry`
+/// reads `STOD_MODEL_MEM` through rejects set-but-invalid values with
+/// typed errors naming the variable, never a silent default.
 #[test]
 fn env_knobs_validate_with_typed_errors_not_silent_defaults() {
-    let defaults = FleetConfig::from_lookup(|_| None).unwrap();
     assert_eq!(
-        (
-            defaults.shards,
-            defaults.cache_capacity,
-            defaults.shed_depth
-        ),
-        (4, 256, 64)
+        FleetConfig::default(),
+        FleetConfig {
+            shards: 4,
+            cache_capacity: 256,
+            shed_depth: 64,
+            cache_enabled: true,
+        }
     );
 
-    let cfg = FleetConfig::from_lookup(|var| match var {
-        "STOD_SHARDS" => Some("6".into()),
-        "STOD_CACHE_CAP" => Some("128".into()),
-        "STOD_SHED_DEPTH" => Some("0".into()),
-        _ => None,
-    })
-    .unwrap();
-    assert_eq!(
-        (cfg.shards, cfg.cache_capacity, cfg.shed_depth),
-        (6, 128, 0)
-    );
-
-    for (var, bad) in [
-        ("STOD_SHARDS", "fourr"),
-        ("STOD_SHARDS", "-1"),
-        ("STOD_CACHE_CAP", "4.0"),
-        ("STOD_SHED_DEPTH", " 8"),
-    ] {
-        let err = FleetConfig::from_lookup(|v| (v == var).then(|| bad.to_string())).unwrap_err();
-        assert!(
-            matches!(err, FleetConfigError::NotANumber { var: v, .. } if v == var),
-            "{var}={bad:?}: expected NotANumber, got {err:?}"
+    let parse = |v: &str| parse_knob("STOD_MODEL_MEM", v, 1, u64::MAX);
+    for bad in ["fourr", "-1", "4.0", " 8"] {
+        let err = parse(bad).unwrap_err();
+        assert_eq!(
+            err,
+            KnobError::NotANumber {
+                var: "STOD_MODEL_MEM",
+                value: bad.to_string()
+            },
+            "{bad:?} must be rejected as not-a-number"
         );
         assert!(
-            err.to_string().contains(var),
+            err.to_string().contains("STOD_MODEL_MEM"),
             "error must name the knob: {err}"
         );
     }
-    let err =
-        FleetConfig::from_lookup(|v| (v == "STOD_SHARDS").then(|| "65".to_string())).unwrap_err();
-    assert!(matches!(
-        err,
-        FleetConfigError::OutOfRange {
-            var: "STOD_SHARDS",
-            value: 65,
-            ..
-        }
-    ));
+    for (bad, value) in [("0", 0), ("18446744073709551616", u64::MAX)] {
+        let err = parse(bad).unwrap_err();
+        assert_eq!(
+            err,
+            KnobError::OutOfRange {
+                var: "STOD_MODEL_MEM",
+                value,
+                min: 1,
+                max: u64::MAX
+            },
+            "{bad:?} must be rejected as out of range"
+        );
+        assert!(
+            err.to_string().contains("STOD_MODEL_MEM"),
+            "error must name the knob: {err}"
+        );
+    }
 }
 
 /// Satellite 3: across a hot-swap the stale version is never served —
