@@ -86,11 +86,17 @@ pub enum Kernel {
     /// from fully dense to ~99% empty and both the `[N, F]` and
     /// `[B, N, F]` panel layouts.
     Spmm,
+    /// `stod_nn::layers::ChebyPool` — one AF factorization stage: the
+    /// Cheby-Net conv, relu, dropout from the op's own `Rng64` stream
+    /// (train) or none (eval), and max-pooling over a coarsening order
+    /// with fake slots, at pool 1, 2 and 4: its output and its gradients
+    /// with respect to `X` and `W`.
+    ChebyPool,
 }
 
 impl Kernel {
     /// Every kernel, in fuzzing order.
-    pub const ALL: [Kernel; 14] = [
+    pub const ALL: [Kernel; 15] = [
         Kernel::Matmul,
         Kernel::Matvec,
         Kernel::BatchedMatmul,
@@ -105,6 +111,7 @@ impl Kernel {
         Kernel::StridedDot,
         Kernel::SparseRecovery,
         Kernel::Spmm,
+        Kernel::ChebyPool,
     ];
 
     /// Stable lowercase name (used in dump file names).
@@ -124,6 +131,7 @@ impl Kernel {
             Kernel::StridedDot => "strided_dot",
             Kernel::SparseRecovery => "sparse_recovery",
             Kernel::Spmm => "spmm",
+            Kernel::ChebyPool => "cheby_pool",
         }
     }
 }
@@ -284,6 +292,26 @@ pub fn initial_dims(kernel: Kernel, seed: u64) -> Vec<usize> {
                 }
             }
         }
+        Kernel::ChebyPool => {
+            // [batch, nodes, feat, order, out, log2 pool, train, extra
+            // clusters]
+            let (train, extra) = (rng.next_below(2), rng.next_below(3));
+            if big {
+                // train_paper's first stage: N = 67, F = 7 → 32, S = 4, P4.
+                vec![4, 67, 7, 4, 32, 2, train, extra]
+            } else {
+                vec![
+                    gen::dim(&mut rng, 1, 4),
+                    gen::dim(&mut rng, 1, 24),
+                    gen::dim(&mut rng, 1, 8),
+                    gen::dim(&mut rng, 1, 5),
+                    gen::dim(&mut rng, 1, 9),
+                    rng.next_below(3),
+                    train,
+                    extra,
+                ]
+            }
+        }
         Kernel::Gru => {
             if big {
                 vec![64, 32, 32] // gate matmul 64·32·96 = 196 608
@@ -417,6 +445,7 @@ fn normalize_dims(kernel: Kernel, dims: &[usize]) -> Vec<usize> {
         Kernel::SparseRecovery => 7,
         Kernel::Spmm => 4,
         Kernel::ChebyConv => 6,
+        Kernel::ChebyPool => 8,
     };
     let mut d: Vec<usize> = dims
         .iter()
@@ -438,6 +467,12 @@ fn normalize_dims(kernel: Kernel, dims: &[usize]) -> Vec<usize> {
             d[3] = d[3].min(5);
             d[5] = dims.get(5).copied().unwrap_or(0) % 2;
         }
+        Kernel::ChebyPool => {
+            d[3] = d[3].min(5);
+            d[5] = dims.get(5).copied().unwrap_or(0) % 3;
+            d[6] = dims.get(6).copied().unwrap_or(0) % 2;
+            d[7] = dims.get(7).copied().unwrap_or(0) % 3;
+        }
         _ => {}
     }
     d
@@ -448,6 +483,59 @@ struct InputBuf {
     name: &'static str,
     dims: Vec<usize>,
     data: Vec<f32>,
+}
+
+/// Dropout rate of the [`Kernel::ChebyPool`] train cases.
+const CHEBY_POOL_DROPOUT: f32 = 0.2;
+
+/// The stream a [`Kernel::ChebyPool`] case's op draws its dropout from.
+fn dropout_stream(seed: u64) -> Rng64 {
+    Rng64::new(splitmix(seed ^ 0xd2_0b0f))
+}
+
+/// `(pool, pooled nodes)` of a [`Kernel::ChebyPool`] case.
+fn pool_shape(dims: &[usize]) -> (usize, usize) {
+    let (n, pool) = (dims[1], 1 << dims[5]);
+    let m = if pool == 1 {
+        n
+    } else {
+        n.div_ceil(pool) + dims[7]
+    };
+    (pool, m)
+}
+
+/// A symmetric operator (the CSR filter requires it) scaled so no row's
+/// absolute sum exceeds 1, like a scaled Laplacian's spectrum in
+/// [−1, 1]: the Chebyshev recurrence then stays in range for every value
+/// class instead of overflowing at order 2. Every off-diagonal entry is
+/// stored, or about half are dropped.
+fn scaled_operator(rng: &mut Rng64, class: ValueClass, n: usize, half_dropped: bool) -> InputBuf {
+    let raw = gen::fill(rng, class, n * n);
+    let drop = if half_dropped { 0.5 } else { 0.0 };
+    let keep = gen::fill_mask(rng, n * n, drop);
+    let mut l = vec![0.0f32; n * n];
+    for i in 0..n {
+        for j in i..n {
+            let v = if i == j {
+                raw[i * n + j]
+            } else {
+                raw[i * n + j] * keep[i * n + j]
+            };
+            l[i * n + j] = v;
+            l[j * n + i] = v;
+        }
+    }
+    let row_sum = (0..n)
+        .map(|i| l[i * n..(i + 1) * n].iter().map(|v| v.abs()).sum::<f32>())
+        .fold(0.0f32, f32::max);
+    if row_sum > 1.0 {
+        l.iter_mut().for_each(|v| *v /= row_sum);
+    }
+    InputBuf {
+        name: "l",
+        dims: vec![n, n],
+        data: l,
+    }
 }
 
 /// Regenerates a case's input buffers from `(seed, dims)`. This is the
@@ -559,43 +647,59 @@ fn build_inputs(kernel: Kernel, seed: u64, dims: &[usize]) -> Vec<InputBuf> {
         Kernel::ChebyConv => {
             let (batch, n, f, order, out, half_dropped) =
                 (dims[0], dims[1], dims[2], dims[3], dims[4], dims[5]);
-            // A symmetric operator (the CSR filter requires it) scaled so
-            // no row's absolute sum exceeds 1, like a scaled Laplacian's
-            // spectrum in [−1, 1]: the recurrence then stays in range for
-            // every value class instead of overflowing at order 2. Every
-            // off-diagonal entry is stored, or about half are dropped.
-            let raw = gen::fill(&mut rng, class, n * n);
-            let drop = if half_dropped == 1 { 0.5 } else { 0.0 };
-            let keep = gen::fill_mask(&mut rng, n * n, drop);
-            let mut l = vec![0.0f32; n * n];
-            for i in 0..n {
-                for j in i..n {
-                    let v = if i == j {
-                        raw[i * n + j]
-                    } else {
-                        raw[i * n + j] * keep[i * n + j]
-                    };
-                    l[i * n + j] = v;
-                    l[j * n + i] = v;
-                }
-            }
-            let row_sum = (0..n)
-                .map(|i| l[i * n..(i + 1) * n].iter().map(|v| v.abs()).sum::<f32>())
-                .fold(0.0f32, f32::max);
-            if row_sum > 1.0 {
-                l.iter_mut().for_each(|v| *v /= row_sum);
-            }
             vec![
-                InputBuf {
-                    name: "l",
-                    dims: vec![n, n],
-                    data: l,
-                },
+                scaled_operator(&mut rng, class, n, half_dropped == 1),
                 buf(&mut rng, "x", &[batch, n, f]),
                 buf(&mut rng, "w", &[order * f, out]),
                 buf(&mut rng, "b", &[out]),
                 buf(&mut rng, "g", &[batch, n, out]),
             ]
+        }
+        Kernel::ChebyPool => {
+            let (batch, n, f, order, out) = (dims[0], dims[1], dims[2], dims[3], dims[4]);
+            let (pool, m) = pool_shape(dims);
+            let mut inputs = vec![
+                scaled_operator(&mut rng, class, n, false),
+                buf(&mut rng, "x", &[batch, n, f]),
+                buf(&mut rng, "w", &[order * f, out]),
+                buf(&mut rng, "b", &[out]),
+                buf(&mut rng, "g", &[batch, m, out]),
+            ];
+            // The real nodes and m·pool − n fake slots (value n) in random
+            // positions; the identity at pool 1.
+            let mut slots: Vec<usize> = (0..m * pool).map(|i| i.min(n)).collect();
+            if pool > 1 {
+                rng.shuffle(&mut slots);
+            }
+            inputs.push(InputBuf {
+                name: "order",
+                dims: vec![m * pool],
+                data: slots.iter().map(|&v| v as f32).collect(),
+            });
+            // The factors the op draws from its stream: one per conv
+            // output element, in row-major order; none in eval mode.
+            let len = batch * n * out;
+            let mask = if dims[6] == 1 {
+                let mut stream = dropout_stream(seed);
+                let scale = 1.0 / (1.0 - CHEBY_POOL_DROPOUT);
+                (0..len)
+                    .map(|_| {
+                        if stream.next_f32() < CHEBY_POOL_DROPOUT {
+                            0.0
+                        } else {
+                            scale
+                        }
+                    })
+                    .collect()
+            } else {
+                vec![1.0; len]
+            };
+            inputs.push(InputBuf {
+                name: "mask",
+                dims: vec![batch, n, out],
+                data: mask,
+            });
+            inputs
         }
         Kernel::Gru => {
             let (batch, in_dim, hidden) = (dims[0], dims[1], dims[2]);
@@ -655,7 +759,7 @@ fn build_inputs(kernel: Kernel, seed: u64, dims: &[usize]) -> Vec<InputBuf> {
 
 /// Runs the production kernel on prepared inputs under the *current*
 /// thread setting and returns the flat output buffer.
-fn run_production(kernel: Kernel, dims: &[usize], inputs: &[InputBuf]) -> Vec<f32> {
+fn run_production(kernel: Kernel, seed: u64, dims: &[usize], inputs: &[InputBuf]) -> Vec<f32> {
     let t = |i: usize| Tensor::from_vec(&inputs[i].dims, inputs[i].data.clone());
     match kernel {
         Kernel::Matmul | Kernel::BlockedGemm => stod_tensor::matmul(&t(0), &t(1)).data().to_vec(),
@@ -699,6 +803,34 @@ fn run_production(kernel: Kernel, dims: &[usize], inputs: &[InputBuf]) -> Vec<f3
             let x = tape.leaf(t(1));
             let y = conv.apply(&mut tape, &store, x);
             // Σ Y ⊙ G hands the layer exactly G as its upstream gradient.
+            let g = tape.constant(t(4));
+            let yg = tape.mul(y, g);
+            let loss = tape.sum_all(yg);
+            let dx = tape
+                .backward_wrt(loss, &[x])
+                .remove(0)
+                .expect("input gradient");
+            let grads = tape.backward(loss);
+            let dw = grads.get(ws).expect("filter-bank gradient");
+            [tape.value(y).data(), dx.data(), dw.data()].concat()
+        }
+        Kernel::ChebyPool => {
+            use stod_nn::layers::{ChebyConv, ChebyPool};
+            let (f, order, out) = (dims[2], dims[3], dims[4]);
+            let (pool, _) = pool_shape(dims);
+            let filter = std::sync::Arc::new(stod_tensor::CsrMatrix::from_dense(&t(0)));
+            let mut store = ParamStore::new();
+            let conv = ChebyConv::new(&mut store, "c", filter, order, f, out, &mut Rng64::new(1));
+            let ws = store.id_of("c.ws").unwrap();
+            store.set(ws, t(2));
+            store.set(store.id_of("c.b").unwrap(), t(3));
+            let slots = inputs[5].data.iter().map(|&v| v as usize).collect();
+            let stage = ChebyPool::new(conv, slots, pool);
+            let mut tape = Tape::new();
+            let x = tape.leaf(t(1));
+            let train = dims[6] == 1;
+            let mut stream = dropout_stream(seed);
+            let y = stage.apply(&mut tape, &store, x, CHEBY_POOL_DROPOUT, train, &mut stream);
             let g = tape.constant(t(4));
             let yg = tape.mul(y, g);
             let loss = tape.sum_all(yg);
@@ -798,6 +930,27 @@ fn run_oracle(kernel: Kernel, dims: &[usize], inputs: &[InputBuf]) -> OracleOut 
             dims[3],
             dims[4],
         ),
+        Kernel::ChebyPool => {
+            let (pool, _) = pool_shape(dims);
+            let slots: Vec<usize> = inputs[5].data.iter().map(|&v| v as usize).collect();
+            let (terms, _) = tolerance(kernel, dims);
+            oracle::cheby_pool(
+                &inputs[0].data,
+                &inputs[1].data,
+                &inputs[2].data,
+                &inputs[3].data,
+                &inputs[4].data,
+                &inputs[6].data,
+                &slots,
+                dims[0],
+                dims[1],
+                dims[2],
+                dims[3],
+                dims[4],
+                pool,
+                (terms as f64 + 2.0) * f32::EPSILON as f64,
+            )
+        }
         Kernel::Gru => oracle::gru_cell(
             &inputs[0].data,
             &inputs[1].data,
@@ -855,7 +1008,7 @@ fn tolerance(kernel: Kernel, dims: &[usize]) -> (usize, u64) {
         // Error compounds through every recurrence level (N-term sums per
         // level) plus the S·F-term mix or the O-term and B·N-term
         // gradient products.
-        Kernel::ChebyConv => (
+        Kernel::ChebyConv | Kernel::ChebyPool => (
             (dims[1] + 8) * (dims[3] + 1) + dims[3] * dims[2] + dims[4] + dims[0] * dims[1],
             64,
         ),
@@ -873,8 +1026,9 @@ fn tolerance(kernel: Kernel, dims: &[usize]) -> (usize, u64) {
 pub fn run_case(spec: &CaseSpec) -> Option<CaseFailure> {
     let dims = normalize_dims(spec.kernel, &spec.dims);
     let inputs = build_inputs(spec.kernel, spec.seed, &dims);
-    let out1 = par::with_forced_threads(1, || run_production(spec.kernel, &dims, &inputs));
-    let out4 = par::with_forced_threads(4, || run_production(spec.kernel, &dims, &inputs));
+    let run = || run_production(spec.kernel, spec.seed, &dims, &inputs);
+    let out1 = par::with_forced_threads(1, run);
+    let out4 = par::with_forced_threads(4, run);
     // Determinism contract: the thread count must never change a bit.
     if let Some((index, (&g, &w))) = out1
         .iter()

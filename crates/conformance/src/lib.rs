@@ -6,7 +6,9 @@
 //! * [`oracle`] — deliberately naive, obviously-correct serial
 //!   re-implementations of the hot kernels (matmul / matvec / batched
 //!   matmul, the fused Cheby-Net layer of Eq. 5 with its input and
-//!   filter-bank gradients, the GRU cell, recovery +
+//!   filter-bank gradients, the fused AF factorization stage built on it
+//!   (relu, given dropout factors, coarsening gather and max-pool), the
+//!   GRU cell, recovery +
 //!   softmax of Eq. 3 — dense and mask-aware sparse — the Eq. 4 masked
 //!   loss, the strided dots of the sparse path, and the EMD/KL metrics of
 //!   Eqs. 13/15). The oracles never touch `stod_tensor::par`; they are

@@ -129,6 +129,170 @@ pub fn batched_matmul(
     OracleOut { values, mags }
 }
 
+/// The Chebyshev basis `T_s` of Eq. 5 and `Y = Σ_s T_s·W_s + b`, with
+/// magnitudes floored at `f32::MIN_POSITIVE`.
+struct ChebyForward {
+    t: Vec<Vec<f64>>,
+    tm: Vec<Vec<f64>>,
+    y: Vec<f64>,
+    ym: Vec<f64>,
+}
+
+/// One Cheby-Net problem: `L̃ [N, N]`, `W [S·F, O]` and the extents.
+struct ChebyShape<'a> {
+    l: &'a [f32],
+    w: &'a [f32],
+    batch: usize,
+    n: usize,
+    f: usize,
+    order: usize,
+    out: usize,
+}
+
+impl ChebyShape<'_> {
+    /// (L̃ or L̃ᵀ)·v per batch item over the node axis, with its magnitude.
+    fn prop(&self, v: &[f64], m: &[f64], transpose: bool) -> (Vec<f64>, Vec<f64>) {
+        let (batch, n, f, l) = (self.batch, self.n, self.f, self.l);
+        let mut pv = vec![0.0f64; batch * n * f];
+        let mut pm = vec![0.0f64; batch * n * f];
+        for b in 0..batch {
+            for i in 0..n {
+                for j in 0..n {
+                    let lij = if transpose {
+                        l[j * n + i]
+                    } else {
+                        l[i * n + j]
+                    } as f64;
+                    for c in 0..f {
+                        let (dst, src) = ((b * n + i) * f + c, (b * n + j) * f + c);
+                        pv[dst] += lij * v[src];
+                        pm[dst] += lij.abs() * m[src];
+                    }
+                }
+            }
+        }
+        (pv, pm)
+    }
+
+    fn forward(&self, x: &[f32], bias: &[f32]) -> ChebyForward {
+        let (f, order, out, w) = (self.f, self.order, self.out, self.w);
+        let floor = f32::MIN_POSITIVE as f64;
+        let mut t: Vec<Vec<f64>> = vec![x.iter().map(|&v| v as f64).collect()];
+        let mut tm: Vec<Vec<f64>> = vec![x.iter().map(|&v| (v as f64).abs().max(floor)).collect()];
+        for s in 1..order {
+            let (pv, pm) = self.prop(&t[s - 1], &tm[s - 1], false);
+            let (vals, mags) = if s == 1 {
+                (pv, pm)
+            } else {
+                let v = pv.iter().zip(&t[s - 2]).map(|(p, q)| 2.0 * p - q).collect();
+                let m = pm
+                    .iter()
+                    .zip(&tm[s - 2])
+                    .map(|(p, q)| 2.0 * p + q)
+                    .collect();
+                (v, m)
+            };
+            t.push(vals);
+            tm.push(mags.into_iter().map(|m: f64| m.max(floor)).collect());
+        }
+        let rows = self.batch * self.n;
+        let (mut y, mut ym) = (
+            Vec::with_capacity(rows * out),
+            Vec::with_capacity(rows * out),
+        );
+        for r in 0..rows {
+            for o in 0..out {
+                let (mut acc, mut mg) = (bias[o] as f64, (bias[o] as f64).abs());
+                for s in 0..order {
+                    for c in 0..f {
+                        let wv = w[(s * f + c) * out + o] as f64;
+                        acc += t[s][r * f + c] * wv;
+                        mg += tm[s][r * f + c] * wv.abs();
+                    }
+                }
+                y.push(acc);
+                ym.push(mg.max(floor));
+            }
+        }
+        ChebyForward { t, tm, y, ym }
+    }
+
+    /// `[dX, dW]` values and magnitudes under the upstream gradient
+    /// `dY [B·N, O]`, plus whether every adjoint level stayed in range.
+    fn grads(&self, fwd: &ChebyForward, dy: &[f64]) -> (Vec<f64>, Vec<f64>, bool) {
+        let (f, order, out, w) = (self.f, self.order, self.out, self.w);
+        let floor = f32::MIN_POSITIVE as f64;
+        let rows = self.batch * self.n;
+        // dZ_s = dY·W_sᵀ, then the adjoint recurrence.
+        let dz = |s: usize| -> (Vec<f64>, Vec<f64>) {
+            let mut v = vec![0.0f64; rows * f];
+            let mut m = vec![0.0f64; rows * f];
+            for r in 0..rows {
+                for c in 0..f {
+                    for o in 0..out {
+                        let (gv, wv) = (dy[r * out + o], w[(s * f + c) * out + o] as f64);
+                        v[r * f + c] += gv * wv;
+                        m[r * f + c] += (gv * wv).abs();
+                    }
+                }
+            }
+            (v, m)
+        };
+        let mut dt: Vec<(Vec<f64>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); order];
+        for k in (0..order).rev() {
+            let (mut v, mut m) = dz(k);
+            if k + 2 < order {
+                for ((a, am), (b, bm)) in v
+                    .iter_mut()
+                    .zip(m.iter_mut())
+                    .zip(dt[k + 2].0.iter().zip(&dt[k + 2].1))
+                {
+                    *a -= b;
+                    *am += bm;
+                }
+            }
+            if k + 1 < order {
+                let c = if k == 0 { 1.0 } else { 2.0 };
+                let (pv, pm) = self.prop(&dt[k + 1].0, &dt[k + 1].1, true);
+                for ((a, am), (p, q)) in v.iter_mut().zip(m.iter_mut()).zip(pv.iter().zip(&pm)) {
+                    *a += c * p;
+                    *am += c * q;
+                }
+            }
+            m.iter_mut().for_each(|x| *x = x.max(floor));
+            dt[k] = (v, m);
+        }
+        let mut values = dt[0].0.clone();
+        let mut mags = dt[0].1.clone();
+        // dW_s = Σ_rows T_sᵀ·dY.
+        for s in 0..order {
+            for c in 0..f {
+                for o in 0..out {
+                    let (mut acc, mut mg) = (0.0f64, 0.0f64);
+                    for r in 0..rows {
+                        let gv = dy[r * out + o];
+                        acc += fwd.t[s][r * f + c] * gv;
+                        mg += fwd.tm[s][r * f + c] * gv.abs();
+                    }
+                    values.push(acc);
+                    mags.push(mg.max(floor));
+                }
+            }
+        }
+        // NaN counts as out of range too.
+        let in_range = |m: &f64| *m < f32::MAX as f64;
+        let ok = fwd
+            .tm
+            .iter()
+            .chain(dt.iter().map(|(_, m)| m))
+            .flatten()
+            .chain(&fwd.ym)
+            .chain(&mags)
+            .all(in_range);
+        (values, mags, ok)
+    }
+}
+
 /// The Cheby-Net layer of Eq. 5 and its gradients, for the fused
 /// `stod_nn::layers::ChebyConv` op.
 ///
@@ -162,136 +326,150 @@ pub fn cheby_conv(
     assert_eq!(w.len(), order * f * out);
     assert_eq!(bias.len(), out);
     assert_eq!(g.len(), batch * n * out);
-    let floor = f32::MIN_POSITIVE as f64;
-    let sf = order * f;
-    // (L̃ or L̃ᵀ)·v per batch item over the node axis, with its magnitude.
-    let prop = |v: &[f64], m: &[f64], transpose: bool| -> (Vec<f64>, Vec<f64>) {
-        let mut pv = vec![0.0f64; batch * n * f];
-        let mut pm = vec![0.0f64; batch * n * f];
-        for b in 0..batch {
-            for i in 0..n {
-                for j in 0..n {
-                    let lij = if transpose {
-                        l[j * n + i]
-                    } else {
-                        l[i * n + j]
-                    } as f64;
-                    for c in 0..f {
-                        let (dst, src) = ((b * n + i) * f + c, (b * n + j) * f + c);
-                        pv[dst] += lij * v[src];
-                        pm[dst] += lij.abs() * m[src];
+    let shape = ChebyShape {
+        l,
+        w,
+        batch,
+        n,
+        f,
+        order,
+        out,
+    };
+    let fwd = shape.forward(x, bias);
+    let dy: Vec<f64> = g.iter().map(|&v| v as f64).collect();
+    let (grads, grad_mags, ok) = shape.grads(&fwd, &dy);
+    let mut values = fwd.y.clone();
+    values.extend(grads);
+    let mut mags = fwd.ym.clone();
+    mags.extend(grad_mags);
+    if !ok {
+        mags.iter_mut().for_each(|m| *m = f64::INFINITY);
+    }
+    OracleOut { values, mags }
+}
+
+/// One AF spatial-factorization stage, for the fused
+/// `stod_nn::layers::ChebyPool` op: [`cheby_conv`]'s `Y`, then relu, the
+/// given dropout factors `mask [B, N, O]` (all ones in eval mode), and
+/// max-pooling of `pool`-slot windows over `order`, where the value `n`
+/// is a fake slot that pools as 0. Each window takes its first candidate
+/// strictly above the best so far, from −∞. Under the upstream gradient
+/// `G [B, m, O]` a real winner gets `dY = G·mask·relu'(Y)`, every other
+/// element 0, and `[dX, dW]` follow as in [`cheby_conv`]. Returns
+/// `[pooled, dX, dW]`.
+///
+/// An f32 kernel may settle a close decision the other way: a relu at a
+/// `Y` within its error bound of 0, or two candidates of one window
+/// within their bounds of each other. The gradient then moves wholesale,
+/// so `dW`'s column and `dX`'s batch item of every such window are
+/// flagged unverifiable. `decision_tol` is the relative error bound the
+/// comparison grants (`(terms + 2)·ε`); the margin is twice that.
+#[allow(clippy::too_many_arguments)]
+pub fn cheby_pool(
+    l: &[f32],
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    g: &[f32],
+    mask: &[f32],
+    order_slots: &[usize],
+    batch: usize,
+    n: usize,
+    f: usize,
+    order: usize,
+    out: usize,
+    pool: usize,
+    decision_tol: f64,
+) -> OracleOut {
+    let m = order_slots.len() / pool;
+    assert_eq!(order_slots.len(), m * pool);
+    assert_eq!(mask.len(), batch * n * out);
+    assert_eq!(g.len(), batch * m * out);
+    let shape = ChebyShape {
+        l,
+        w,
+        batch,
+        n,
+        f,
+        order,
+        out,
+    };
+    let fwd = shape.forward(x, bias);
+    let margin = 2.0 * decision_tol;
+    let mut values = Vec::with_capacity(batch * m * out);
+    let mut mags = Vec::with_capacity(batch * m * out);
+    let mut dy = vec![0.0f64; batch * n * out];
+    let mut unsure_batch = vec![false; batch];
+    let mut unsure_col = vec![false; out];
+    for b in 0..batch {
+        for (c, window) in order_slots.chunks_exact(pool).enumerate() {
+            for o in 0..out {
+                // (value, error radius, flat index of Y or None for a fake).
+                let cands: Vec<(f64, f64, Option<usize>)> = window
+                    .iter()
+                    .map(|&node| {
+                        if node == n {
+                            return (0.0, 0.0, None);
+                        }
+                        let k = (b * n + node) * out + o;
+                        let fac = mask[k] as f64;
+                        let (y, tol) = (fwd.y[k], margin * fwd.ym[k]);
+                        // Clearly negative: relu gives exactly 0 either way.
+                        let radius = if y + tol <= 0.0 { 0.0 } else { tol * fac };
+                        (y.max(0.0) * fac, radius, Some(k))
+                    })
+                    .collect();
+                let mut best = (f64::NEG_INFINITY, None::<usize>);
+                for (i, &(v, _, _)) in cands.iter().enumerate() {
+                    if v > best.0 {
+                        best = (v, Some(i));
                     }
                 }
+                let mag = cands
+                    .iter()
+                    .filter_map(|&(_, _, k)| k.map(|k| fwd.ym[k] * mask[k] as f64))
+                    .fold(f32::MIN_POSITIVE as f64, f64::max);
+                values.push(best.0);
+                mags.push(mag);
+                let Some(wi) = best.1 else { continue };
+                let (wv, wr, wk) = cands[wi];
+                let close = cands
+                    .iter()
+                    .enumerate()
+                    .any(|(i, &(v, r, _))| i != wi && wr + r > 0.0 && (wv - v).abs() <= wr + r);
+                let Some(k) = wk else {
+                    if close {
+                        unsure_batch[b] = true;
+                        unsure_col[o] = true;
+                    }
+                    continue;
+                };
+                let fac = mask[k] as f64;
+                let relu_close = fac != 0.0 && fwd.y[k].abs() <= margin * fwd.ym[k];
+                if close || relu_close {
+                    unsure_batch[b] = true;
+                    unsure_col[o] = true;
+                }
+                let relu = if fwd.y[k] > 0.0 { 1.0 } else { 0.0 };
+                dy[k] = g[(b * m + c) * out + o] as f64 * fac * relu;
             }
         }
-        (pv, pm)
-    };
-
-    // Forward basis.
-    let mut t: Vec<Vec<f64>> = vec![x.iter().map(|&v| v as f64).collect()];
-    let mut tm: Vec<Vec<f64>> = vec![x.iter().map(|&v| (v as f64).abs().max(floor)).collect()];
-    for s in 1..order {
-        let (pv, pm) = prop(&t[s - 1], &tm[s - 1], false);
-        let (vals, mags) = if s == 1 {
-            (pv, pm)
+    }
+    let (grads, mut grad_mags, ok) = shape.grads(&fwd, &dy);
+    let dx_len = batch * n * f;
+    for (i, mg) in grad_mags.iter_mut().enumerate() {
+        let unsure = if i < dx_len {
+            unsure_batch[i / (n * f)]
         } else {
-            let v = pv.iter().zip(&t[s - 2]).map(|(p, q)| 2.0 * p - q).collect();
-            let m = pm
-                .iter()
-                .zip(&tm[s - 2])
-                .map(|(p, q)| 2.0 * p + q)
-                .collect();
-            (v, m)
+            unsure_col[(i - dx_len) % out]
         };
-        t.push(vals);
-        tm.push(mags.into_iter().map(|m: f64| m.max(floor)).collect());
-    }
-
-    let rows = batch * n;
-    let mut values = Vec::with_capacity(rows * out + rows * f + sf * out);
-    let mut mags = Vec::with_capacity(values.capacity());
-    // Y = Z·W + b.
-    for r in 0..rows {
-        for o in 0..out {
-            let (mut acc, mut mg) = (bias[o] as f64, (bias[o] as f64).abs());
-            for s in 0..order {
-                for c in 0..f {
-                    let wv = w[(s * f + c) * out + o] as f64;
-                    acc += t[s][r * f + c] * wv;
-                    mg += tm[s][r * f + c] * wv.abs();
-                }
-            }
-            values.push(acc);
-            mags.push(mg.max(floor));
+        if unsure {
+            *mg = f64::INFINITY;
         }
     }
-
-    // dZ_s = G·W_sᵀ, then the adjoint recurrence.
-    let dz = |s: usize| -> (Vec<f64>, Vec<f64>) {
-        let mut v = vec![0.0f64; rows * f];
-        let mut m = vec![0.0f64; rows * f];
-        for r in 0..rows {
-            for c in 0..f {
-                for o in 0..out {
-                    let (gv, wv) = (g[r * out + o] as f64, w[(s * f + c) * out + o] as f64);
-                    v[r * f + c] += gv * wv;
-                    m[r * f + c] += (gv * wv).abs();
-                }
-            }
-        }
-        (v, m)
-    };
-    let mut dt: Vec<(Vec<f64>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); order];
-    for k in (0..order).rev() {
-        let (mut v, mut m) = dz(k);
-        if k + 2 < order {
-            for ((a, am), (b, bm)) in v
-                .iter_mut()
-                .zip(m.iter_mut())
-                .zip(dt[k + 2].0.iter().zip(&dt[k + 2].1))
-            {
-                *a -= b;
-                *am += bm;
-            }
-        }
-        if k + 1 < order {
-            let c = if k == 0 { 1.0 } else { 2.0 };
-            let (pv, pm) = prop(&dt[k + 1].0, &dt[k + 1].1, true);
-            for ((a, am), (p, q)) in v.iter_mut().zip(m.iter_mut()).zip(pv.iter().zip(&pm)) {
-                *a += c * p;
-                *am += c * q;
-            }
-        }
-        m.iter_mut().for_each(|x| *x = x.max(floor));
-        dt[k] = (v, m);
-    }
-    values.extend_from_slice(&dt[0].0);
-    mags.extend_from_slice(&dt[0].1);
-
-    // dW_s = Σ_rows T_sᵀ·G.
-    for s in 0..order {
-        for c in 0..f {
-            for o in 0..out {
-                let (mut acc, mut mg) = (0.0f64, 0.0f64);
-                for r in 0..rows {
-                    let gv = g[r * out + o] as f64;
-                    acc += t[s][r * f + c] * gv;
-                    mg += tm[s][r * f + c] * gv.abs();
-                }
-                values.push(acc);
-                mags.push(mg.max(floor));
-            }
-        }
-    }
-
-    // NaN counts as out of range too.
-    let in_range = |m: &f64| *m < f32::MAX as f64;
-    let mut scales = tm
-        .iter()
-        .chain(dt.iter().map(|(_, m)| m))
-        .flatten()
-        .chain(&mags);
-    if !scales.all(in_range) {
+    values.extend(grads);
+    mags.extend(grad_mags);
+    if !ok {
         mags.iter_mut().for_each(|m| *m = f64::INFINITY);
     }
     OracleOut { values, mags }

@@ -91,6 +91,11 @@ fn differential_cheby_conv() {
     assert_clean(Kernel::ChebyConv);
 }
 
+#[test]
+fn differential_cheby_pool() {
+    assert_clean(Kernel::ChebyPool);
+}
+
 /// A deliberately broken comparison must produce a minimized dump — the
 /// machinery itself is under test here, in a temp dir so the real gate
 /// directory stays clean.

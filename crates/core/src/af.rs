@@ -26,26 +26,18 @@ use crate::model::{Mode, ModelOutput, OdForecaster};
 use crate::recovery::{recover, recover_masked};
 use std::sync::Arc;
 use stod_graph::{coarsen_for_pooling_csr, laplacian_csr, proximity_csr, scaled_laplacian_csr};
-use stod_nn::layers::{csr_propagate, ChebyConv, GcGruSeq2Seq, GruSeq2Seq, Linear};
+use stod_nn::layers::{csr_propagate, ChebyConv, ChebyPool, GcGruSeq2Seq, GruSeq2Seq, Linear};
 use stod_nn::{ParamId, ParamStore, Tape, Var};
+use stod_obs::SpanGuard;
 use stod_tensor::rng::Rng64;
 use stod_tensor::{CsrMatrix, Tensor};
 
-/// One graph-convolution + pooling stage of the spatial factorization.
-struct SpatialStage {
-    conv: ChebyConv,
-    /// Reordering of the node axis; entries equal to `in_nodes` select the
-    /// appended zero row (fake pooling slots).
-    order: Vec<usize>,
-    /// Pooling window (2^levels); 1 disables pooling.
-    pool: usize,
-}
-
 /// A complete factorization path (used twice: R side and C side).
 enum Factorization {
-    /// GCNN stages + rank projection (the real AF).
+    /// GCNN stages + rank projection (the real AF). Each stage is one
+    /// fused conv–relu–dropout–pool op over a Graclus order.
     Spatial {
-        stages: Vec<SpatialStage>,
+        stages: Vec<ChebyPool>,
         project: Linear,
         pooled_nodes: usize,
     },
@@ -233,11 +225,8 @@ impl AfModel {
                 rng,
             );
             let c = coarsen_for_pooling_csr(&cur_w, st.pool_levels);
-            stages.push(SpatialStage {
-                conv,
-                pool: c.pool_size(),
-                order: c.order,
-            });
+            let pool = c.pool_size();
+            stages.push(ChebyPool::new(conv, c.order, pool));
             cur_w = c.coarse_w;
             in_feat = filters;
         }
@@ -257,12 +246,13 @@ impl AfModel {
     }
 
     /// Applies one factorization path to slices `[Bslices, nodes, K]`,
-    /// returning `[Bslices, rank, K]`.
+    /// returning `[Bslices, rank, K]`. Each stage and the projection run
+    /// under an untraced `af/cheby_pool` / `af/rank_proj` span.
     #[allow(clippy::too_many_arguments)] // private plumbing of one call site
     fn run_spatial(
         tape: &mut Tape,
         store: &ParamStore,
-        stages: &[SpatialStage],
+        stages: &[ChebyPool],
         project: &Linear,
         pooled_nodes: usize,
         rank: usize,
@@ -273,20 +263,11 @@ impl AfModel {
         let bs = tape.value(x).dim(0);
         let mut y = x;
         for st in stages {
-            y = st.conv.apply(tape, store, y);
-            y = tape.relu(y);
-            y = tape.dropout(y, mode.dropout(), mode.is_train(), rng);
-            if st.pool > 1 {
-                // Append a zero row for fake slots, reorder per the
-                // coarsening, then pool each cluster window.
-                let feat = st.conv.out_feat();
-                let zeros = tape.constant(Tensor::zeros(&[bs, 1, feat]));
-                let padded = tape.concat(&[y, zeros], 1);
-                let gathered = tape.index_select(padded, 1, &st.order);
-                y = tape.max_pool_axis(gathered, 1, st.pool);
-            }
+            let _span = SpanGuard::enter_untraced("af/cheby_pool");
+            y = st.apply(tape, store, y, mode.dropout(), mode.is_train(), rng);
         }
         // Rank projection over the pooled-cluster axis.
+        let _span = SpanGuard::enter_untraced("af/rank_proj");
         let k = tape.value(y).dim(2);
         let perm = tape.permute(y, &[0, 2, 1]); // [Bs, K, m]
         let flat = tape.reshape(perm, &[bs * k, pooled_nodes]);

@@ -52,7 +52,7 @@ impl Coarsening {
 
     /// Applies the reordering to a vector signal over the original nodes,
     /// filling fake slots with zero (reference implementation for tests;
-    /// the autodiff path uses `pad_axis` + `index_select`).
+    /// the models gather inside the fused `stod_nn::layers::ChebyPool` op).
     pub fn reorder_signal(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.num_nodes, "signal length mismatch");
         self.order

@@ -9,7 +9,7 @@
 //! # One tape node per call
 //!
 //! [`ChebyConv::apply`] records the whole layer as a single fused tape op
-//! (`cheby_conv`, DESIGN.md §5b). The recurrence runs on node-major
+//! (`cheby_conv`, DESIGN.md §5h). The recurrence runs on node-major
 //! panels `[N, B·F]`, so each Chebyshev order is one 2-D product over the
 //! whole batch instead of `B` tiny per-slice products, and each `T_s` is
 //! written straight into its column block of the mixing operand
@@ -37,8 +37,39 @@
 //!   old order `[slice₀, −dT₂, L̃·dT₁]` — which matters when the input has
 //!   other consumers, as the GCGRU gates' shared `[X ‖ H]` does.
 //!
-//! The composed layer survives as the test oracle the unit suite compares
-//! the fused op against, bit for bit.
+//! # One tape node per factorization stage
+//!
+//! [`ChebyPool::apply`] runs a whole stage of the AF spatial
+//! factorization (§V-A, Eqs. 5–6) — the conv, relu, inverted dropout, the
+//! zero pad for fake slots, the coarsening gather and the max-pool — as
+//! one `cheby_pool` tape node that writes only the pooled `[Bs, m, Q]`
+//! output. It reuses the conv's `forward` and `backward`; the conv output
+//! is a scratch buffer, and no relu, dropout, pad or gather tensor and no
+//! dropout mask ever becomes a tape value. For the backward pass it keeps
+//! `Z` and, per pooled slot, one code: the winning node with its dropout
+//! and relu factors, or a sentinel when a fake slot won.
+//!
+//! The fused stage is bitwise identical to the composed chain — outputs,
+//! input gradients, parameter gradients and the RNG position — because:
+//!
+//! * the dropout factors are drawn one per conv-output element in
+//!   row-major order from the same `Rng64`, as `rng.next_f32() < p`,
+//!   and eval mode draws nothing;
+//! * each pooled slot takes the first candidate `relu(y)·mask` strictly
+//!   above the best so far, from −∞ in window order, with +0.0 for a fake
+//!   slot, exactly the composed max-pool over the gathered, padded input;
+//! * the winner's conv gradient is `((0.0 + g)·mask)·relu'`, the composed
+//!   scatter-adds then products in their order, and every other element
+//!   gets +0.0 (the Graclus order names each real node at most once);
+//!   at `pool == 1` there is no scatter, so it is `(g·mask)·relu'`.
+//!
+//! The one divergence needs a window with no candidate above −∞, which
+//! takes a NaN in every slot (an infinite conv output dropped to 0·∞): the
+//! composed max-pool then sent the slot's gradient to element 0 of its
+//! input, while the fused op routes none.
+//!
+//! The composed layer and the composed chain survive as the test oracles
+//! the unit suite compares the fused ops against, bit for bit.
 
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
@@ -75,7 +106,10 @@ fn cheby_conv(tape: &mut Tape, l: &Arc<CsrMatrix>, order: usize, x: Var, w: Var,
         "cheby_conv",
         y,
         &parents,
-        Box::new(move |g, ps, _, needs| backward(&l, order, &z, g, ps, needs)),
+        Box::new(move |g, ps, _, needs| {
+            let dy = g.reshape(&[g.dim(0) * g.dim(1), g.dim(2)]);
+            backward(&l, order, &z, &dy, ps, needs)
+        }),
     )
 }
 
@@ -119,28 +153,28 @@ fn forward(l: &CsrMatrix, order: usize, x: &Tensor, w: &Tensor, b: &Tensor) -> (
 }
 
 /// The fused backward pass: gradients for the parents
-/// `[x; min(S, 3)], w, b` of [`cheby_conv`].
+/// `[x; min(S, 3)], w, b` of [`cheby_conv`] and [`cheby_pool`], from the
+/// conv output's gradient `dy [B·N, O]`.
 fn backward(
     l: &CsrMatrix,
     order: usize,
     z: &Tensor,
-    g: &Tensor,
+    dy: &Tensor,
     ps: &[&Tensor],
     needs: &[bool],
 ) -> Vec<Option<Tensor>> {
     let x_slots = order.min(3);
     let (x, w) = (ps[0], ps[x_slots]);
     let (batch, n, f) = (x.dim(0), x.dim(1), x.dim(2));
-    let dy = g.reshape(&[batch * n, w.dim(1)]);
     let mut grads = if needs[0] {
         // dZ = dY·Wᵀ, the mixing matmul's own input gradient.
-        let dz = mm::matmul(&dy, &tf::transpose(w, 0, 1));
+        let dz = mm::matmul(dy, &tf::transpose(w, 0, 1));
         input_grads(l, order, &dz, batch, n, f)
     } else {
         vec![None; x_slots]
     };
-    grads.push(needs[x_slots].then(|| mm::matmul(&tf::transpose(z, 0, 1), &dy)));
-    grads.push(needs[x_slots + 1].then(|| stod_tensor::sum_axis(&dy, 0, false)));
+    grads.push(needs[x_slots].then(|| mm::matmul(&tf::transpose(z, 0, 1), dy)));
+    grads.push(needs[x_slots + 1].then(|| stod_tensor::sum_axis(dy, 0, false)));
     grads
 }
 
@@ -200,6 +234,221 @@ fn input_grads(
         grads.push(Some(batch_major(&l.spmm_panel(d1))));
     }
     grads
+}
+
+/// Marks a pooled slot that a fake slot won: it routes no gradient.
+const FAKE_WINNER: f32 = -1.0;
+
+/// Largest node count whose winner codes stay exact in an `f32`.
+const MAX_POOL_NODES: usize = 1 << 22;
+
+/// Packs a winning node with its dropout and relu factors into one
+/// `f32`: `node·4 + 2·kept + positive`, exact below [`MAX_POOL_NODES`].
+fn pack_winner(node: u32, kept: bool, positive: bool) -> f32 {
+    ((node << 2) | (u32::from(kept) << 1) | u32::from(positive)) as f32
+}
+
+/// `(node, kept, positive)` of a code [`pack_winner`] wrote.
+fn unpack_winner(code: f32) -> (usize, bool, bool) {
+    let c = code as u32;
+    ((c >> 2) as usize, c & 2 != 0, c & 1 != 0)
+}
+
+/// Features per register block of the pooling loop: the running max and
+/// its winner live in two local arrays, which keeps the compare-select
+/// branch-free and vectorized.
+const LANES: usize = 8;
+
+/// Max-pools one window over the `L` features from `j0` of a slice's
+/// conv output `yb [N, Q]` and dropout factors: `(max, winning node)`
+/// per feature, the node as an `f32` or [`FAKE_WINNER`]. A candidate
+/// replaces the running max only when strictly larger, so the first of
+/// equal candidates wins and NaN never does; a fake slot (node `N`) is
+/// +0.0.
+#[inline(always)]
+fn pool_block<const L: usize>(
+    window: &[usize],
+    yb: &[f32],
+    mask: &[f32],
+    q: usize,
+    j0: usize,
+) -> ([f32; L], [f32; L]) {
+    let n = yb.len() / q;
+    let mut best = [f32::NEG_INFINITY; L];
+    let mut won = [FAKE_WINNER; L];
+    let mut take_if_greater = |l: usize, cand: f32, id: f32| {
+        let take = cand > best[l];
+        best[l] = if take { cand } else { best[l] };
+        won[l] = if take { id } else { won[l] };
+    };
+    for &node in window {
+        if node == n {
+            (0..L).for_each(|l| take_if_greater(l, 0.0, FAKE_WINNER));
+            continue;
+        }
+        let at = node * q + j0;
+        let v: &[f32; L] = yb[at..at + L].try_into().expect("one block");
+        let f: &[f32; L] = mask[at..at + L].try_into().expect("one block");
+        (0..L).for_each(|l| take_if_greater(l, v[l].max(0.0) * f[l], node as f32));
+    }
+    (best, won)
+}
+
+/// Records one spatial-factorization stage — conv, relu, inverted
+/// dropout, zero pad, coarsening gather and max-pool — as one
+/// `cheby_pool` tape node over `x [Bs, N, F]`, `w` and `b`.
+#[allow(clippy::too_many_arguments)] // one op's operands, private to this file
+fn cheby_pool(
+    tape: &mut Tape,
+    l: &Arc<CsrMatrix>,
+    order: usize,
+    x: Var,
+    w: Var,
+    b: Var,
+    slots: &[usize],
+    pool: usize,
+    dropout: Option<f32>,
+    rng: &mut Rng64,
+) -> Var {
+    let (y, z) = forward(l, order, tape.value(x), tape.value(w), tape.value(b));
+    let (pooled, winners) = pool_forward(&y, slots, pool, dropout, rng);
+    let n = y.dim(1);
+    // The parents of `cheby_conv`, so the input's contributions reach the
+    // tape in the same order.
+    let mut parents = vec![x; order.min(3)];
+    parents.extend([w, b]);
+    let l = Arc::clone(l);
+    let scale = dropout.map(keep_scale);
+    tape.custom_op(
+        "cheby_pool",
+        pooled,
+        &parents,
+        Box::new(move |g, ps, _, needs| {
+            let dy = pool_backward(g, &winners, n, pool, scale);
+            backward(&l, order, &z, &dy, ps, needs)
+        }),
+    )
+}
+
+/// The factor that inverted dropout at rate `p` gives a kept element,
+/// computed as `Tape::dropout` does.
+fn keep_scale(p: f32) -> f32 {
+    let keep = 1.0 - p;
+    1.0 / keep
+}
+
+/// Relu, inverted dropout, zero pad, gather and max-pool of the conv
+/// output `y [Bs, N, Q]`: `(pooled [Bs, m, Q], winners [Bs, m, Q])` with
+/// `m = slots.len() / pool`.
+///
+/// Each slice draws its dropout factors in row-major order, so the
+/// stream matches one mask over all of `y`. A pooled slot takes the first
+/// candidate `relu(y)·mask` strictly above the best so far, from −∞ in
+/// window order; a fake slot is +0.0. `winners` keeps the winning node
+/// and its two factors ([`pack_winner`]), or [`FAKE_WINNER`]. At
+/// `pool == 1` nothing is gathered or pooled: every element is its own
+/// winner.
+fn pool_forward(
+    y: &Tensor,
+    slots: &[usize],
+    pool: usize,
+    dropout: Option<f32>,
+    rng: &mut Rng64,
+) -> (Tensor, Tensor) {
+    let (bs, n, q) = (y.dim(0), y.dim(1), y.dim(2));
+    let m = slots.len() / pool;
+    let dropout = dropout.map(|p| (p, keep_scale(p)));
+    // Eval mode multiplies by 1.0, which is exact: relu never yields NaN.
+    let mut mask = arena::alloc_filled(n * q, 1.0);
+    let mut pooled = arena::alloc_raw(bs * m * q);
+    let mut winners = arena::alloc_raw(bs * m * q);
+    let slices = y.data().chunks_exact(n * q);
+    let outs = pooled
+        .chunks_exact_mut(m * q)
+        .zip(winners.chunks_exact_mut(m * q));
+    for (yb, (ob, wb)) in slices.zip(outs) {
+        if let Some((p, scale)) = dropout {
+            for v in mask.iter_mut() {
+                *v = if rng.next_f32() < p { 0.0 } else { scale };
+            }
+        }
+        if pool == 1 {
+            for (i, ((o, w), (&v, &f))) in ob
+                .iter_mut()
+                .zip(wb.iter_mut())
+                .zip(yb.iter().zip(&mask))
+                .enumerate()
+            {
+                *o = v.max(0.0) * f;
+                *w = pack_winner((i / q) as u32, f != 0.0, v > 0.0);
+            }
+            continue;
+        }
+        let blocked = q - q % LANES;
+        let windows = ob.chunks_exact_mut(q).zip(wb.chunks_exact_mut(q));
+        for (window, (best, won)) in slots.chunks_exact(pool).zip(windows) {
+            for j0 in (0..blocked).step_by(LANES) {
+                let (b, w) = pool_block::<LANES>(window, yb, &mask, q, j0);
+                best[j0..j0 + LANES].copy_from_slice(&b);
+                won[j0..j0 + LANES].copy_from_slice(&w);
+            }
+            for j in blocked..q {
+                let ([b], [w]) = pool_block::<1>(window, yb, &mask, q, j);
+                best[j] = b;
+                won[j] = w;
+            }
+            for (j, w) in won.iter_mut().enumerate() {
+                if *w != FAKE_WINNER {
+                    let node = *w as u32;
+                    let k = node as usize * q + j;
+                    *w = pack_winner(node, mask[k] != 0.0, yb[k] > 0.0);
+                }
+            }
+        }
+    }
+    (
+        Tensor::from_vec(&[bs, m, q], pooled),
+        Tensor::from_vec(&[bs, m, q], winners),
+    )
+}
+
+/// The conv output's gradient `dY [Bs·N, Q]` from the pooled gradient
+/// `g [Bs, m, Q]`: at each winner `((0.0 + g)·mask)·relu'`, the composed
+/// chain's scatter-adds then products in their order, and +0.0 elsewhere.
+/// At `pool == 1` there is no scatter, so no `0.0 +`; eval mode (`scale`
+/// `None`) has no dropout factor.
+fn pool_backward(
+    g: &Tensor,
+    winners: &Tensor,
+    n: usize,
+    pool: usize,
+    scale: Option<f32>,
+) -> Tensor {
+    let (bs, m, q) = (g.dim(0), g.dim(1), g.dim(2));
+    let mut dy = arena::alloc_raw(bs * n * q);
+    let slices = g
+        .data()
+        .chunks_exact(m * q)
+        .zip(winners.data().chunks_exact(m * q));
+    for (dyb, (gb, wb)) in dy.chunks_exact_mut(n * q).zip(slices) {
+        if pool > 1 {
+            dyb.fill(0.0);
+        }
+        for (grow, wrow) in gb.chunks_exact(q).zip(wb.chunks_exact(q)) {
+            for (j, (&gv, &code)) in grow.iter().zip(wrow).enumerate() {
+                if code == FAKE_WINNER {
+                    continue;
+                }
+                let (node, kept, positive) = unpack_winner(code);
+                let mut d = if pool == 1 { gv } else { 0.0 + gv };
+                if let Some(s) = scale {
+                    d *= if kept { s } else { 0.0 };
+                }
+                dyb[node * q + j] = d * if positive { 1.0 } else { 0.0 };
+            }
+        }
+    }
+    Tensor::from_vec(&[bs * n, q], dy)
 }
 
 /// A Chebyshev graph-convolution layer over a fixed graph.
@@ -328,6 +577,123 @@ impl ChebyConv {
         let b = tape.param(store, self.b);
         let y = tape.add(y, b);
         tape.reshape(y, &[batch, n, self.out_feat])
+    }
+}
+
+/// One stage of the AF spatial factorization (§V-A, Eqs. 5–6): a
+/// Cheby-Net convolution, relu, inverted dropout, and geometric max-pooling
+/// over a Graclus coarsening order, recorded as one `cheby_pool` tape op.
+///
+/// The order lists `pool` slots per pooled node; the value
+/// `conv.num_nodes()` marks a fake slot, which pools as +0.0. At
+/// `pool == 1` the order is the identity and nothing is pooled.
+pub struct ChebyPool {
+    conv: ChebyConv,
+    order: Vec<usize>,
+    pool: usize,
+}
+
+impl ChebyPool {
+    /// Wraps `conv` with pooling windows of `pool` slots over `order`.
+    ///
+    /// # Panics
+    /// Panics if `pool == 0`, if the order is not a whole number of
+    /// windows, names a node past the fake-slot sentinel or a real node
+    /// twice, if `pool == 1` and the order is not the identity, or if the
+    /// graph has `2^22` nodes or more.
+    pub fn new(conv: ChebyConv, order: Vec<usize>, pool: usize) -> Self {
+        let n = conv.num_nodes();
+        assert!(pool >= 1, "pool window must be ≥ 1");
+        assert!(n < MAX_POOL_NODES, "{n} nodes exceed the pooling limit");
+        if pool == 1 {
+            assert!(
+                order.iter().copied().eq(0..n),
+                "pool 1 keeps the node axis: the order must be the identity"
+            );
+        }
+        assert!(
+            order.len().is_multiple_of(pool),
+            "order length {} is not a multiple of pool {pool}",
+            order.len()
+        );
+        let mut seen = vec![false; n];
+        for &node in &order {
+            assert!(node <= n, "order names node {node} of a {n}-node graph");
+            if node < n {
+                assert!(!seen[node], "order names node {node} twice");
+                seen[node] = true;
+            }
+        }
+        ChebyPool { conv, order, pool }
+    }
+
+    /// Node count of the pooled output.
+    pub fn pooled_nodes(&self) -> usize {
+        self.order.len() / self.pool
+    }
+
+    /// Runs the stage on `x ∈ R^{Bs×N×F_in}` → `R^{Bs×m×F_out}`, recording
+    /// one fused `cheby_pool` node (plus the two parameter leaves).
+    /// Dropout follows [`Tape::dropout`]: active only when `training` and
+    /// `p > 0`, drawing one factor per conv output element from `rng`.
+    ///
+    /// # Panics
+    /// Panics on rank/extent mismatches, or if dropout is active with
+    /// `p ≥ 1`.
+    pub fn apply(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        p: f32,
+        training: bool,
+        rng: &mut Rng64,
+    ) -> Var {
+        self.conv.check_input(tape.value(x));
+        let dropout = (training && p > 0.0).then(|| {
+            assert!(p < 1.0, "dropout probability must be < 1");
+            p
+        });
+        let ws = tape.param(store, self.conv.ws);
+        let b = tape.param(store, self.conv.b);
+        cheby_pool(
+            tape,
+            &self.conv.l,
+            self.conv.order,
+            x,
+            ws,
+            b,
+            &self.order,
+            self.pool,
+            dropout,
+            rng,
+        )
+    }
+
+    /// The composed chain the fused op replaced — conv, relu, dropout,
+    /// then pad, gather and max-pool when `pool > 1`: the oracle the fused
+    /// op must match bit for bit.
+    #[cfg(test)]
+    fn apply_composed(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        p: f32,
+        training: bool,
+        rng: &mut Rng64,
+    ) -> Var {
+        let bs = tape.value(x).dim(0);
+        let y = self.conv.apply(tape, store, x);
+        let y = tape.relu(y);
+        let y = tape.dropout(y, p, training, rng);
+        if self.pool == 1 {
+            return y;
+        }
+        let zeros = tape.constant(Tensor::zeros(&[bs, 1, self.conv.out_feat]));
+        let padded = tape.concat(&[y, zeros], 1);
+        let gathered = tape.index_select(padded, 1, &self.order);
+        tape.max_pool_axis(gathered, 1, self.pool)
     }
 }
 
@@ -647,5 +1013,283 @@ mod tests {
     #[test]
     fn fused_matches_composed_bitwise_n23_f4() {
         assert_fused_matches_composed(random_scaled_laplacian(23, 3), 4, "n23 f4");
+    }
+
+    /// One `ChebyPool` stage's shape: `n` nodes, `f → q` features,
+    /// Chebyshev order `order`, windows of `pool` over `m` pooled nodes.
+    #[derive(Clone, Copy, Debug)]
+    struct Stage {
+        n: usize,
+        f: usize,
+        q: usize,
+        order: usize,
+        pool: usize,
+        m: usize,
+    }
+
+    /// A coarsening-like order: the `n` real nodes and `m·pool − n` fake
+    /// slots in random positions, so some windows start with or consist
+    /// of fake slots. The identity at `pool == 1`.
+    fn random_order(st: Stage, seed: u64) -> Vec<usize> {
+        if st.pool == 1 {
+            return (0..st.n).collect();
+        }
+        assert!(st.m * st.pool >= st.n);
+        let mut slots: Vec<usize> = (0..st.m * st.pool)
+            .map(|i| if i < st.n { i } else { st.n })
+            .collect();
+        Rng64::new(seed).shuffle(&mut slots);
+        slots
+    }
+
+    /// Everything the fused op must reproduce: both stages' outputs, the
+    /// input gradient, every parameter gradient, and the RNG position.
+    #[derive(PartialEq, Debug)]
+    struct PoolRun {
+        out: Vec<Vec<u32>>,
+        dx: Option<Vec<u32>>,
+        params: Vec<(String, Vec<u32>)>,
+        rng_after: u64,
+    }
+
+    /// Two stages over one input that a later op also reads, as in
+    /// `run` above, in train mode at `p = 0.2` or in eval mode.
+    /// The input of a [`run_pool`] graph. `Zeros` is a differentiable
+    /// zero input: every conv output is its bias, so each window is an
+    /// exact tie that only the first-candidate rule settles.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Input {
+        Leaf,
+        Constant,
+        Zeros,
+    }
+
+    fn run_pool(st: Stage, batch: usize, train: bool, input: Input, fused: bool) -> PoolRun {
+        let l = random_scaled_laplacian(st.n, st.n as u64);
+        let order = random_order(st, 90 + st.n as u64);
+        let mut store = ParamStore::new();
+        let mut rng = Rng64::new(60 + st.order as u64);
+        let stages: Vec<ChebyPool> = ["p0", "p1"]
+            .iter()
+            .map(|&name| {
+                let conv = ChebyConv::new(
+                    &mut store,
+                    name,
+                    Arc::clone(&l),
+                    st.order,
+                    st.f,
+                    st.q,
+                    &mut rng,
+                );
+                ChebyPool::new(conv, order.clone(), st.pool)
+            })
+            .collect();
+        for name in ["p0.b", "p1.b"] {
+            let id = store.id_of(name).unwrap();
+            *store.get_mut(id) = Tensor::randn(&[st.q], 0.3, &mut rng);
+        }
+        let x0 = Tensor::randn(&[batch, st.n, st.f], 1.0, &mut rng);
+        let mut tape = Tape::new();
+        let x = match input {
+            Input::Leaf => tape.leaf(x0),
+            Input::Constant => tape.constant(x0),
+            Input::Zeros => tape.leaf(Tensor::zeros(x0.dims())),
+        };
+        let xh = tape.scale(x, 1.5);
+        let mut drop_rng = Rng64::new(77);
+        let mut loss_terms = Vec::new();
+        let mut out = Vec::new();
+        for stage in &stages {
+            let y = if fused {
+                stage.apply(&mut tape, &store, xh, 0.2, train, &mut drop_rng)
+            } else {
+                stage.apply_composed(&mut tape, &store, xh, 0.2, train, &mut drop_rng)
+            };
+            assert_eq!(tape.value(y).dims(), &[batch, stage.pooled_nodes(), st.q]);
+            out.push(bits(tape.value(y)));
+            let r = tape.constant(Tensor::randn(tape.value(y).dims(), 1.0, &mut Rng64::new(7)));
+            let prod = tape.mul(y, r);
+            loss_terms.push(tape.sum_all(prod));
+        }
+        let later = tape.tanh(xh);
+        loss_terms.push(tape.sum_all(later));
+        let mut loss = loss_terms[0];
+        for &t in &loss_terms[1..] {
+            loss = tape.add(loss, t);
+        }
+        let grads = tape.backward(loss);
+        let dx = (input != Input::Constant)
+            .then(|| bits(tape.backward_wrt(loss, &[x])[0].as_ref().unwrap()));
+        let params = ["p0.ws", "p0.b", "p1.ws", "p1.b"]
+            .iter()
+            .map(|&name| {
+                let g = grads.get(store.id_of(name).unwrap()).expect("param grad");
+                (name.to_string(), bits(g))
+            })
+            .collect();
+        PoolRun {
+            out,
+            dx,
+            params,
+            rng_after: drop_rng.next_u64(),
+        }
+    }
+
+    fn assert_pool_matches_composed(stages: &[Stage], label: &str) {
+        for threads in [1, 4] {
+            for &st in stages {
+                for train in [true, false] {
+                    for batch in [1, 3] {
+                        for input in [Input::Leaf, Input::Constant, Input::Zeros] {
+                            let case = format!(
+                                "{label}: threads={threads} {st:?} train={train} batch={batch} {input:?}"
+                            );
+                            let (fused, composed) =
+                                stod_tensor::par::with_forced_threads(threads, || {
+                                    (
+                                        run_pool(st, batch, train, input, true),
+                                        run_pool(st, batch, train, input, false),
+                                    )
+                                });
+                            assert!(fused.out == composed.out, "{case}: forward bits differ");
+                            assert!(
+                                fused.dx == composed.dx,
+                                "{case}: input gradient bits differ"
+                            );
+                            for ((name, a), (_, b)) in fused.params.iter().zip(&composed.params) {
+                                assert!(a == b, "{case}: {name} gradient bits differ");
+                            }
+                            assert_eq!(
+                                fused.rng_after, composed.rng_after,
+                                "{case}: dropout draws differ"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_matches_composed_bitwise_train_paper_stages() {
+        // AfConfig::paper_nyc on the N = 67 NYC-like city: P4 then P2.
+        assert_pool_matches_composed(
+            &[
+                Stage {
+                    n: 67,
+                    f: 7,
+                    q: 32,
+                    order: 4,
+                    pool: 4,
+                    m: 19,
+                },
+                Stage {
+                    n: 19,
+                    f: 32,
+                    q: 7,
+                    order: 2,
+                    pool: 2,
+                    m: 10,
+                },
+            ],
+            "train_paper",
+        );
+    }
+
+    #[test]
+    fn pool_matches_composed_bitwise_serve_cold_stages() {
+        // AfConfig::default on the NYC-like (N = 67) and Chengdu-like
+        // (N = 79) cities: P2 then P2.
+        assert_pool_matches_composed(
+            &[
+                Stage {
+                    n: 67,
+                    f: 7,
+                    q: 16,
+                    order: 3,
+                    pool: 2,
+                    m: 35,
+                },
+                Stage {
+                    n: 35,
+                    f: 16,
+                    q: 7,
+                    order: 3,
+                    pool: 2,
+                    m: 19,
+                },
+                Stage {
+                    n: 79,
+                    f: 7,
+                    q: 16,
+                    order: 3,
+                    pool: 2,
+                    m: 41,
+                },
+                Stage {
+                    n: 41,
+                    f: 16,
+                    q: 7,
+                    order: 3,
+                    pool: 2,
+                    m: 23,
+                },
+            ],
+            "serve_cold",
+        );
+    }
+
+    #[test]
+    fn pool_matches_composed_bitwise_pool_one_and_fake_heavy() {
+        assert_pool_matches_composed(
+            &[
+                Stage {
+                    n: 23,
+                    f: 4,
+                    q: 5,
+                    order: 3,
+                    pool: 1,
+                    m: 23,
+                },
+                Stage {
+                    n: 17,
+                    f: 6,
+                    q: 9,
+                    order: 1,
+                    pool: 4,
+                    m: 9,
+                },
+                Stage {
+                    n: 9,
+                    f: 3,
+                    q: 4,
+                    order: 5,
+                    pool: 2,
+                    m: 8,
+                },
+            ],
+            "pool 1 / fake-heavy",
+        );
+    }
+
+    #[test]
+    fn pool_records_one_fused_node() {
+        let mut store = ParamStore::new();
+        let conv = ChebyConv::new(&mut store, "gc", path3(), 2, 2, 3, &mut Rng64::new(5));
+        let stage = ChebyPool::new(conv, vec![2, 0, 1, 3], 2);
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::ones(&[2, 3, 2]));
+        let before = tape.len();
+        let y = stage.apply(&mut tape, &store, x, 0.5, true, &mut Rng64::new(1));
+        assert_eq!(tape.len() - before, 3, "two parameter leaves + one op");
+        assert_eq!(tape.value(y).dims(), &[2, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "twice")]
+    fn pool_order_with_a_repeated_node_rejected() {
+        let mut store = ParamStore::new();
+        let conv = ChebyConv::new(&mut store, "gc", path3(), 2, 1, 1, &mut Rng64::new(0));
+        ChebyPool::new(conv, vec![0, 1, 1, 3], 2);
     }
 }

@@ -10,7 +10,7 @@ mod linear;
 mod seq2seq;
 
 pub use attention::AttnGruSeq2Seq;
-pub use cheby::{csr_propagate, ChebyConv};
+pub use cheby::{csr_propagate, ChebyConv, ChebyPool};
 pub use gcgru::GcGruCell;
 pub use gru::GruCell;
 pub use linear::Linear;

@@ -16,6 +16,7 @@
 //! attributed per op; disarmed, the cost is one relaxed load per node.
 
 use crate::params::{ParamId, ParamStore};
+use std::collections::BTreeMap;
 use stod_tensor::ops::{elementwise as ew, matmul as mm, softmax as sm, transform as tf};
 use stod_tensor::rng::Rng64;
 use stod_tensor::Tensor;
@@ -154,6 +155,17 @@ impl Tape {
     /// True when no nodes are recorded.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Number of recorded nodes per op name (`leaf` and `constant`
+    /// included), in name order: the tape's work profile, which
+    /// `tests/work_pin.rs` pins.
+    pub fn op_counts(&self) -> BTreeMap<&'static str, usize> {
+        let mut counts = BTreeMap::new();
+        for node in &self.nodes {
+            *counts.entry(node.op).or_insert(0) += 1;
+        }
+        counts
     }
 
     /// The value computed at `v`.
@@ -695,7 +707,9 @@ impl Tape {
     }
 
     /// Average pooling along `axis` with the given pool size. The axis
-    /// extent must be divisible by `pool`.
+    /// extent must be divisible by `pool`. Test-only: no model pools by
+    /// average; gradcheck's `pooling_ops` keeps it as a checked op.
+    #[cfg(test)]
     pub fn avg_pool_axis(&mut self, a: Var, axis: usize, pool: usize) -> Var {
         let src = self.value(a);
         let mid = src.dim(axis);
@@ -750,6 +764,10 @@ impl Tape {
 
     /// Max pooling along `axis` with the given pool size; the winning index
     /// per pool is recorded at forward time for the backward scatter.
+    /// Test-only: the models pool inside the fused
+    /// [`crate::layers::ChebyPool`] op, whose unit suite keeps this as
+    /// part of the composed oracle.
+    #[cfg(test)]
     pub fn max_pool_axis(&mut self, a: Var, axis: usize, pool: usize) -> Var {
         let src = self.value(a);
         let mid = src.dim(axis);

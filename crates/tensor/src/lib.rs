@@ -35,4 +35,4 @@ pub use ops::elementwise::{self, binary_op, unary_op};
 pub use ops::matmul::{batched_matmul, matmul, matvec};
 pub use ops::reduce::{argmax_axis, max_axis, mean_axis, sum_axis};
 pub use ops::softmax::{log_softmax, softmax};
-pub use ops::transform::{concat, pad_axis, slice_axis, stack, transpose};
+pub use ops::transform::{concat, slice_axis, stack, transpose};

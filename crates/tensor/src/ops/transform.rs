@@ -251,29 +251,6 @@ pub fn index_select(a: &Tensor, axis: usize, indices: &[usize]) -> Tensor {
     Tensor::from_vec(&out_dims, data)
 }
 
-/// Zero-pads `axis` at the end to reach extent `new_len`.
-///
-/// # Panics
-/// Panics if `new_len` is smaller than the current extent.
-pub fn pad_axis(a: &Tensor, axis: usize, new_len: usize) -> Tensor {
-    let mid = a.dim(axis);
-    assert!(new_len >= mid, "pad_axis target {new_len} < current {mid}");
-    if new_len == mid {
-        return a.clone();
-    }
-    let outer: usize = a.dims()[..axis].iter().product();
-    let inner: usize = a.dims()[axis + 1..].iter().product();
-    let mut out_dims = a.dims().to_vec();
-    out_dims[axis] = new_len;
-    let mut data = vec![0.0f32; outer * new_len * inner];
-    for o in 0..outer {
-        let src = &a.data()[o * mid * inner..(o + 1) * mid * inner];
-        let dst = &mut data[o * new_len * inner..o * new_len * inner + mid * inner];
-        dst.copy_from_slice(src);
-    }
-    Tensor::from_vec(&out_dims, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,15 +399,5 @@ mod tests {
         let g = index_select(&a, 0, &[2, 0, 2]);
         assert_eq!(g.dims(), &[3, 2]);
         assert_eq!(g.data(), &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn pad_appends_zeros() {
-        let a = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let p = pad_axis(&a, 0, 3);
-        assert_eq!(p.dims(), &[3, 2]);
-        assert_eq!(p.data(), &[1.0, 2.0, 3.0, 4.0, 0.0, 0.0]);
-        let p1 = pad_axis(&a, 1, 3);
-        assert_eq!(p1.data(), &[1.0, 2.0, 0.0, 3.0, 4.0, 0.0]);
     }
 }

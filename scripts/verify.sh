@@ -2,7 +2,8 @@
 # Repo verification gate. Run from anywhere; operates on the repo root.
 #
 #   scripts/verify.sh                 # tier-1 gate + format + lint
-#   scripts/verify.sh --quick         # alias for the default gate (fmt + clippy + tier-1)
+#   scripts/verify.sh --quick         # alias for the default gate (fmt + clippy + tier-1
+#                                     # + the fused-op bitwise suites)
 #   scripts/verify.sh --full          # additionally run the whole workspace suite
 #                                     # (every crate's own tests, at each thread count)
 #   scripts/verify.sh --conformance   # additionally run the oracle gate
@@ -15,7 +16,11 @@
 #   scripts/verify.sh --all           # every stage, with a per-stage timing summary
 #
 # Tier-1 (the gate CI enforces) is the root package: its integration
-# tests in tests/ exercise every crate end-to-end.
+# tests in tests/ exercise every crate end-to-end. The default gate also
+# runs the fused tape ops' bitwise suites (`cargo test -p stod-nn --lib
+# layers::cheby`: `cheby_conv` and `cheby_pool` against their composed
+# oracles, forward bits and every gradient, at 1 and 4 threads), which
+# live in stod-nn's unit tests and so outside the root package.
 #
 # Stages that sweep kernel thread counts (full, conformance, chaos, adapt,
 # durability, scale) run at STOD_THREADS=1 and 4 by default;
@@ -141,6 +146,9 @@ stage_tier1() {
   STOD_THREADS=1 cargo test -q
   echo "==> tier-1 tests, STOD_THREADS=4 (parallel pool)"
   STOD_THREADS=4 cargo test -q
+  # The suites force 1 and 4 threads themselves, so one run covers both.
+  echo "==> fused-op bitwise suites (stod-nn layers::cheby)"
+  cargo test -q -p stod-nn --lib layers::cheby
 }
 
 stage_full() {

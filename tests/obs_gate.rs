@@ -4,11 +4,12 @@
 //! of changing numerics: a span or counter only reads clocks and bumps
 //! integers, so arming them must leave every trained weight bitwise
 //! unchanged. This suite proves that contract end to end — train the same
-//! model with observability off, on, and tracing, at 1 and 4 kernel
-//! threads, and compare the resulting parameters bit for bit — and then
-//! checks the two structural invariants the bench gate and the serving
-//! dashboard rely on: the span tree captures the training and serving
-//! phases, and the serving counters satisfy the request conservation law
+//! BF and AF models with observability off, on, and tracing, at 1 and 4
+//! kernel threads, and compare the resulting parameters bit for bit — and
+//! then checks the two structural invariants the bench gate and the
+//! serving dashboard rely on: the span tree captures the training phases
+//! and the AF model stages, and the serving counters satisfy the request
+//! conservation law
 //!
 //! ```text
 //! requests = model_invocations + worker_panics + batched_joins + cache_hits
@@ -21,7 +22,7 @@
 //! are its own.
 
 use od_forecast::baselines::NaiveHistograms;
-use od_forecast::core::{train, BfConfig, BfModel, OdForecaster, TrainConfig};
+use od_forecast::core::{train, AfConfig, AfModel, BfConfig, BfModel, OdForecaster, TrainConfig};
 use od_forecast::obs::{self, ObsMode};
 use od_forecast::serve::{
     Broker, BrokerConfig, FeatureStore, ForecastRequest, ModelConfig, ModelKind, Registry,
@@ -45,10 +46,52 @@ fn small_dataset(seed: u64) -> OdDataset {
     OdDataset::generate(CityModel::small(N), &sim)
 }
 
+/// The two trainable frameworks, at the small shapes this suite uses.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    Bf,
+    Af,
+}
+
+impl Kind {
+    fn build(self, ds: &OdDataset, seed: u64) -> Box<dyn OdForecaster> {
+        let k = ds.spec.num_buckets;
+        match self {
+            Kind::Bf => {
+                let bf = BfConfig {
+                    encode_dim: 8,
+                    gru_hidden: 8,
+                    ..BfConfig::default()
+                };
+                Box::new(BfModel::new(N, k, bf, seed))
+            }
+            Kind::Af => Box::new(AfModel::new(
+                &ds.city.centroids(),
+                k,
+                AfConfig::default(),
+                seed,
+            )),
+        }
+    }
+
+    /// The fast test schedule; AF trains with dropout so its fused
+    /// factorization stage draws from the trainer's stream.
+    fn config(self) -> TrainConfig {
+        match self {
+            Kind::Bf => TrainConfig::fast_test(),
+            Kind::Af => TrainConfig {
+                dropout: 0.2,
+                ..TrainConfig::fast_test()
+            },
+        }
+    }
+}
+
 /// Trains a fresh model under `mode` at `threads` kernel threads and
 /// returns every numeric output: parameter bytes, per-epoch losses, and
 /// the gradient-norm series.
 fn train_fingerprint(
+    kind: Kind,
     ds: &OdDataset,
     windows: &[Window],
     threads: usize,
@@ -56,13 +99,8 @@ fn train_fingerprint(
 ) -> (Vec<u8>, Vec<u32>, Vec<u32>) {
     obs::with_mode(mode, || {
         par::with_threads(threads, || {
-            let bf = BfConfig {
-                encode_dim: 8,
-                gru_hidden: 8,
-                ..BfConfig::default()
-            };
-            let mut model = BfModel::new(N, ds.spec.num_buckets, bf, 7);
-            let report = train(&mut model, ds, windows, None, &TrainConfig::fast_test());
+            let mut model = kind.build(ds, 7);
+            let report = train(model.as_mut(), ds, windows, None, &kind.config());
             (
                 model.params().to_bytes().to_vec(),
                 report.epoch_losses.iter().map(|l| l.to_bits()).collect(),
@@ -78,45 +116,78 @@ fn train_fingerprint(
 fn armed_probes_leave_training_numerics_bitwise_unchanged() {
     let ds = small_dataset(3);
     let windows = ds.windows(LOOKBACK, 1);
-    for threads in [1usize, 4] {
-        let off = train_fingerprint(&ds, &windows, threads, ObsMode::Off);
-        let on = train_fingerprint(&ds, &windows, threads, ObsMode::On);
-        let trace = train_fingerprint(&ds, &windows, threads, ObsMode::Trace);
-        assert_eq!(
-            off, on,
-            "STOD_OBS=on changed training numerics at {threads} thread(s)"
-        );
-        assert_eq!(
-            off, trace,
-            "STOD_OBS=trace changed training numerics at {threads} thread(s)"
-        );
-        assert!(!off.2.is_empty(), "gradient-norm series must be recorded");
+    for kind in [Kind::Bf, Kind::Af] {
+        for threads in [1usize, 4] {
+            let fp = |mode| train_fingerprint(kind, &ds, &windows, threads, mode);
+            let (off, on, trace) = (fp(ObsMode::Off), fp(ObsMode::On), fp(ObsMode::Trace));
+            assert_eq!(
+                off, on,
+                "{kind:?}: STOD_OBS=on changed training numerics at {threads} thread(s)"
+            );
+            assert_eq!(
+                off, trace,
+                "{kind:?}: STOD_OBS=trace changed training numerics at {threads} thread(s)"
+            );
+            assert!(!off.2.is_empty(), "gradient-norm series must be recorded");
+        }
+        // The determinism contract also holds across thread counts; verify
+        // it with the probes armed, where per-thread buffers are in play.
+        let t1 = train_fingerprint(kind, &ds, &windows, 1, ObsMode::On);
+        let t4 = train_fingerprint(kind, &ds, &windows, 4, ObsMode::On);
+        assert_eq!(t1, t4, "{kind:?}: armed run diverged across thread counts");
     }
-    // The determinism contract also holds across thread counts; verify it
-    // with the probes armed, where per-thread buffers are in play.
-    let t1 = train_fingerprint(&ds, &windows, 1, ObsMode::On);
-    let t4 = train_fingerprint(&ds, &windows, 4, ObsMode::On);
-    assert_eq!(t1, t4, "armed run diverged across thread counts");
+}
+
+/// Total count of the spans whose path ends in `suffix`, over every
+/// thread's root.
+fn span_count(snap: &obs::ObsSnapshot, suffix: &str) -> u64 {
+    snap.spans
+        .iter()
+        .filter(|s| s.path.ends_with(suffix))
+        .map(|s| s.count)
+        .sum()
 }
 
 /// The armed span tree captures every training phase with counts that
-/// match the train report.
+/// match the train report, and the AF model's stage spans down to the
+/// fused factorization stage and the rank projection.
 #[test]
 fn snapshot_captures_training_span_tree() {
     let ds = small_dataset(5);
     let windows = ds.windows(LOOKBACK, 1);
-    let cfg = TrainConfig::fast_test();
-    let report = obs::with_mode(ObsMode::On, || {
-        obs::reset();
-        let bf = BfConfig {
-            encode_dim: 8,
-            gru_hidden: 8,
-            ..BfConfig::default()
-        };
-        let mut model = BfModel::new(N, ds.spec.num_buckets, bf, 9);
-        train(&mut model, &ds, &windows, None, &cfg)
-    });
-    let snap = obs::snapshot();
+    let train_armed = |kind: Kind| {
+        let cfg = kind.config();
+        let report = obs::with_mode(ObsMode::On, || {
+            obs::reset();
+            let mut model = kind.build(&ds, 9);
+            train(model.as_mut(), &ds, &windows, None, &cfg)
+        });
+        (cfg, report, obs::snapshot())
+    };
+
+    // AF: one forward per step (each minibatch is one gradient shard),
+    // each factorizing LOOKBACK steps on two sides through two stages.
+    let (_, report, snap) = train_armed(Kind::Af);
+    let forwards = report.steps;
+    for (suffix, per_forward) in [
+        ("af/factorize", 1),
+        ("af/factorize/af/cheby_pool", 2 * 2 * LOOKBACK as u64),
+        ("af/factorize/af/rank_proj", 2 * LOOKBACK as u64),
+        ("af/forecast", 1),
+        ("af/recover", 1),
+        ("nn/bwd/cheby_pool", 2 * 2 * LOOKBACK as u64),
+    ] {
+        assert_eq!(
+            span_count(&snap, suffix),
+            per_forward * forwards,
+            "AF span tree: {suffix}"
+        );
+    }
+    for gone in ["nn/bwd/max_pool", "nn/bwd/index_select", "nn/bwd/dropout"] {
+        assert_eq!(span_count(&snap, gone), 0, "AF still records {gone}");
+    }
+
+    let (cfg, report, snap) = train_armed(Kind::Bf);
     let epoch = snap.span("train/epoch").expect("train/epoch span");
     assert_eq!(epoch.count as usize, cfg.epochs);
     assert!(epoch.total_ns > 0, "epoch span must accumulate time");
