@@ -1,13 +1,11 @@
 //! The shared provenance header stamped into every `results/BENCH_*.json`
-//! artifact.
+//! probe artifact and every run the repository benchmark records.
 //!
-//! A bench number without its context is a trap: a regression gate that
-//! compares a 4-thread paper-scale run against a 1-thread small-scale
-//! baseline "finds" a 4× regression that is really a config mismatch.
-//! Every probe therefore stamps the same four fields — git revision,
-//! kernel thread count, dataset scale, host cores — through this one
-//! helper, and `bench_gate` refuses to compare artifacts whose headers
-//! disagree on the fields that change the numbers.
+//! A bench number without its context is a trap: a 4-thread paper-scale
+//! run set beside a 1-thread small-scale one shows a 4× "regression"
+//! that is really a config mismatch. Every probe and the benchmark
+//! therefore stamp the same four fields — git revision, kernel thread
+//! count, dataset scale, host cores — through this one helper.
 
 use crate::Scale;
 

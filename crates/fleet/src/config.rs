@@ -23,9 +23,9 @@ pub struct FleetConfig {
     /// letting it ride the queue to a deadline fallback. `0` sheds every
     /// cache miss (a degenerate setting used by tests).
     pub shed_depth: usize,
-    /// Whether the forecast result cache is consulted at all. Off is the
-    /// honest baseline the load harness compares against (combined with
-    /// `retain_results = false` on the shard brokers).
+    /// Whether the forecast result cache is consulted at all. Off,
+    /// combined with `retain_results = false` on the shard brokers, is the
+    /// honest no-cache baseline the benchmark's `serve_cold` workload runs.
     pub cache_enabled: bool,
 }
 

@@ -28,10 +28,6 @@
 //!   fleet after a kill at any instant: sealed windows come back bitwise
 //!   up to the last fsynced record, and every registry checkpoint is
 //!   CRC-scrubbed before it can serve again.
-//! * [`loadgen`] — a deterministic open/closed-loop load harness that
-//!   replays seeded multi-city traffic (see
-//!   [`stod_traffic::generate_fleet`]) and reports throughput, per-path
-//!   latency percentiles, and the conservation ledgers.
 //!
 //! ## The request-conservation ledger, per tenant
 //!
@@ -62,16 +58,12 @@
 pub mod breaker;
 pub mod cache;
 pub mod config;
-pub mod loadgen;
 pub mod router;
 pub mod shard;
 
 pub use breaker::{Admission, BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use cache::{CacheKey, ForecastCache};
 pub use config::FleetConfig;
-pub use loadgen::{
-    build_schedule, run_load, LoadConfig, LoadReport, OutcomeTally, ScheduledRequest,
-};
 pub use router::{
     DurabilityConfig, Fleet, FleetForecast, FleetHealth, FleetRequest, FleetSnapshot, FleetSource,
     RecoveryReport, ShardHealth, ShardRecovery, ShardSnapshot,

@@ -748,46 +748,6 @@ impl FleetSnapshot {
             .map(|s| s.stats.ledger_balance())
             .collect()
     }
-
-    /// Result-cache hit rate over all requests (0 when idle).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let requests = self.total(|s| s.requests_total);
-        if requests == 0 {
-            return 0.0;
-        }
-        self.total(|s| s.result_cache_hits) as f64 / requests as f64
-    }
-
-    /// This snapshot as a JSON object string.
-    pub fn to_json(&self) -> String {
-        json::to_string(self)
-    }
-}
-
-impl Serialize for ShardSnapshot {
-    fn serialize_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("city", &self.city);
-            o.field("name", &self.name);
-            o.field("ledger_balance", &(self.stats.ledger_balance() as i64));
-            o.field("stats", &self.stats);
-        });
-    }
-}
-
-impl Serialize for FleetSnapshot {
-    fn serialize_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("shards", &self.shards);
-            o.field("cache_entries", &self.cache_entries);
-            o.field("cache_bytes", &self.cache_bytes);
-            o.field(
-                "global_ledger_balance",
-                &(self.global_ledger_balance() as i64),
-            );
-            o.field("cache_hit_rate", &self.cache_hit_rate());
-        });
-    }
 }
 
 #[cfg(test)]

@@ -45,9 +45,11 @@
 //! — the set of paths and their counts — is a pure function of the
 //! workload: spans never sample and never drop. Per-thread buffers are
 //! merged in thread-registration order with order-insensitive integer
-//! folds, so [`snapshot`] is stable regardless of scheduling. The
-//! `--bench` CI gate relies on this: two runs of the same probe must
-//! produce identical span trees.
+//! folds, so [`snapshot`] is stable regardless of scheduling. Two tier-1
+//! suites rely on this: `tests/obs_gate.rs` pins exact span counts and
+//! requires identical span trees and counters from the same checkpointed
+//! training run at 1 and 4 threads, and `tests/work_pin.rs` pins the
+//! matmul counters of one training step and one forecast.
 //!
 //! ## Naming scheme
 //!

@@ -232,7 +232,8 @@ impl ObsSnapshot {
     }
 
     /// The span tree as `(path, count)` pairs — the run-to-run-stable
-    /// shape the bench gate compares, with timings stripped.
+    /// shape `tests/obs_gate.rs` compares across thread counts, with
+    /// timings stripped.
     pub fn span_tree(&self) -> Vec<(String, u64)> {
         self.spans
             .iter()

@@ -43,8 +43,8 @@ pub struct BrokerConfig {
     /// Keep finished computations in the cache (`true`, the default).
     /// With `false` a finished job still answers every in-flight waiter
     /// but its result is dropped immediately, so each new arrival pays a
-    /// fresh model invocation — the honest "no result cache" baseline the
-    /// fleet load harness compares against.
+    /// fresh model invocation — the honest "no result cache" baseline
+    /// (the benchmark's `serve_cold` workload runs it).
     pub retain_results: bool,
 }
 

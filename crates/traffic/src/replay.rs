@@ -2,9 +2,9 @@
 //!
 //! The paper forecasts one city; the fleet serves many. This module
 //! generates a deterministic *fleet* of simulated cities — each with its
-//! own spatial layout, demand level, and trip stream — so the serving
-//! tier's load harness can replay realistic per-tenant traffic: trips are
-//! pushed through the live-ingest path (`FeatureStore::push_trip` +
+//! own spatial layout, demand level, and trip stream — so the fleet's
+//! tests and the benchmark can replay realistic per-tenant traffic: trips
+//! are pushed through the live-ingest path (`FeatureStore::push_trip` +
 //! `seal_interval`) exactly as a production feed would deliver them, and
 //! the per-interval tensors double as the offline ground truth the cached
 //! forecasts are checked against.

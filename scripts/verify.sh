@@ -8,8 +8,6 @@
 #                                     # (every crate's own tests, at each thread count)
 #   scripts/verify.sh --conformance   # additionally run the oracle gate
 #   scripts/verify.sh --chaos         # additionally run the fault-injection gate
-#   scripts/verify.sh --bench         # additionally run the bench-regression gate
-#   scripts/verify.sh --load          # additionally run the fleet load/SLO gate
 #   scripts/verify.sh --adapt         # additionally run the streaming-adaptation gate
 #   scripts/verify.sh --durability    # additionally run the crash-consistency gate
 #   scripts/verify.sh --scale         # additionally run the big-city scale gate
@@ -21,6 +19,11 @@
 # layers::cheby`: `cheby_conv` and `cheby_pool` against their composed
 # oracles, forward bits and every gradient, at 1 and 4 threads), which
 # live in stod-nn's unit tests and so outside the root package.
+#
+# No stage times anything against a committed artifact: speed is measured
+# by the repository benchmark (`benchmark --compare`, see BENCHMARK.json),
+# and the work a training step and a forecast do is pinned exactly by the
+# tier-1 `tests/work_pin.rs`.
 #
 # Stages that sweep kernel thread counts (full, conformance, chaos, adapt,
 # durability, scale) run at STOD_THREADS=1 and 4 by default;
@@ -38,42 +41,23 @@
 # containment, corrupt-checkpoint rejection and interrupted-save
 # atomicity, each at 1 and 4 threads.
 #
-# --bench first runs the blocked-kernel sweep (`M=parallel`) and fails if
-# the fresh matmul_512 serial time regresses more than 60% over the
-# blessed time in the committed results/BENCH_parallel.json (commit the
-# fresh artifact to re-bless), then runs the observability probe
-# (`M=obs`) twice at STOD_THREADS=2,
-# checks run-to-run span-tree stability, diffs the runs against the
-# committed results/BENCH_baseline.json via scripts/bench_gate.sh (fails
-# on >25% wall-time regression in any gated span; `scripts/bench_gate.sh
-# --bless` updates the baseline), and re-runs the obs off/on bitwise
-# identity gate at 1 and 4 threads.
-#
-# --load runs the city-scale serving harness (`M=serve_load`) at pinned
-# STOD_THREADS=2 with its SLO gates enforced (STOD_LOAD_GATE=1): zero
-# request-conservation residuals on every tenant ledger, SLO-phase p99
-# within budget, a cache hit-rate floor, and a minimum cache-on vs
-# cache-off throughput speedup (default 10x; STOD_LOAD_MIN_SPEEDUP
-# overrides). The artifact lands in results/BENCH_serve_load.json.
-#
 # --adapt runs the streaming-adaptation gate (tests/adapt_gate.rs) at its
 # full drift-seed matrix (STOD_CHAOS=full widens the tier-1 smoke slice)
 # at 1 and 4 threads — drift auto-promotion past the incumbent and the
 # Kalman corrector, stationary no-churn, kill/corrupt/crash chaos with
 # bitwise recovery, and decision/weight determinism — then runs the
 # adaptation probe (`M=adapt`), which must promote while closed-loop
-# clients are served, and lands results/BENCH_adapt.json (fine-tune wall,
-# shadow-eval wall, promote latency, serve p99 during adaptation).
+# clients are served, and writes results/BENCH_adapt_t2.json (fine-tune
+# wall, shadow-eval wall, promote latency, serve p99 during adaptation;
+# gitignored, so a run never rewrites the committed results/BENCH_adapt.json).
 #
 # --scale runs the big-city scale gate: the CSR slice (the csr_props
 # suite of CSR graph builders against their dense references, the AF
 # model unit tests, and the sparse spmm metamorphic test) at each thread
-# count, then the city probe (`M=city`, STOD_SCALE=city) —
-# the dense-vs-CSR propagation sweep with its >= 3x speedup assert at
-# N = 1000, the 500-region end-to-end train slice, and a forecast served
-# from a registry under the STOD_MODEL_MEM budget — and finally the CSR
-# propagation regression gate (scripts/bench_gate.sh --city) against the
-# blessed results/BENCH_city.json.
+# count, then the city probe (`M=city`, STOD_SCALE=city) — the
+# dense-vs-CSR propagation sweep with its in-process >= 3x speedup assert
+# at N = 1000, the 500-region end-to-end train slice, and a forecast served
+# from a registry under the STOD_MODEL_MEM budget.
 #
 # --durability runs the crash-consistency gate (tests/durability_gate.rs)
 # at its full matrix (STOD_CHAOS=full widens the tier-1 kill-point slice)
@@ -95,8 +79,6 @@ cd "$(dirname "$0")/.."
 full=0
 conformance=0
 chaos=0
-bench=0
-load=0
 adapt=0
 durability=0
 scale=0
@@ -106,12 +88,10 @@ for arg in "$@"; do
     --full) full=1 ;;
     --conformance) conformance=1 ;;
     --chaos) chaos=1 ;;
-    --bench) bench=1 ;;
-    --load) load=1 ;;
     --adapt) adapt=1 ;;
     --durability) durability=1 ;;
     --scale) scale=1 ;;
-    --all) full=1; conformance=1; chaos=1; bench=1; load=1; adapt=1; durability=1; scale=1 ;;
+    --all) full=1; conformance=1; chaos=1; adapt=1; durability=1; scale=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -185,50 +165,6 @@ stage_chaos() {
   done
 }
 
-# Serial matmul_512 best-of-N ms from a BENCH_parallel.json artifact.
-matmul_ms() {
-  sed -n 's/.*"name": "matmul_512".*"serial_ms": \([0-9.]*\).*/\1/p' "$1" 2>/dev/null
-}
-
-stage_bench() {
-  cargo build -q --release -p stod-bench
-  echo "==> blocked-kernel sweep (M=parallel) vs blessed matmul_512 time"
-  local blessed fresh
-  blessed=$(matmul_ms results/BENCH_parallel.json)
-  M=parallel cargo run -q --release -p stod-bench --bin probe
-  fresh=$(matmul_ms results/BENCH_parallel.json)
-  if [[ -z "$blessed" ]]; then
-    echo "no blessed matmul_512 row found — fresh artifact written; commit results/BENCH_parallel.json to bless"
-  elif ! awk -v f="$fresh" -v b="$blessed" 'BEGIN { exit !(f <= b * 1.6) }'; then
-    echo "bench: FAILED — matmul_512 serial ${fresh} ms regressed >60% over blessed ${blessed} ms" >&2
-    echo "(if intentional, re-bless by committing the fresh results/BENCH_parallel.json)" >&2
-    exit 1
-  else
-    echo "matmul_512 serial ${fresh} ms vs blessed ${blessed} ms (limit 1.6x) — OK"
-  fi
-  echo "==> obs probe, run 1/2 (STOD_THREADS=2)"
-  STOD_THREADS=2 M=obs STOD_OBS_OUT=results/BENCH_obs.json \
-    cargo run -q --release -p stod-bench --bin probe
-  echo "==> obs probe, run 2/2 (STOD_THREADS=2)"
-  STOD_THREADS=2 M=obs STOD_OBS_OUT=results/BENCH_obs_run2.json \
-    cargo run -q --release -p stod-bench --bin probe >/dev/null
-  echo "==> run-to-run span-tree stability"
-  cargo run -q --release -p stod-bench --bin bench_gate -- \
-    --trees-only results/BENCH_obs.json results/BENCH_obs_run2.json
-  echo "==> bench-regression gate vs results/BENCH_baseline.json"
-  scripts/bench_gate.sh
-  echo "==> obs off/on bitwise-identity gate (STOD_THREADS=1 and 4)"
-  STOD_THREADS=1 cargo test -q --test obs_gate
-  STOD_THREADS=4 cargo test -q --test obs_gate
-}
-
-stage_load() {
-  cargo build -q --release -p stod-bench
-  echo "==> fleet load harness, gates enforced (STOD_THREADS=2)"
-  STOD_THREADS=2 M=serve_load STOD_LOAD_GATE=1 \
-    cargo run -q --release -p stod-bench --bin probe
-}
-
 stage_adapt() {
   for t in $VERIFY_THREADS; do
     echo "==> adapt gate, full drift-seed matrix, STOD_THREADS=$t"
@@ -236,7 +172,8 @@ stage_adapt() {
   done
   cargo build -q --release -p stod-bench
   echo "==> adapt probe (STOD_THREADS=2)"
-  STOD_THREADS=2 M=adapt cargo run -q --release -p stod-bench --bin probe
+  STOD_THREADS=2 M=adapt STOD_ADAPT_OUT=results/BENCH_adapt_t2.json \
+    cargo run -q --release -p stod-bench --bin probe
 }
 
 stage_durability() {
@@ -260,8 +197,6 @@ stage_scale() {
     STOD_THREADS="$t" M=city STOD_SCALE=city STOD_CITY_OUT="results/BENCH_city_t$t.json" \
       cargo run -q --release -p stod-bench --bin probe
   done
-  echo "==> city CSR propagation regression gate vs blessed results/BENCH_city.json"
-  scripts/bench_gate.sh --city
 }
 
 run_stage "fmt" stage_fmt
@@ -270,8 +205,6 @@ run_stage "tier-1 (×2 thread counts)" stage_tier1
 [[ "$full" == 1 ]] && run_stage "full workspace" stage_full
 [[ "$conformance" == 1 ]] && run_stage "conformance" stage_conformance
 [[ "$chaos" == 1 ]] && run_stage "chaos" stage_chaos
-[[ "$bench" == 1 ]] && run_stage "bench" stage_bench
-[[ "$load" == 1 ]] && run_stage "load" stage_load
 [[ "$adapt" == 1 ]] && run_stage "adapt" stage_adapt
 [[ "$durability" == 1 ]] && run_stage "durability" stage_durability
 [[ "$scale" == 1 ]] && run_stage "scale" stage_scale

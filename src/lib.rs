@@ -28,12 +28,13 @@
 //!   robustness substrate the chaos test suite drives.
 //! * [`fleet`] — city-scale serving: per-city tenant shards over
 //!   [`serve`], a fleet-wide forecast result cache with LRU eviction and
-//!   hot-swap invalidation, admission-control shedding, and a seeded
-//!   open/closed-loop load harness.
+//!   hot-swap invalidation, admission-control shedding, per-shard circuit
+//!   breakers, and write-ahead-logged crash recovery.
 //! * [`obs`] — zero-dependency observability: scoped spans, counters,
 //!   gauges and log2 histograms behind a disarmed-by-default probe
-//!   (`STOD_OBS`), snapshotted into the `results/BENCH_obs.json` artifact
-//!   the CI bench-regression gate diffs.
+//!   (`STOD_OBS`), read back as a snapshot (span tree, counters,
+//!   histograms) by the repository benchmark's traced runs and by the
+//!   tier-1 `tests/obs_gate.rs`.
 //! * [`adapt`] — continual adaptation: snapshot the live ingest window,
 //!   warm-start fine-tune from the serving incumbent, shadow-evaluate
 //!   against it and an online Kalman corrector, and auto-promote via

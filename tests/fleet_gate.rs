@@ -10,7 +10,8 @@
 //! * the result cache's exact LRU never exceeds its capacity under
 //!   multi-tenant traffic;
 //! * cache-on and cache-off fleets answer bitwise identically, at forced
-//!   1 and 4 kernel threads;
+//!   1 and 4 kernel threads, with exact model-invocation and result-cache
+//!   hit counts on both;
 //! * every tenant's request-conservation ledger balances exactly under
 //!   concurrent mixed traffic, and the per-shard obs counters
 //!   (`fleet/shard{i}/…`) mirror the ledger terms exactly;
@@ -248,7 +249,8 @@ fn lru_cache_never_exceeds_capacity_under_multi_tenant_traffic() {
 
 /// Satellite 3: the cache is an optimization, not a model: cache-on and
 /// cache-off fleets agree bitwise on every answer, at forced 1 and 4
-/// kernel threads.
+/// kernel threads, and the model work each fleet does is exact (one
+/// invocation per key with the cache, one per request without).
 #[test]
 fn cache_on_and_cache_off_fleets_agree_bitwise_across_thread_counts() {
     let _g = lock_traffic();
@@ -279,7 +281,18 @@ fn cache_on_and_cache_off_fleets_agree_bitwise_across_thread_counts() {
                     }
                 }
             }
-            assert!(on.snapshot().total(|s| s.result_cache_hits) > 0);
+            // The work is pinned, not timed: the cache-on fleet runs the
+            // model once per (city, t_end, horizon) key and answers every
+            // other request from the result cache; the cache-off fleet
+            // runs it once per request.
+            let (on, off) = (on.snapshot(), off.snapshot());
+            assert_eq!(on.total(|s| s.requests_total), 72);
+            assert_eq!(on.total(|s| s.model_invocations), 12);
+            assert_eq!(on.total(|s| s.result_cache_hits), 60);
+            assert_eq!(off.total(|s| s.requests_total), 36);
+            assert_eq!(off.total(|s| s.model_invocations), 36);
+            assert_eq!(on.ledger_residuals(), vec![0, 0]);
+            assert_eq!(off.ledger_residuals(), vec![0, 0]);
             answers
         })
     };

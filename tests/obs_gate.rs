@@ -6,9 +6,11 @@
 //! unchanged. This suite proves that contract end to end — train the same
 //! BF and AF models with observability off, on, and tracing, at 1 and 4
 //! kernel threads, and compare the resulting parameters bit for bit — and
-//! then checks the two structural invariants the bench gate and the
-//! serving dashboard rely on: the span tree captures the training phases
-//! and the AF model stages, and the serving counters satisfy the request
+//! then checks the structural invariants that the benchmark's traced runs
+//! and the serving dashboard read: the span tree captures the training
+//! phases and the AF model stages; the checkpoint path's spans have exact
+//! counts, and a checkpointed run's span tree and counters are identical
+//! at 1 and 4 threads; and the serving counters satisfy the request
 //! conservation law
 //!
 //! ```text
@@ -22,7 +24,10 @@
 //! are its own.
 
 use od_forecast::baselines::NaiveHistograms;
-use od_forecast::core::{train, AfConfig, AfModel, BfConfig, BfModel, OdForecaster, TrainConfig};
+use od_forecast::core::{
+    train, train_robust, AfConfig, AfModel, BfConfig, BfModel, OdForecaster, RobustConfig,
+    TrainCheckpoint, TrainConfig,
+};
 use od_forecast::obs::{self, ObsMode};
 use od_forecast::serve::{
     Broker, BrokerConfig, FeatureStore, ForecastRequest, ModelConfig, ModelKind, Registry,
@@ -208,6 +213,82 @@ fn snapshot_captures_training_span_tree() {
     assert_eq!(report.grad_norms.len() as u64, report.steps);
     assert_eq!(report.epoch_wall_ms.len(), cfg.epochs);
     assert!(report.epoch_wall_ms.iter().all(|&ms| ms >= 0.0));
+}
+
+/// Robust training of the BF model with a cadence checkpoint, then one
+/// reload, armed at `threads` kernel threads: the snapshot and the step
+/// count.
+fn checkpoint_run(threads: usize) -> (obs::ObsSnapshot, u64) {
+    let ds = small_dataset(13);
+    let windows = ds.windows(LOOKBACK, 1);
+    let dir = std::env::temp_dir().join(format!("stod_obs_ckpt_{}_t{threads}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("train.ckpt");
+    let rcfg = RobustConfig {
+        ckpt_path: Some(ckpt.clone()),
+        ckpt_every_steps: 2,
+        ..RobustConfig::default()
+    };
+    let (report, snap) = obs::with_mode(ObsMode::On, || {
+        par::with_threads(threads, || {
+            obs::reset();
+            let mut model = Kind::Bf.build(&ds, 13);
+            let report = train_robust(
+                model.as_mut(),
+                &ds,
+                &windows,
+                None,
+                &TrainConfig::fast_test(),
+                &rcfg,
+            )
+            .expect("robust training completes");
+            TrainCheckpoint::load(&ckpt).expect("the last checkpoint reloads");
+            (report, obs::snapshot())
+        })
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    (snap, report.steps)
+}
+
+/// The checkpoint path's spans, pinned exactly: 12 optimizer steps (29
+/// windows in batches of 8, over 3 epochs) save a cadence checkpoint every
+/// 2 steps inside `train/minibatch` and one more at each epoch's end,
+/// outside any training span; the reload is one more root. Each save
+/// seals one CRC and makes one atomic write, and the load checks one CRC.
+const CKPT_SPANS: [(&str, u64); 8] = [
+    ("ckpt/load", 1),
+    ("ckpt/load/ckpt/crc", 1),
+    ("ckpt/save", 3),
+    ("ckpt/save/ckpt/crc", 3),
+    ("ckpt/save/io/atomic_write", 3),
+    ("train/minibatch/ckpt/save", 6),
+    ("train/minibatch/ckpt/save/ckpt/crc", 6),
+    ("train/minibatch/ckpt/save/io/atomic_write", 6),
+];
+
+/// The checkpoint path's span tree is exact, and the whole tree and every
+/// counter of a checkpointed training run are the same at 1 and 4 kernel
+/// threads.
+#[test]
+fn checkpoint_span_tree_and_counters_are_exact_across_thread_counts() {
+    let (snap, steps) = checkpoint_run(1);
+    assert_eq!(steps, 12, "the pinned counts assume 12 optimizer steps");
+    let tree = snap.span_tree();
+    let ckpt: Vec<(&str, u64)> = tree
+        .iter()
+        .filter(|(path, _)| path.contains("ckpt/"))
+        .map(|(path, count)| (path.as_str(), *count))
+        .collect();
+    assert_eq!(ckpt, CKPT_SPANS, "checkpoint span tree");
+    assert_eq!(snap.counter("ckpt/saves"), 9, "one counted save per span");
+    assert_eq!(snap.counter("ckpt/loads"), 1, "one counted load per span");
+    let (snap4, steps4) = checkpoint_run(4);
+    assert_eq!(steps4, steps);
+    assert_eq!(snap4.span_tree(), tree, "span tree differs at 4 threads");
+    assert_eq!(
+        snap4.counters, snap.counters,
+        "counters differ at 4 threads"
+    );
 }
 
 /// Concurrent serve traffic satisfies the conservation law, the obs
