@@ -1,11 +1,11 @@
 //! A minimal read-only JSON parser for the benchmark's files.
 //!
-//! The vendored `serde` stub only *writes* JSON; the repository benchmark
-//! needs to *read* `BENCHMARK.json` and the run records it compares. This
-//! parser covers exactly that JSON — objects, arrays, strings with
-//! `\"`/`\\`/`\u` escapes, numbers, booleans, null — and nothing more.
-//! It is not a general-purpose JSON library and rejects anything it does
-//! not understand rather than guessing.
+//! The workspace's JSON writer, `stod_obs::json`, only *writes* JSON; the
+//! repository benchmark needs to *read* `BENCHMARK.json` and the run
+//! records it compares. This parser covers exactly that JSON — objects,
+//! arrays, strings with `\"`/`\\`/`\u` escapes, numbers, booleans, null —
+//! and nothing more. It is not a general-purpose JSON library and
+//! rejects anything it does not understand rather than guessing.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -17,8 +17,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use serde::json;
 use stod_nn::{ParamStore, Tape};
+use stod_obs::json;
 use stod_tensor::rng::Rng64;
 use stod_tensor::{par, Tensor};
 
@@ -1108,7 +1108,7 @@ fn minimize(spec: &CaseSpec) -> (CaseSpec, CaseFailure) {
     }
 }
 
-/// Serializes a counterexample to JSON via the compat `serde` stub.
+/// Serializes a counterexample to JSON through `stod_obs::json`.
 /// Small cases embed their regenerated inputs for human inspection; the
 /// authoritative reproduction path is always `replay(kernel, seed, dims)`.
 fn dump_json(spec: &CaseSpec, original: &CaseSpec, failure: &CaseFailure) -> String {

@@ -44,7 +44,8 @@ pub mod crc;
 pub mod io;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use stod_obs::sync::{lock, read, write};
 
 /// A named fault-injection point compiled into the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,11 +298,7 @@ fn env_injector() -> Option<Arc<Injector>> {
 }
 
 fn current() -> Option<Arc<Injector>> {
-    if let Some(inj) = SCOPED
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-    {
+    if let Some(inj) = read(&SCOPED).clone() {
         return Some(inj);
     }
     env_injector()
@@ -406,7 +403,7 @@ impl FaultGuard {
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        *SCOPED.write().unwrap_or_else(PoisonError::into_inner) = None;
+        *write(&SCOPED) = None;
         // Injection stays armed iff the environment plan exists.
         let env_armed = matches!(FROM_ENV.get(), Some(Some(_)));
         ARMED.store(env_armed, Ordering::Release);
@@ -416,13 +413,13 @@ impl Drop for FaultGuard {
 /// Arms a fault plan for the lifetime of the returned guard. Used by chaos
 /// tests; production arms via `STOD_FAULTS` instead.
 pub fn install(plan: FaultPlan) -> FaultGuard {
-    let lock = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let install_guard = lock(&INSTALL_LOCK);
     let injector = Arc::new(Injector::new(plan));
-    *SCOPED.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&injector));
+    *write(&SCOPED) = Some(Arc::clone(&injector));
     ARMED.store(true, Ordering::Release);
     FaultGuard {
         injector,
-        _lock: lock,
+        _lock: install_guard,
     }
 }
 
@@ -452,7 +449,7 @@ mod tests {
         if std::env::var_os("STOD_FAULTS").is_some() {
             return; // environment-armed run; skip
         }
-        let _lock = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _lock = lock(&INSTALL_LOCK);
         for &site in &ALL_SITES {
             assert_eq!(fire(site), None);
         }

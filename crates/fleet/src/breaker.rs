@@ -30,10 +30,11 @@
 //! so the chaos gate can assert the exact trip/probe/close schedule of a
 //! seeded run instead of sleeping and hoping.
 
-use parking_lot::Mutex;
-use serde::{json, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use stod_obs::json::{self, ToJson};
+use stod_obs::sync::lock;
 
 /// Breaker tuning, one per shard ([`crate::ShardConfig::breaker`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,8 +123,8 @@ pub struct BreakerSnapshot {
     pub rejects: u64,
 }
 
-impl Serialize for BreakerSnapshot {
-    fn serialize_json(&self, out: &mut String) {
+impl ToJson for BreakerSnapshot {
+    fn write_json(&self, out: &mut String) {
         json::object(out, |o| {
             o.field("state", &self.state.name());
             o.field("consecutive_failures", &self.consecutive_failures);
@@ -200,7 +201,7 @@ impl CircuitBreaker {
 
     /// Admission decision for one incoming request. See [`Admission`].
     pub fn admit(&self) -> Admission {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match *inner {
             StateInner::Closed { .. } => Admission::Admit,
             StateInner::Open { until, attempt } => {
@@ -225,7 +226,7 @@ impl CircuitBreaker {
     /// the failure streak of a closed one, and is ignored while open
     /// (a stale success from before the trip must not close the breaker).
     pub fn record_success(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match *inner {
             StateInner::Closed { ref mut failures } => *failures = 0,
             StateInner::HalfOpen { .. } => {
@@ -240,7 +241,7 @@ impl CircuitBreaker {
     /// trips a closed breaker; a half-open probe's failure reopens with
     /// the next (doubled, capped) backoff; ignored while open.
     pub fn record_failure(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match *inner {
             StateInner::Closed { ref mut failures } => {
                 *failures += 1;
@@ -270,7 +271,7 @@ impl CircuitBreaker {
     /// shard-crash injection path. The first probe is scheduled after the
     /// attempt-1 backoff.
     pub fn trip_now(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         *inner = StateInner::Open {
             until: Instant::now() + self.backoff_for(1),
             attempt: 1,
@@ -282,7 +283,7 @@ impl CircuitBreaker {
     /// Current state (transition-free read; an expired open stays `Open`
     /// until a request's `admit` promotes it to half-open).
     pub fn state(&self) -> BreakerState {
-        match *self.inner.lock() {
+        match *lock(&self.inner) {
             StateInner::Closed { .. } => BreakerState::Closed,
             StateInner::Open { .. } => BreakerState::Open,
             StateInner::HalfOpen { .. } => BreakerState::HalfOpen,
@@ -291,7 +292,7 @@ impl CircuitBreaker {
 
     /// A frozen view for `Fleet::health()`.
     pub fn snapshot(&self) -> BreakerSnapshot {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let (state, consecutive_failures) = match *inner {
             StateInner::Closed { failures } => (BreakerState::Closed, failures),
             StateInner::Open { .. } => (BreakerState::Open, 0),

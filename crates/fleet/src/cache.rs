@@ -21,9 +21,9 @@
 //! which is why mutating methods hand back the affected keys instead of
 //! counting internally.
 
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use stod_obs::sync::lock;
 use stod_serve::ComputedForecast;
 
 /// Cache key: one full-tensor forecast of one tenant at one checkpoint
@@ -80,7 +80,7 @@ impl ForecastCache {
 
     /// Current number of entries (never exceeds the capacity).
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        lock(&self.inner).map.len()
     }
 
     /// Whether the cache is empty.
@@ -90,12 +90,12 @@ impl ForecastCache {
 
     /// Approximate heap footprint of the cached prediction tensors.
     pub fn approx_bytes(&self) -> usize {
-        self.inner.lock().bytes
+        lock(&self.inner).bytes
     }
 
     /// Looks up a key, refreshing its recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<ComputedForecast>> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         let (old_tick, value) = match inner.map.get_mut(key) {
@@ -117,7 +117,7 @@ impl ForecastCache {
     /// The just-inserted key is never among them (it is the most recent).
     pub fn insert(&self, key: CacheKey, value: Arc<ComputedForecast>) -> Vec<CacheKey> {
         let bytes = value.approx_bytes();
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.map.insert(key, Entry { value, tick, bytes }) {
@@ -149,7 +149,7 @@ impl ForecastCache {
     /// (the hot-swap invalidation path), returning the dropped keys for
     /// attribution. Entries of other tenants are untouched.
     pub fn invalidate_city_except(&self, city: usize, keep_version: u32) -> Vec<CacheKey> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let stale: Vec<CacheKey> = inner
             .map
             .keys()

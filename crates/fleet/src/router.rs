@@ -40,7 +40,6 @@ use crate::breaker::{Admission, BreakerSnapshot, BreakerState};
 use crate::cache::{CacheKey, ForecastCache};
 use crate::config::FleetConfig;
 use crate::shard::{Shard, ShardConfig};
-use serde::{json, Serialize};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -48,6 +47,7 @@ use std::time::{Duration, Instant};
 use stod_baselines::NaiveHistograms;
 use stod_faultline::FaultSite;
 use stod_nn::ParamStore;
+use stod_obs::json::{self, ToJson};
 use stod_serve::{
     FallbackReason, ForecastRequest, ModelConfig, ModelKind, RegistryError, ScrubReport, Source,
     StatsSnapshot, TripWal, WalConfig, WalStats,
@@ -681,8 +681,8 @@ impl FleetHealth {
     }
 }
 
-impl Serialize for ShardHealth {
-    fn serialize_json(&self, out: &mut String) {
+impl ToJson for ShardHealth {
+    fn write_json(&self, out: &mut String) {
         json::object(out, |o| {
             o.field("city", &self.city);
             o.field("name", &self.name);
@@ -696,8 +696,8 @@ impl Serialize for ShardHealth {
     }
 }
 
-impl Serialize for FleetHealth {
-    fn serialize_json(&self, out: &mut String) {
+impl ToJson for FleetHealth {
+    fn write_json(&self, out: &mut String) {
         json::object(out, |o| {
             o.field("shards", &self.shards);
             o.field("all_healthy", &self.all_healthy());

@@ -391,7 +391,9 @@ impl Tape {
         )
     }
 
-    /// Elementwise exponential.
+    /// Elementwise exponential. Test-only: no model records it;
+    /// gradcheck's `sigmoid_tanh_relu_exp` keeps it as a checked op.
+    #[cfg(test)]
     pub fn exp(&mut self, a: Var) -> Var {
         let value = ew::exp(self.value(a));
         self.push(
@@ -601,14 +603,18 @@ impl Tape {
         )
     }
 
-    /// Mean of all elements → scalar.
+    /// Mean of all elements → scalar. Test-only: no model records it;
+    /// gradcheck's `sum_and_mean_reductions` keeps it as a checked op.
+    #[cfg(test)]
     pub fn mean_all(&mut self, a: Var) -> Var {
         let n = self.value(a).numel() as f32;
         let s = self.sum_all(a);
         self.scale(s, 1.0 / n)
     }
 
-    /// Sum along one axis.
+    /// Sum along one axis. Test-only: no model records it; gradcheck's
+    /// `sum_and_mean_reductions` keeps it as a checked op.
+    #[cfg(test)]
     pub fn sum_axis(&mut self, a: Var, axis: usize, keepdim: bool) -> Var {
         let value = stod_tensor::sum_axis(self.value(a), axis, keepdim);
         self.push(

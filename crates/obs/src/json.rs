@@ -1,13 +1,46 @@
-//! JSON export and a human-readable table for [`ObsSnapshot`].
+//! The workspace's JSON writer, plus a human-readable table for
+//! [`ObsSnapshot`].
 //!
-//! The crate is dependency-free by design (it sits below every other
-//! workspace crate), so the JSON writer is hand-rolled: objects and
-//! arrays of integers/strings only, with standard string escaping. The
-//! schema is versioned through [`crate::snapshot::OBS_SCHEMA_VERSION`]
-//! and documented in `DESIGN.md` §5e.
+//! The observability snapshot, the serving stats, the WAL, breaker and
+//! fleet-health views and the conformance counterexample dumps all write
+//! through this module: [`ToJson`] values write themselves with
+//! [`object`], [`write_escaped`] and the impls below. Integral floats
+//! print without `.0`, and non-finite floats, which JSON cannot express,
+//! print as `null`. The crate sits below every other workspace crate and
+//! depends on nothing, so the writer is hand-rolled. The snapshot schema
+//! is versioned through [`crate::snapshot::OBS_SCHEMA_VERSION`] and
+//! documented in `DESIGN.md` §5e.
+//!
+//! ```
+//! use stod_obs::json::{self, ToJson};
+//!
+//! struct Point { x: f64, y: f64 }
+//! impl ToJson for Point {
+//!     fn write_json(&self, out: &mut String) {
+//!         json::object(out, |o| {
+//!             o.field("x", &self.x).field("y", &self.y);
+//!         });
+//!     }
+//! }
+//! assert_eq!(json::to_string(&Point { x: 1.0, y: 2.5 }), r#"{"x":1,"y":2.5}"#);
+//! ```
 
-use crate::snapshot::ObsSnapshot;
+use crate::metrics::HistogramSnap;
+use crate::snapshot::{CounterSnap, GaugeSnap, ObsSnapshot, SpanSnap, TraceEventSnap};
 use std::fmt::Write as _;
+
+/// A value that writes itself as JSON.
+pub trait ToJson {
+    /// Appends this value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+/// Renders any [`ToJson`] value as a JSON string.
+pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
+}
 
 /// Appends a JSON string literal (with escaping) to `out`.
 pub fn write_escaped(out: &mut String, s: &str) {
@@ -28,82 +61,184 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Builder for one JSON object; see [`object`].
+pub struct ObjectBuilder<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ObjectBuilder<'_> {
+    /// Appends one `"key":value` member.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) -> &mut Self {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        write_escaped(self.out, key);
+        self.out.push(':');
+        value.write_json(self.out);
+        self
+    }
+}
+
+/// Appends `{…}`, letting `f` add the members through the builder.
+pub fn object(out: &mut String, f: impl FnOnce(&mut ObjectBuilder<'_>)) {
+    out.push('{');
+    f(&mut ObjectBuilder { out, first: true });
+    out.push('}');
+}
+
+macro_rules! to_json_display {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+to_json_display!(u32, u64, usize, i64, bool);
+
+macro_rules! to_json_float {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                if self.is_finite() {
+                    let _ = write!(out, "{self}");
+                } else {
+                    out.push_str("null");
+                }
+            }
+        }
+    )*};
+}
+
+to_json_float!(f32, f64);
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+impl ToJson for SpanSnap {
+    fn write_json(&self, out: &mut String) {
+        object(out, |o| {
+            o.field("path", &self.path)
+                .field("count", &self.count)
+                .field("total_ns", &self.total_ns)
+                .field("min_ns", &self.min_ns)
+                .field("max_ns", &self.max_ns);
+        });
+    }
+}
+
+impl ToJson for CounterSnap {
+    fn write_json(&self, out: &mut String) {
+        object(out, |o| {
+            o.field("name", &self.name).field("value", &self.value);
+        });
+    }
+}
+
+impl ToJson for GaugeSnap {
+    fn write_json(&self, out: &mut String) {
+        object(out, |o| {
+            o.field("name", &self.name)
+                .field("value", &self.value)
+                .field("min", &self.min)
+                .field("max", &self.max)
+                .field("updates", &self.updates);
+        });
+    }
+}
+
+impl ToJson for HistogramSnap {
+    fn write_json(&self, out: &mut String) {
+        object(out, |o| {
+            o.field("name", &self.name)
+                .field("count", &self.count)
+                .field("total", &self.total)
+                .field("max", &self.max)
+                .field("p50", &self.p50)
+                .field("p90", &self.p90)
+                .field("p99", &self.p99);
+        });
+    }
+}
+
+impl ToJson for TraceEventSnap {
+    fn write_json(&self, out: &mut String) {
+        object(out, |o| {
+            o.field("path", &self.path)
+                .field("thread", &self.thread)
+                .field("start_ns", &self.start_ns)
+                .field("dur_ns", &self.dur_ns);
+        });
+    }
+}
+
+impl ToJson for ObsSnapshot {
+    fn write_json(&self, out: &mut String) {
+        object(out, |o| {
+            o.field("schema", &self.schema)
+                .field("mode", &self.mode)
+                .field("spans", &self.spans)
+                .field("counters", &self.counters)
+                .field("gauges", &self.gauges)
+                .field("histograms", &self.histograms)
+                .field("dropped_trace_events", &self.dropped_trace_events)
+                .field("trace", &self.trace);
+        });
+    }
+}
+
 impl ObsSnapshot {
     /// Renders the snapshot as a JSON object (schema version
     /// [`crate::snapshot::OBS_SCHEMA_VERSION`]).
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        o.push('{');
-        let _ = write!(o, "\"schema\":{},", self.schema);
-        o.push_str("\"mode\":");
-        write_escaped(&mut o, &self.mode);
-        o.push_str(",\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"path\":");
-            write_escaped(&mut o, &s.path);
-            let _ = write!(
-                o,
-                ",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                s.count, s.total_ns, s.min_ns, s.max_ns
-            );
-        }
-        o.push_str("],\"counters\":[");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"name\":");
-            write_escaped(&mut o, &c.name);
-            let _ = write!(o, ",\"value\":{}}}", c.value);
-        }
-        o.push_str("],\"gauges\":[");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"name\":");
-            write_escaped(&mut o, &g.name);
-            let _ = write!(
-                o,
-                ",\"value\":{},\"min\":{},\"max\":{},\"updates\":{}}}",
-                g.value, g.min, g.max, g.updates
-            );
-        }
-        o.push_str("],\"histograms\":[");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"name\":");
-            write_escaped(&mut o, &h.name);
-            let _ = write!(
-                o,
-                ",\"count\":{},\"total\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                h.count, h.total, h.max, h.p50, h.p90, h.p99
-            );
-        }
-        let _ = write!(
-            o,
-            "],\"dropped_trace_events\":{},\"trace\":[",
-            self.dropped_trace_events
-        );
-        for (i, ev) in self.trace.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"path\":");
-            write_escaped(&mut o, &ev.path);
-            let _ = write!(
-                o,
-                ",\"thread\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-                ev.thread, ev.start_ns, ev.dur_ns
-            );
-        }
-        o.push_str("]}");
-        o
+        to_string(self)
     }
 
     /// Renders the snapshot as an aligned, human-readable table: spans
@@ -210,6 +345,7 @@ impl ObsSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use super::{object, to_string};
     use crate::{snapshot, ObsMode};
 
     #[test]
@@ -217,6 +353,39 @@ mod tests {
         let mut out = String::new();
         super::write_escaped(&mut out, "a\"b\\c\nd\te\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+        assert_eq!(to_string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(to_string(&String::from("ok")), r#""ok""#);
+        assert_eq!(to_string("\r\u{1f}"), "\"\\r\\u001f\"");
+    }
+
+    #[test]
+    fn primitives_and_collections() {
+        assert_eq!(to_string(&42u32), "42");
+        assert_eq!(to_string(&-3i64), "-3");
+        assert_eq!(to_string(&true), "true");
+        assert_eq!(to_string(&2.5f64), "2.5");
+        assert_eq!(to_string(&1.0f64), "1");
+        assert_eq!(to_string(&0.1f32), "0.1");
+        assert_eq!(to_string(&f64::NAN), "null");
+        assert_eq!(to_string(&f32::NEG_INFINITY), "null");
+        assert_eq!(to_string(&vec![1u64, 2, 3]), "[1,2,3]");
+        assert_eq!(to_string(&vec!["a", "b"]), r#"["a","b"]"#);
+        assert_eq!(to_string(&None::<u32>), "null");
+        assert_eq!(to_string(&Some(7usize)), "7");
+    }
+
+    #[test]
+    fn object_builder_comma_placement() {
+        let mut out = String::new();
+        object(&mut out, |o| {
+            o.field("a", &1u32);
+            o.field("b", "x");
+            o.field("c", [1u64, 2].as_slice());
+        });
+        assert_eq!(out, r#"{"a":1,"b":"x","c":[1,2]}"#);
+        let mut empty = String::new();
+        object(&mut empty, |_| {});
+        assert_eq!(empty, "{}");
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! path times save/load/CRC. [`snapshot`] freezes all of it into a
 //! versioned, JSON-serializable [`ObsSnapshot`].
 //!
+//! The crate sits below every other workspace crate, so it also hosts two
+//! small pieces they share: [`json`], the workspace's JSON writer, and
+//! [`sync`], lock access that ignores poisoning.
+//!
 //! ## Overhead contract
 //!
 //! The same discipline as `stod-faultline` probes: when observability is
@@ -76,6 +80,7 @@ mod snapshot;
 mod span;
 
 pub mod json;
+pub mod sync;
 
 pub use metrics::{
     count, gauge_add, gauge_set, intern, observe, observe_duration, observe_ns, HistogramSnap,
@@ -87,7 +92,7 @@ pub use snapshot::{
 pub use span::SpanGuard;
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
 
 /// How much the observability layer records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -199,7 +204,7 @@ thread_local! {
 /// windows; nested calls on the same thread just stack.
 pub fn with_mode<R>(m: ObsMode, f: impl FnOnce() -> R) -> R {
     let depth = MODE_DEPTH.with(std::cell::Cell::get);
-    let _lock = (depth == 0).then(|| MODE_LOCK.lock().unwrap_or_else(PoisonError::into_inner));
+    let _lock = (depth == 0).then(|| sync::lock(&MODE_LOCK));
     MODE_DEPTH.with(|c| c.set(depth + 1));
     let prev = mode();
     struct Restore {

@@ -151,12 +151,9 @@ pub(crate) struct GaugeAgg {
 /// a cache rather than a leak.
 pub fn intern(name: &str) -> &'static str {
     use std::collections::HashSet;
-    use std::sync::{Mutex, OnceLock, PoisonError};
+    use std::sync::{Mutex, OnceLock};
     static INTERNED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut set = INTERNED
-        .get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let mut set = crate::sync::lock(INTERNED.get_or_init(Default::default));
     match set.get(name) {
         Some(existing) => existing,
         None => {
@@ -196,7 +193,7 @@ pub fn gauge_add(name: &'static str, delta: i64) {
 }
 
 fn gauge_write(name: &'static str, f: impl FnOnce(i64) -> i64) {
-    let mut map = crate::snapshot::lock(gauges());
+    let mut map = crate::sync::lock(gauges());
     let g = map.entry(name).or_insert(GaugeAgg {
         value: 0,
         min: i64::MAX,

@@ -12,8 +12,9 @@
 //! depth) and live in a single keyed map instead.
 
 use crate::metrics::{GaugeAgg, Hist, HistogramSnap};
+use crate::sync::lock;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Version stamped into every exported snapshot; bump on any change to
@@ -98,10 +99,6 @@ fn registry() -> &'static Mutex<Vec<Arc<Mutex<ThreadBuf>>>> {
 pub(crate) fn gauges() -> &'static Mutex<BTreeMap<&'static str, GaugeAgg>> {
     static GAUGES: OnceLock<Mutex<BTreeMap<&'static str, GaugeAgg>>> = OnceLock::new();
     GAUGES.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {

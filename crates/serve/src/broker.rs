@@ -1,6 +1,7 @@
-//! Request broker: a crossbeam-channel worker pool that micro-batches
-//! concurrent forecast requests, caches computed interval tensors, and
-//! degrades to the NH historical-average baseline instead of erroring.
+//! Request broker: a worker pool fed by one `std::sync::mpsc` job queue
+//! that micro-batches concurrent forecast requests, caches computed
+//! interval tensors, and degrades to the NH historical-average baseline
+//! instead of erroring.
 //!
 //! One model forward pass predicts the *full* OD tensor for every horizon
 //! step, so all concurrent requests that share a `(t_end, horizon,
@@ -18,17 +19,17 @@
 use crate::ingest::FeatureStore;
 use crate::registry::Registry;
 use crate::stats::ServeStats;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stod_baselines::NaiveHistograms;
 use stod_faultline::FaultSite;
+use stod_obs::sync::lock;
 use stod_tensor::Tensor;
 
 /// Broker tuning knobs.
@@ -159,7 +160,7 @@ type ComputeResult = Result<Arc<ComputedForecast>, FallbackReason>;
 
 enum CacheEntry {
     /// Being computed; senders of requests waiting for the result.
-    InFlight(Vec<Sender<ComputeResult>>),
+    InFlight(Vec<SyncSender<ComputeResult>>),
     /// Finished; served straight from the cache.
     Done(ComputeResult),
 }
@@ -201,7 +202,8 @@ impl Broker {
             cfg,
             cache: Mutex::new(HashMap::new()),
         });
-        let (jobs, job_rx) = unbounded::<Key>();
+        let (jobs, job_rx) = mpsc::channel::<Key>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
         // Split the kernel pool's thread budget across the workers so a
         // fully busy broker does not oversubscribe the machine: N workers
         // each run their model invocation on ~num_threads/N threads.
@@ -211,8 +213,8 @@ impl Broker {
         let workers = (0..cfg.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let rx = job_rx.clone();
-                std::thread::spawn(move || Broker::worker_loop(&shared, rx, kernel_threads))
+                let rx = Arc::clone(&job_rx);
+                std::thread::spawn(move || Broker::worker_loop(&shared, &rx, kernel_threads))
             })
             .collect();
         Broker {
@@ -346,9 +348,11 @@ impl Broker {
     /// Joins an in-flight computation, hits the cache, or becomes the
     /// leader that enqueues a new job.
     fn join_or_enqueue(&self, key: Key) -> Joined {
-        let (tx, rx) = bounded::<ComputeResult>(1);
+        // Each waiter gets its own one-slot reply channel, and the job
+        // sends exactly one result into it, so that send never blocks.
+        let (tx, rx) = mpsc::sync_channel::<ComputeResult>(1);
         {
-            let mut cache = self.shared.cache.lock();
+            let mut cache = lock(&self.shared.cache);
             match cache.get_mut(&key) {
                 Some(CacheEntry::Done(result)) => {
                     self.shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -384,7 +388,7 @@ impl Broker {
             Ok(()) => Joined::Wait(rx),
             Err(_) => {
                 self.shared.stats.job_dequeued();
-                self.shared.cache.lock().remove(&key);
+                lock(&self.shared.cache).remove(&key);
                 Joined::Ready(Err(FallbackReason::NoModel))
             }
         }
@@ -399,13 +403,16 @@ impl Broker {
     /// fails the poisoned job so every waiter is answered immediately from
     /// the NH baseline, records the panic + respawn in the ledger, and
     /// starts a fresh worker incarnation on the same OS thread.
-    fn worker_loop(shared: &Shared, rx: Receiver<Key>, kernel_threads: usize) {
+    fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Key>>, kernel_threads: usize) {
         loop {
             // The key being executed when a panic unwinds; `Cell` because
             // the catch_unwind closure only gets a shared borrow.
             let current = Cell::new(None::<Key>);
             let run = catch_unwind(AssertUnwindSafe(|| {
-                while let Ok(key) = rx.recv() {
+                // The workers share one receiver. This worker holds its
+                // lock only while it waits for a key, never while a job
+                // runs, so an idle worker can take the next key.
+                while let Some(key) = Broker::next_job(rx) {
                     current.set(Some(key));
                     shared.stats.job_dequeued();
                     stod_tensor::par::with_threads(kernel_threads, || {
@@ -432,13 +439,19 @@ impl Broker {
         }
     }
 
+    /// The next queued key, or `None` once the job channel has closed. The
+    /// receiver's guard drops on return, before the caller runs the job.
+    fn next_job(rx: &Mutex<Receiver<Key>>) -> Option<Key> {
+        lock(rx).recv().ok()
+    }
+
     /// Fails an in-flight computation after a worker panic: removes the
     /// cache entry (so a later request can recompute the key) and answers
     /// every waiter with the worker-panic fallback instead of leaving them
     /// to ride out their deadlines.
     fn fail_job(shared: &Shared, key: Key) {
         let waiters = {
-            let mut cache = shared.cache.lock();
+            let mut cache = lock(&shared.cache);
             match cache.remove(&key) {
                 Some(CacheEntry::InFlight(waiters)) => waiters,
                 Some(done @ CacheEntry::Done(_)) => {
@@ -507,7 +520,7 @@ impl Broker {
             shared.stats.obs_mirror(|p| p.failed_jobs);
         }
         let waiters = {
-            let mut cache = shared.cache.lock();
+            let mut cache = lock(&shared.cache);
             let waiters = if shared.cfg.retain_results {
                 match cache.insert(key, CacheEntry::Done(result.clone())) {
                     Some(CacheEntry::InFlight(waiters)) => waiters,
@@ -552,7 +565,7 @@ enum Joined {
     /// The result is already available.
     Ready(ComputeResult),
     /// Wait on this receiver (bounded by the request deadline).
-    Wait(crossbeam::channel::Receiver<ComputeResult>),
+    Wait(Receiver<ComputeResult>),
 }
 
 impl Drop for Broker {
@@ -769,17 +782,16 @@ mod tests {
     #[test]
     fn concurrent_identical_requests_share_one_invocation() {
         let (broker, stats) = serving_stack(true);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|_| broker.forecast(req(6))))
+                .map(|_| scope.spawn(|| broker.forecast(req(6))))
                 .collect();
             for h in handles {
                 let fc = h.join().unwrap();
                 assert!(matches!(fc.source, Source::Model { .. }));
                 assert_valid_hist(&fc.histogram);
             }
-        })
-        .unwrap();
+        });
         let snap = stats.snapshot();
         assert_eq!(snap.requests_total, 4);
         assert_eq!(

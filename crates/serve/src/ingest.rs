@@ -8,8 +8,9 @@
 //! `insert_tensor` for replaying already-binned tensors, e.g. out of an
 //! [`stod_traffic::OdDataset`].
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
+use stod_obs::sync::lock;
 use stod_tensor::{stack, Tensor};
 use stod_traffic::{HistogramSpec, OdTensor, Trip};
 
@@ -176,8 +177,7 @@ impl FeatureStore {
                 stod_obs::count("ingest/rejected_trips", 1);
             }
         })?;
-        self.inner
-            .lock()
+        lock(&self.inner)
             .pending
             .entry(trip.interval)
             .or_default()
@@ -230,7 +230,7 @@ impl FeatureStore {
     /// tensor, stores it, evicts intervals beyond capacity, and returns
     /// the number of trips binned. Unseen intervals seal as all-empty.
     pub fn seal_interval(&self, t: usize) -> usize {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let trips = inner.pending.remove(&t).unwrap_or_default();
         let tensor = OdTensor::from_trips(self.num_regions, &self.spec, &trips);
         inner.sealed.insert(t, tensor);
@@ -248,7 +248,7 @@ impl FeatureStore {
             &[self.num_regions, self.num_regions, self.spec.num_buckets],
             "interval tensor shape mismatch"
         );
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.sealed.insert(t, tensor);
         self.evict(&mut inner);
     }
@@ -270,19 +270,19 @@ impl FeatureStore {
     /// process crash would lose. Used by the fleet's shard-crash fault
     /// injection; real recovery rebuilds the window from the WAL.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.pending.clear();
         inner.sealed.clear();
     }
 
     /// Newest sealed interval index, if any.
     pub fn latest_interval(&self) -> Option<usize> {
-        self.inner.lock().sealed.keys().next_back().copied()
+        lock(&self.inner).sealed.keys().next_back().copied()
     }
 
     /// Number of sealed intervals currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().sealed.len()
+        lock(&self.inner).sealed.len()
     }
 
     /// True when no interval has been sealed yet.
@@ -292,7 +292,7 @@ impl FeatureStore {
 
     /// Observation coverage of a sealed interval.
     pub fn coverage(&self, t: usize) -> Option<f64> {
-        self.inner.lock().sealed.get(&t).map(OdTensor::coverage)
+        lock(&self.inner).sealed.get(&t).map(OdTensor::coverage)
     }
 
     /// Takes a consistent, interval-aligned read-snapshot of the sealed
@@ -304,7 +304,7 @@ impl FeatureStore {
     ///
     /// Returns `None` when nothing has been sealed yet.
     pub fn snapshot_window(&self) -> Option<IngestSnapshot> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let first = *inner.sealed.keys().next()?;
         let last = *inner.sealed.keys().next_back()?;
         let tensors = (first..=last)
@@ -336,7 +336,7 @@ impl FeatureStore {
         if t_end + 1 < s {
             return None;
         }
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         if !inner.sealed.contains_key(&t_end) {
             return None;
         }

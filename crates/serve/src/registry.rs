@@ -5,16 +5,16 @@
 //! exist with the exact name and shape the freshly-built architecture
 //! declares — and kept as immutable versions. [`Registry::promote`] swaps
 //! which version answers new requests by replacing an `Arc` under a
-//! `parking_lot::RwLock`; in-flight computations keep their own `Arc`
+//! `std::sync::RwLock`; in-flight computations keep their own `Arc`
 //! clone, so a promotion never drops or corrupts requests already running
 //! against the previous version.
 
 use crate::stats::ServeStats;
-use parking_lot::RwLock;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use stod_core::{AfConfig, BfConfig, Mode, OdForecaster};
 use stod_nn::{ParamStore, Tape};
+use stod_obs::sync::{read, write};
 use stod_tensor::rng::Rng64;
 use stod_tensor::Tensor;
 
@@ -328,7 +328,7 @@ impl Registry {
         let mut model = self.config.build(0);
         validate_layout(model.params(), &store)?;
         model.params_mut().copy_from(&store);
-        let mut versions = self.versions.write();
+        let mut versions = write(&self.versions);
         let version = versions.len() as u32 + 1;
         versions.push(VersionEntry {
             model: Arc::new(ServedModel { version, model }),
@@ -354,7 +354,7 @@ impl Registry {
     /// rejection is counted in the `scrub_rejects` stat and the
     /// `registry/scrub_rejects` obs counter.
     pub fn scrub(&self) -> ScrubReport {
-        let mut versions = self.versions.write();
+        let mut versions = write(&self.versions);
         let mut rejects = Vec::new();
         for entry in versions.iter_mut() {
             if !entry.valid {
@@ -402,7 +402,7 @@ impl Registry {
         // Demote a now-invalid incumbent to the newest surviving version.
         let mut demoted_active = None;
         let mut new_active = None;
-        let mut active = self.active.write();
+        let mut active = write(&self.active);
         if let Some(current) = active.as_ref() {
             let version = current.version;
             let invalidated = rejects.iter().any(|(v, _)| *v == version);
@@ -432,7 +432,7 @@ impl Registry {
         let model = self
             .get(version)
             .ok_or(RegistryError::UnknownVersion(version))?;
-        let mut active = self.active.write();
+        let mut active = write(&self.active);
         if active.is_some() {
             self.stats.hot_swaps.fetch_add(1, Ordering::Relaxed);
         }
@@ -442,26 +442,26 @@ impl Registry {
 
     /// The currently active model, if any.
     pub fn active(&self) -> Option<Arc<ServedModel>> {
-        self.active.read().clone()
+        read(&self.active).clone()
     }
 
     /// The active model's version number, if any.
     pub fn active_version(&self) -> Option<u32> {
-        self.active.read().as_ref().map(|m| m.version)
+        read(&self.active).as_ref().map(|m| m.version)
     }
 
     /// Looks a registered version up by number. Versions invalidated by a
     /// [`Registry::scrub`] are gone: they resolve to `None` like a number
     /// that was never registered.
     pub fn get(&self, version: u32) -> Option<Arc<ServedModel>> {
-        let versions = self.versions.read();
+        let versions = read(&self.versions);
         let entry = versions.get(version.checked_sub(1)? as usize)?;
         entry.valid.then(|| Arc::clone(&entry.model))
     }
 
     /// Number of registered versions.
     pub fn num_versions(&self) -> usize {
-        self.versions.read().len()
+        read(&self.versions).len()
     }
 }
 

@@ -7,9 +7,9 @@
 //! widths because request latencies span several orders of magnitude
 //! (a cache hit is microseconds, a cold AF forward pass can be seconds).
 
-use serde::{json, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+use stod_obs::json::{self, ToJson};
 
 /// Number of log2 latency buckets: bucket `b` covers `[2^b, 2^{b+1})` µs,
 /// so the range spans 1 µs … ~1.2 h, far beyond any sane deadline.
@@ -500,8 +500,8 @@ impl StatsSnapshot {
     }
 }
 
-impl Serialize for StatsSnapshot {
-    fn serialize_json(&self, out: &mut String) {
+impl ToJson for StatsSnapshot {
+    fn write_json(&self, out: &mut String) {
         json::object(out, |o| {
             o.field("requests_total", &self.requests_total);
             o.field("model_invocations", &self.model_invocations);

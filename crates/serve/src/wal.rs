@@ -54,15 +54,16 @@
 //! window's retention horizon are deleted — the log never grows beyond
 //! what a restart actually needs.
 
-use parking_lot::Mutex;
-use serde::{json, Serialize};
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use stod_faultline::codec::{self, Reader, StoreError, Writer};
 use stod_faultline::FaultSite;
+use stod_obs::json::{self, ToJson};
+use stod_obs::sync::lock;
 use stod_traffic::Trip;
 
 /// Segment file magic.
@@ -245,8 +246,8 @@ pub struct WalStats {
     pub dead: bool,
 }
 
-impl Serialize for WalStats {
-    fn serialize_json(&self, out: &mut String) {
+impl ToJson for WalStats {
+    fn write_json(&self, out: &mut String) {
         json::object(out, |o| {
             o.field("segments", &self.segments);
             o.field("tail_bytes", &self.tail_bytes);
@@ -473,7 +474,7 @@ impl TripWal {
 
     /// True after a torn write killed this handle.
     pub fn is_dead(&self) -> bool {
-        self.inner.lock().dead
+        lock(&self.inner).dead
     }
 
     /// Logs one trip push. Call *after* the feature store accepted the
@@ -488,7 +489,7 @@ impl TripWal {
     }
 
     fn append(&self, rec: &WalRecord) -> io::Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.dead {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -560,7 +561,7 @@ impl TripWal {
 
     /// Fsyncs any unflushed appends regardless of policy.
     pub fn flush(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.dead {
             return Ok(());
         }
@@ -637,7 +638,7 @@ impl TripWal {
     /// in-memory window, the shard replays this to rebuild it. Does not
     /// mutate any file (a torn tail, if present, is simply not decoded).
     pub fn replay_records(&self) -> io::Result<Vec<WalRecord>> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let mut records = Vec::new();
         let mut seqs: Vec<u64> = inner.closed.iter().map(|s| s.seq).collect();
         seqs.push(inner.seq);
@@ -658,7 +659,7 @@ impl TripWal {
 
     /// A frozen view of this log's counters.
     pub fn stats(&self) -> WalStats {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         WalStats {
             segments: inner.closed.len() + 1,
             tail_bytes: inner.tail_bytes,

@@ -49,6 +49,12 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+// Pool locks ignore poisoning. Pool state is only mutated in panic-free
+// critical sections (queue push/pop, counter updates, payload pushes), so
+// a poisoned lock's data is still consistent — and the batch guard must be
+// able to drain the queue and wait on the latch while its thread is
+// *already unwinding*, where a poison panic would abort.
+use stod_obs::sync::lock;
 
 /// Minimum approximate scalar-op count before a kernel fans out.
 ///
@@ -212,15 +218,6 @@ fn split_by_ranges<'a, T>(
     pairs
 }
 
-/// Locks a mutex, ignoring poisoning. Pool state is only mutated in
-/// panic-free critical sections (queue push/pop, counter updates, payload
-/// pushes), so a poisoned lock's data is still consistent — and the batch
-/// guard must be able to drain the queue and wait on the latch while its
-/// thread is *already unwinding*, where a poison panic would abort.
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// One unit of dispatched work: the erased task closure plus the batch
 /// latch it reports completion (or its panic payload) to.
 struct Job {
@@ -240,7 +237,7 @@ impl Job {
         let _serial = push_override(Some(1), false);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(self.task));
         if let Err(payload) = result {
-            lock_ignore_poison(&self.latch.panics).push(payload);
+            lock(&self.latch.panics).push(payload);
         }
         self.latch.done();
     }
@@ -263,7 +260,7 @@ impl Latch {
     }
 
     fn done(&self) {
-        let mut rem = lock_ignore_poison(&self.remaining);
+        let mut rem = lock(&self.remaining);
         *rem -= 1;
         if *rem == 0 {
             self.cv.notify_all();
@@ -271,7 +268,7 @@ impl Latch {
     }
 
     fn wait(&self) {
-        let mut rem = lock_ignore_poison(&self.remaining);
+        let mut rem = lock(&self.remaining);
         while *rem > 0 {
             rem = self
                 .cv
@@ -355,7 +352,7 @@ impl Drop for BatchGuard<'_> {
         // unwinding, and the locks tolerate poisoning, so this cannot
         // panic out of a destructor that may already be unwinding.
         loop {
-            let job = lock_ignore_poison(&self.pool.queue).pop_front();
+            let job = lock(&self.pool.queue).pop_front();
             match job {
                 Some(job) => job.run(),
                 None => break,
@@ -391,7 +388,7 @@ where
     let p = pool();
     ensure_workers(p, pairs.len());
     {
-        let mut q = lock_ignore_poison(&p.queue);
+        let mut q = lock(&p.queue);
         for (range, chunk) in pairs {
             let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || f(range, chunk));
             // SAFETY: `run_chunked` cannot return *or unwind* until every
@@ -420,7 +417,7 @@ where
     // Normal path: run the guard's drain-and-wait now; the unwind path
     // runs the same drop when `f` panics above.
     drop(guard);
-    let payload = lock_ignore_poison(&latch.panics).pop();
+    let payload = lock(&latch.panics).pop();
     if let Some(payload) = payload {
         std::panic::resume_unwind(payload);
     }

@@ -1,16 +1,15 @@
 //! Deterministic random number generation.
 //!
 //! All stochastic components of the workspace (weight initialization, trip
-//! sampling, dropout masks, …) draw from [`Rng64`], a thin wrapper around
-//! [`rand::rngs::StdRng`] seeded explicitly, so every experiment is
-//! reproducible from a single `u64` seed.
-
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+//! sampling, dropout masks, …) draw from [`Rng64`], a xoshiro256**
+//! generator (Blackman & Vigna) seeded explicitly through splitmix64, so
+//! every experiment is reproducible from a single `u64` seed. It is fast
+//! and passes BigCrush; it is not cryptographically secure.
 
 /// A seeded random generator with the handful of draws the workspace needs.
 pub struct Rng64 {
-    inner: StdRng,
+    /// Raw xoshiro256** state.
+    s: [u64; 4],
     /// Cached second value of the Box–Muller pair.
     gauss_spare: Option<f64>,
 }
@@ -26,11 +25,21 @@ pub struct RngState {
     pub gauss_spare: Option<f64>,
 }
 
+/// One splitmix64 step: the seed expander for the xoshiro256** state.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl Rng64 {
     /// Creates a generator from an explicit seed.
     pub fn new(seed: u64) -> Self {
+        let mut sm = seed;
         Rng64 {
-            inner: StdRng::seed_from_u64(seed),
+            s: std::array::from_fn(|_| splitmix64(&mut sm)),
             gauss_spare: None,
         }
     }
@@ -38,7 +47,7 @@ impl Rng64 {
     /// Captures the full generator state for checkpointing.
     pub fn state(&self) -> RngState {
         RngState {
-            s: self.inner.state(),
+            s: self.s,
             gauss_spare: self.gauss_spare,
         }
     }
@@ -47,7 +56,7 @@ impl Rng64 {
     /// stream continues bitwise where the captured one stopped.
     pub fn from_state(state: RngState) -> Rng64 {
         Rng64 {
-            inner: StdRng::from_state(state.s),
+            s: state.s,
             gauss_spare: state.gauss_spare,
         }
     }
@@ -59,28 +68,49 @@ impl Rng64 {
         Rng64::new(s)
     }
 
-    /// Next raw 64-bit value.
+    /// Next raw 64-bit value: one xoshiro256** step.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.random()
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Uniform `f64` in `[0, 1)`.
+    /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        self.inner.random::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f32` in `[0, 1)`.
+    /// Uniform `f32` in `[0, 1)` with 24 bits of precision.
+    #[inline]
     pub fn next_f32(&mut self) -> f32 {
-        self.inner.random::<f32>()
+        (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 
-    /// Uniform integer in `[0, n)`.
+    /// Uniform integer in `[0, n)`, unbiased by rejection sampling.
     ///
     /// # Panics
     /// Panics if `n == 0`.
     pub fn next_below(&mut self, n: usize) -> usize {
         assert!(n > 0, "next_below(0)");
-        self.inner.random_range(0..n)
+        let span = n as u64;
+        // `zone + 1` is the largest multiple of `span` that fits in 64
+        // bits; draws above `zone` would favour the low residues.
+        let zone = u64::MAX - (u64::MAX - span + 1) % span;
+        loop {
+            let v = self.next_u64();
+            if v <= zone {
+                return (v % span) as usize;
+            }
+        }
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -181,6 +211,17 @@ mod tests {
     #[test]
     fn gaussian_moments() {
         let mut rng = Rng64::new(5);
+        // The uniform draws Box–Muller is built on stay in [0, 1), with
+        // mean near one half.
+        let n = 20_000;
+        let mut sum = 0.0;
+        for _ in 0..n {
+            let (x, y) = (rng.next_f64(), rng.next_f32());
+            assert!((0.0..1.0).contains(&x) && (0.0..1.0).contains(&y));
+            sum += x;
+        }
+        let mean = sum / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "uniform mean {mean}");
         let n = 50_000;
         let xs: Vec<f64> = (0..n).map(|_| rng.next_gaussian()).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
@@ -226,6 +267,13 @@ mod tests {
     #[test]
     fn shuffle_is_permutation() {
         let mut rng = Rng64::new(17);
+        // The Fisher–Yates draw stays below its bound and reaches every
+        // value under it.
+        let mut seen = [false; 5];
+        for _ in 0..500 {
+            seen[rng.next_below(5)] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
         let mut xs: Vec<u32> = (0..50).collect();
         rng.shuffle(&mut xs);
         let mut sorted = xs.clone();

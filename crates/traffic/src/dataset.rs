@@ -162,34 +162,32 @@ impl OdDataset {
             .unwrap_or(1)
             .clamp(1, 8);
         let chunk = total.div_ceil(threads).max(1);
-        let results: Vec<Vec<(OdTensor, Vec<crate::trip::Trip>)>> =
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (ci, seed_chunk) in seeds.chunks(chunk).enumerate() {
-                    let city = &city;
-                    let field = &field;
-                    let demand = &demand;
-                    let hist = cfg.hist;
-                    handles.push(scope.spawn(move |_| {
-                        let base = ci * chunk;
-                        seed_chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(off, &seed)| {
-                                let t = base + off;
-                                let mut rng = Rng64::new(seed);
-                                let trips = demand.sample_interval(city, field, t, &mut rng);
-                                (OdTensor::from_trips(n, &hist, &trips), trips)
-                            })
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("generation worker"))
-                    .collect()
-            })
-            .expect("generation scope");
+        let results: Vec<Vec<(OdTensor, Vec<crate::trip::Trip>)>> = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for (ci, seed_chunk) in seeds.chunks(chunk).enumerate() {
+                let city = &city;
+                let field = &field;
+                let demand = &demand;
+                let hist = cfg.hist;
+                handles.push(scope.spawn(move || {
+                    let base = ci * chunk;
+                    seed_chunk
+                        .iter()
+                        .enumerate()
+                        .map(|(off, &seed)| {
+                            let t = base + off;
+                            let mut rng = Rng64::new(seed);
+                            let trips = demand.sample_interval(city, field, t, &mut rng);
+                            (OdTensor::from_trips(n, &hist, &trips), trips)
+                        })
+                        .collect::<Vec<_>>()
+                }));
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("generation worker"))
+                .collect()
+        });
         let mut tensors = Vec::with_capacity(total);
         let mut trips = Vec::with_capacity(total);
         for block in results {

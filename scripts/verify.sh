@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification gate. Run from anywhere; operates on the repo root.
 #
-#   scripts/verify.sh                 # tier-1 gate + format + lint
-#   scripts/verify.sh --quick         # alias for the default gate (fmt + clippy + tier-1
-#                                     # + the fused-op bitwise suites)
+#   scripts/verify.sh                 # tier-1 gate + format + dependency check + lint
+#   scripts/verify.sh --quick         # alias for the default gate (fmt + deps + clippy
+#                                     # + tier-1 + the fused-op bitwise suites)
 #   scripts/verify.sh --full          # additionally run the whole workspace suite
 #                                     # (every crate's own tests, at each thread count)
 #   scripts/verify.sh --conformance   # additionally run the oracle gate
@@ -19,6 +19,13 @@
 # layers::cheby`: `cheby_conv` and `cheby_pool` against their composed
 # oracles, forward bits and every gradient, at 1 and 4 threads), which
 # live in stod-nn's unit tests and so outside the root package.
+#
+# The default gate also checks that the workspace builds on std alone:
+# every normal (non-dev) dependency of a workspace crate must resolve to a
+# workspace crate. It lists `cargo tree --offline -e normal --workspace
+# --exclude proptest --prefix none` and fails on any line that is not a
+# `stod-*` crate or the root `od-forecast` package. `proptest`, the one
+# vendored stub under compat/, is a dev-dependency and so is skipped.
 #
 # No stage times anything against a committed artifact: speed is measured
 # by the repository benchmark (`benchmark --compare`, see BENCHMARK.json),
@@ -112,6 +119,18 @@ stage_fmt() {
   cargo fmt --check
 }
 
+stage_deps() {
+  local tree outside
+  tree=$(cargo tree --offline -e normal --workspace --exclude proptest --prefix none)
+  # grep exits 1 when it selects nothing, which is the passing case.
+  outside=$(grep -v -e '^stod-' -e '^od-forecast' -e '^$' <<<"$tree" | sort -u || true)
+  if [[ -n "$outside" ]]; then
+    echo "deps: FAILED — normal dependencies from outside the workspace:" >&2
+    echo "$outside" >&2
+    exit 1
+  fi
+}
+
 stage_clippy() {
   cargo clippy -q --workspace --all-targets -- -D warnings
 }
@@ -200,6 +219,7 @@ stage_scale() {
 }
 
 run_stage "fmt" stage_fmt
+run_stage "deps" stage_deps
 run_stage "clippy" stage_clippy
 run_stage "tier-1 (×2 thread counts)" stage_tier1
 [[ "$full" == 1 ]] && run_stage "full workspace" stage_full

@@ -1,20 +1,28 @@
-//! Byte-level pins for every on-disk format the workspace writes.
+//! Byte-level pins for every on-disk format and JSON export the workspace
+//! writes, and for the random stream that checkpoints capture.
 //!
 //! Round-trip tests keep passing when a format moves, because the writer
 //! and the reader move together. These tests encode fixed inputs and
 //! assert the exact length and CRC-32 of each encoding, so any change to
 //! a single byte of `STPW` v2 (parameter stores), `STCK` v1 (training
-//! checkpoints, including the embedded Adam-state fragment) or `STWL` v1
-//! (WAL segment headers and frames) fails here. Existing checkpoints and
-//! logs keep loading only while these pins hold.
+//! checkpoints, including the embedded Adam-state fragment), `STWL` v1
+//! (WAL segment headers and frames) or the JSON exports (serving stats,
+//! fleet health, observability snapshots) fails here. Existing
+//! checkpoints and logs keep loading only while these pins hold, and a
+//! checkpoint's `RngState` resumes the same draws only while the `Rng64`
+//! stream pin holds.
 
 use od_forecast::core::TrainCheckpoint;
 use od_forecast::faultline::crc::crc32;
+use od_forecast::fleet::{BreakerSnapshot, BreakerState, FleetHealth, ShardHealth};
 use od_forecast::nn::optim::Adam;
 use od_forecast::nn::{ParamStore, Tape};
+use od_forecast::obs::{
+    CounterSnap, GaugeSnap, HistogramSnap, ObsSnapshot, SpanSnap, TraceEventSnap,
+};
 use od_forecast::serve::wal::{encode_record, segment_header};
-use od_forecast::serve::WalRecord;
-use od_forecast::tensor::rng::RngState;
+use od_forecast::serve::{ServeStats, WalRecord, WalStats};
+use od_forecast::tensor::rng::{Rng64, RngState};
 use od_forecast::tensor::Tensor;
 use od_forecast::traffic::{Trip, Window};
 
@@ -136,4 +144,138 @@ fn wal_v1_header_and_frames_are_pinned() {
     let mut seal = Vec::new();
     encode_record(&WalRecord::Seal(4242), &mut seal);
     assert_sealed_pinned("STWL seal frame", &seal, 17, 0x635f_aa75);
+}
+
+#[test]
+fn rng64_stream_at_seed_one_is_pinned() {
+    let mut rng = Rng64::new(1);
+    let raw: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
+    assert_eq!(
+        raw,
+        [
+            0xb3f2_af6d_0fc7_10c5,
+            0x853b_5596_4736_4cea,
+            0x92f8_9756_082a_4514
+        ]
+    );
+    assert_eq!(rng.next_f64().to_bits(), 0x3fd9_0b87_1ef0_99a8);
+    assert_eq!(rng.next_f32().to_bits(), 0x3f32_7a48);
+    assert_eq!(rng.next_below(7), 6);
+    assert_eq!(rng.next_gaussian().to_bits(), 0xbffb_0289_8a31_5caa);
+    let state = rng.state();
+    assert_eq!(
+        state.s,
+        [
+            0xc1b9_fa3c_a23d_c21b,
+            0x8a42_c151_fac9_af86,
+            0x6be6_3309_9f53_f80b,
+            0x2959_7071_5f99_2aba
+        ]
+    );
+    assert_eq!(
+        state.gauss_spare.map(f64::to_bits),
+        Some(0x3ff8_fd04_1ec8_1360)
+    );
+}
+
+#[test]
+fn serve_stats_json_is_pinned() {
+    let js = ServeStats::new().snapshot().to_json();
+    assert_pinned("StatsSnapshot JSON", js.as_bytes(), 869, 0xbc61_38a1);
+}
+
+#[test]
+fn fleet_health_json_is_pinned() {
+    let health = FleetHealth {
+        shards: vec![
+            ShardHealth {
+                city: 0,
+                name: "nyc".into(),
+                breaker: BreakerSnapshot {
+                    state: BreakerState::Closed,
+                    consecutive_failures: 2,
+                    trips: 3,
+                    probes: 4,
+                    rejects: 5,
+                },
+                wal: Some(WalStats {
+                    segments: 2,
+                    tail_bytes: 4096,
+                    appends: 120,
+                    fsyncs: 7,
+                    rotations: 1,
+                    replayed: 33,
+                    truncated_tails: 1,
+                    retired_segments: 6,
+                    dead: false,
+                }),
+                wal_dead: false,
+                crashed: false,
+                sealed_intervals: 12,
+                active_version: Some(9),
+            },
+            ShardHealth {
+                city: 1,
+                name: "chengdu \"night\"\\\n\t\u{1}".into(),
+                breaker: BreakerSnapshot {
+                    state: BreakerState::HalfOpen,
+                    consecutive_failures: 0,
+                    trips: 1,
+                    probes: 1,
+                    rejects: 40,
+                },
+                wal: None,
+                wal_dead: true,
+                crashed: true,
+                sealed_intervals: 0,
+                active_version: None,
+            },
+        ],
+    };
+    let js = health.to_json();
+    assert_pinned("FleetHealth JSON", js.as_bytes(), 589, 0xb483_105d);
+}
+
+#[test]
+fn obs_snapshot_json_is_pinned() {
+    let snap = ObsSnapshot {
+        schema: 1,
+        mode: "trace".into(),
+        spans: vec![SpanSnap {
+            path: "train/epoch/minibatch".into(),
+            count: 3,
+            total_ns: 9_000_000,
+            min_ns: 2_500_000,
+            max_ns: 3_500_000,
+        }],
+        counters: vec![CounterSnap {
+            name: "kernel/matmul/calls".into(),
+            value: 252,
+        }],
+        gauges: vec![GaugeSnap {
+            name: "serve/queue_depth".into(),
+            value: -3,
+            min: -7,
+            max: 11,
+            updates: 19,
+        }],
+        histograms: vec![HistogramSnap {
+            name: "serve/batch_size".into(),
+            count: 4,
+            total: 10,
+            max: 4,
+            p50: 2,
+            p90: 4,
+            p99: 4,
+        }],
+        dropped_trace_events: 2,
+        trace: vec![TraceEventSnap {
+            path: "serve/job".into(),
+            thread: 1,
+            start_ns: 123_456,
+            dur_ns: 789,
+        }],
+    };
+    let js = snap.to_json();
+    assert_pinned("ObsSnapshot JSON", js.as_bytes(), 465, 0x9dda_39e1);
 }
