@@ -215,7 +215,7 @@ impl MrModel {
             hist: uniform_hist(self.k),
             mean_speed: 0.0,
         };
-        let mut tape = Tape::new();
+        let mut tape = Tape::no_grad();
         let (hist, _) = self.forward_batch(&mut tape, &[&cell]);
         let v = tape.value(hist);
         (0..self.k).map(|j| v.at(&[0, j])).collect()

@@ -10,7 +10,10 @@
 //! Per case the production kernel runs under `par::with_forced_threads(1)`
 //! and `(4)`; the two runs must agree to 0 ULP (the workspace determinism
 //! contract), and both are compared against the [`crate::oracle`] with the
-//! condition-aware tolerance of [`crate::ulp`]. A failing case is shrunk
+//! condition-aware tolerance of [`crate::ulp`]. Cases whose forward also
+//! has a no-grad path (the eval cases of [`Kernel::ChebyPool`]) rerun it
+//! on a no-grad tape at both thread counts, and its output must match
+//! the training tape's bit for bit. A failing case is shrunk
 //! by greedy dimension-halving and dumped as JSON under
 //! `results/conformance/`.
 
@@ -90,7 +93,8 @@ pub enum Kernel {
     /// Cheby-Net conv, relu, dropout from the op's own `Rng64` stream
     /// (train) or none (eval), and max-pooling over a coarsening order
     /// with fake slots, at pool 1, 2 and 4: its output and its gradients
-    /// with respect to `X` and `W`.
+    /// with respect to `X` and `W`. Eval cases also run on a no-grad
+    /// tape, whose output must match bit for bit.
     ChebyPool,
 }
 
@@ -163,8 +167,9 @@ pub struct CaseSpec {
 /// How a case failed.
 #[derive(Debug, Clone)]
 pub struct CaseFailure {
-    /// `"thread_divergence"` (threads 1 vs 4 not bitwise) or
-    /// `"oracle_mismatch"`.
+    /// `"thread_divergence"` (threads 1 vs 4 not bitwise),
+    /// `"no_grad_divergence"` (a no-grad forward not bitwise the
+    /// training tape's) or `"oracle_mismatch"`.
     pub kind: &'static str,
     /// Flat index of the worst element.
     pub index: usize,
@@ -757,6 +762,46 @@ fn build_inputs(kernel: Kernel, seed: u64, dims: &[usize]) -> Vec<InputBuf> {
     }
 }
 
+/// The [`Kernel::ChebyPool`] stage and weights a case's inputs describe.
+fn cheby_pool_stage(
+    dims: &[usize],
+    inputs: &[InputBuf],
+) -> (stod_nn::layers::ChebyPool, ParamStore) {
+    use stod_nn::layers::{ChebyConv, ChebyPool};
+    let t = |i: usize| Tensor::from_vec(&inputs[i].dims, inputs[i].data.clone());
+    let (f, order, out) = (dims[2], dims[3], dims[4]);
+    let (pool, _) = pool_shape(dims);
+    let filter = std::sync::Arc::new(stod_tensor::CsrMatrix::from_dense(&t(0)));
+    let mut store = ParamStore::new();
+    let conv = ChebyConv::new(&mut store, "c", filter, order, f, out, &mut Rng64::new(1));
+    store.set(store.id_of("c.ws").unwrap(), t(2));
+    store.set(store.id_of("c.b").unwrap(), t(3));
+    let slots = inputs[5].data.iter().map(|&v| v as usize).collect();
+    (ChebyPool::new(conv, slots, pool), store)
+}
+
+/// The output of the cases whose forward also runs on a no-grad tape,
+/// which must match the training tape's bit for bit: the eval cases of
+/// [`Kernel::ChebyPool`], which then pool without winner codes. `None`
+/// for every other case.
+fn run_no_grad(kernel: Kernel, dims: &[usize], inputs: &[InputBuf]) -> Option<Vec<f32>> {
+    if kernel != Kernel::ChebyPool || dims[6] == 1 {
+        return None;
+    }
+    let (stage, store) = cheby_pool_stage(dims, inputs);
+    let mut tape = Tape::no_grad();
+    let x = tape.constant(Tensor::from_vec(&inputs[1].dims, inputs[1].data.clone()));
+    let y = stage.apply(
+        &mut tape,
+        &store,
+        x,
+        CHEBY_POOL_DROPOUT,
+        false,
+        &mut Rng64::new(0),
+    );
+    Some(tape.value(y).data().to_vec())
+}
+
 /// Runs the production kernel on prepared inputs under the *current*
 /// thread setting and returns the flat output buffer.
 fn run_production(kernel: Kernel, seed: u64, dims: &[usize], inputs: &[InputBuf]) -> Vec<f32> {
@@ -815,17 +860,8 @@ fn run_production(kernel: Kernel, seed: u64, dims: &[usize], inputs: &[InputBuf]
             [tape.value(y).data(), dx.data(), dw.data()].concat()
         }
         Kernel::ChebyPool => {
-            use stod_nn::layers::{ChebyConv, ChebyPool};
-            let (f, order, out) = (dims[2], dims[3], dims[4]);
-            let (pool, _) = pool_shape(dims);
-            let filter = std::sync::Arc::new(stod_tensor::CsrMatrix::from_dense(&t(0)));
-            let mut store = ParamStore::new();
-            let conv = ChebyConv::new(&mut store, "c", filter, order, f, out, &mut Rng64::new(1));
+            let (stage, store) = cheby_pool_stage(dims, inputs);
             let ws = store.id_of("c.ws").unwrap();
-            store.set(ws, t(2));
-            store.set(store.id_of("c.b").unwrap(), t(3));
-            let slots = inputs[5].data.iter().map(|&v| v as usize).collect();
-            let stage = ChebyPool::new(conv, slots, pool);
             let mut tape = Tape::new();
             let x = tape.leaf(t(1));
             let train = dims[6] == 1;
@@ -1044,6 +1080,29 @@ pub fn run_case(spec: &CaseSpec) -> Option<CaseFailure> {
             ulp: ulp::ulp_diff(g, w),
             abs_err: (g as f64 - w as f64).abs(),
         });
+    }
+    // A no-grad forward must leave every output bit as it was.
+    for threads in [1, 4] {
+        let Some(lean) =
+            par::with_forced_threads(threads, || run_no_grad(spec.kernel, &dims, &inputs))
+        else {
+            break;
+        };
+        if let Some((index, (&g, &w))) = lean
+            .iter()
+            .zip(out1.iter())
+            .enumerate()
+            .find(|(_, (a, b))| a.to_bits() != b.to_bits())
+        {
+            return Some(CaseFailure {
+                kind: "no_grad_divergence",
+                index,
+                got: g,
+                want: w as f64,
+                ulp: ulp::ulp_diff(g, w),
+                abs_err: (g as f64 - w as f64).abs(),
+            });
+        }
     }
     let want = run_oracle(spec.kernel, &dims, &inputs);
     let (terms, budget) = tolerance(spec.kernel, &dims);

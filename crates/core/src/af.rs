@@ -485,19 +485,22 @@ impl AfModel {
         let c_future = self.forecast(tape, &self.c_rnn, &c_seq, horizon);
         drop(forecast_span);
 
-        // Recovery + Eq. 11 regularizers.
+        // Recovery + Eq. 11 regularizers (training only: no eval caller
+        // reads them).
         let _recover_span = stod_obs::span!("af/recover");
         let bias = self.recovery_bias(tape);
         let mut predictions = Vec::with_capacity(horizon);
         let mut reg: Option<Var> = None;
         for (j, (rv, cv)) in r_future.into_iter().zip(c_future).enumerate() {
-            let r_reg = self.factor_reg(tape, rv, &self.origin_l, self.cfg.lambda_r);
-            let c_reg = self.factor_reg(tape, cv, &self.dest_l, self.cfg.lambda_c);
-            let step_reg = tape.add(r_reg, c_reg);
-            reg = Some(match reg {
-                Some(acc) => tape.add(acc, step_reg),
-                None => step_reg,
-            });
+            if mode.is_train() {
+                let r_reg = self.factor_reg(tape, rv, &self.origin_l, self.cfg.lambda_r);
+                let c_reg = self.factor_reg(tape, cv, &self.dest_l, self.cfg.lambda_c);
+                let step_reg = tape.add(r_reg, c_reg);
+                reg = Some(match reg {
+                    Some(acc) => tape.add(acc, step_reg),
+                    None => step_reg,
+                });
+            }
             let r4 = tape.reshape(rv, &[b, n, rank, k]);
             let c4 = {
                 let c3 = tape.reshape(cv, &[b, nd, rank, k]);
@@ -565,6 +568,10 @@ mod tests {
                 assert!((s - 1.0).abs() < 1e-4, "cell sums to {s}");
             }
         }
+        assert!(out.regularizer.is_none(), "eval builds no regularizer");
+        let mut tape = Tape::new();
+        let train = Mode::Train { dropout: 0.0 };
+        let out = model.forward(&mut tape, &inputs, 2, train, &mut rng);
         let reg = tape.value(out.regularizer.unwrap()).item();
         assert!(reg >= 0.0 && reg.is_finite(), "Dirichlet reg = {reg}");
     }

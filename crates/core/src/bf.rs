@@ -231,7 +231,8 @@ impl BfModel {
         let r_future = self.seq_r.forward(tape, &self.store, &r_seq, horizon);
         let c_future = self.seq_c.forward(tape, &self.store, &c_seq, horizon);
 
-        // Recovery + Frobenius regularizers (Eq. 4).
+        // Recovery + Frobenius regularizers (Eq. 4, training only: no
+        // eval caller reads them).
         let bias = self.recovery_bias(tape);
         let mut predictions = Vec::with_capacity(horizon);
         let mut reg: Option<Var> = None;
@@ -245,6 +246,9 @@ impl BfModel {
                 Some(mask) => recover_masked(tape, r4, c4, Some(bias), mask),
                 None => recover(tape, r4, c4, Some(bias)),
             });
+            if !mode.is_train() {
+                continue;
+            }
             let r_reg = tape.frob_sq(r4);
             let r_reg = tape.scale(r_reg, self.cfg.lambda_r / b as f32);
             let c_reg = tape.frob_sq(c4);
@@ -304,6 +308,10 @@ mod tests {
                 assert!((s - 1.0).abs() < 1e-4);
             }
         }
+        assert!(out.regularizer.is_none(), "eval builds no regularizer");
+        let mut tape = Tape::new();
+        let train = Mode::Train { dropout: 0.0 };
+        let out = model.forward(&mut tape, &inputs, 2, train, &mut rng);
         assert!(out.regularizer.is_some());
     }
 

@@ -62,7 +62,7 @@ pub fn evaluate(
 
     for chunk in windows.chunks(batch_size.max(1)) {
         let batch = make_batch(ds, chunk);
-        let mut tape = Tape::new();
+        let mut tape = Tape::no_grad();
         let out = model.forward(&mut tape, &batch.inputs, h, Mode::Eval, &mut rng);
         for (j, pred_var) in out.predictions.iter().enumerate() {
             let pred = tape.value(*pred_var);

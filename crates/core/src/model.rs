@@ -38,7 +38,9 @@ pub struct ModelOutput {
     /// already recovered (softmaxed histograms per cell).
     pub predictions: Vec<Var>,
     /// Optional scalar regularization term (the λ_R‖R̂‖² + λ_C‖Ĉ‖² part of
-    /// Eq. 4 / Eq. 11), to be *added* to the data loss.
+    /// Eq. 4 / Eq. 11), to be *added* to the data loss. Built only in
+    /// [`Mode::Train`]: `None` in [`Mode::Eval`], whose callers read only
+    /// the predictions.
     pub regularizer: Option<Var>,
 }
 

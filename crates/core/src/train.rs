@@ -625,6 +625,9 @@ fn run_robust(
 }
 
 /// Mean first-step EMD over a validation set (cheap per-epoch signal).
+/// Each batch unrolls one step on a no-grad tape: an h-step forecast's
+/// first step is bitwise the one-step forecast, and eval draws nothing
+/// from `rng`.
 fn quick_val_emd(
     model: &dyn OdForecaster,
     ds: &OdDataset,
@@ -639,14 +642,8 @@ fn quick_val_emd(
     let mut acc = stod_metrics::DisSim::new();
     for chunk in windows.chunks(batch_size) {
         let batch = make_batch(ds, chunk);
-        let mut tape = Tape::new();
-        let out = model.forward(
-            &mut tape,
-            &batch.inputs,
-            batch.targets.len(),
-            Mode::Eval,
-            rng,
-        );
+        let mut tape = Tape::no_grad();
+        let out = model.forward(&mut tape, &batch.inputs, 1, Mode::Eval, rng);
         let pred = tape.value(out.predictions[0]);
         let (bsz, n, nd, k) = (pred.dim(0), pred.dim(1), pred.dim(2), pred.dim(3));
         let target = &batch.targets[0];

@@ -89,35 +89,6 @@ impl ShadowReport {
         }
         c > i * (1.0 + self.margin)
     }
-
-    /// Compact single-line JSON (hand-built like the bench artifacts; no
-    /// serializer dependency).
-    pub fn to_json(&self) -> String {
-        let f = |x: f64| {
-            if x.is_finite() {
-                format!("{x:.6}")
-            } else {
-                "null".into()
-            }
-        };
-        format!(
-            concat!(
-                "{{\"candidate_emd\":{},\"incumbent_emd\":{},\"corrector_emd\":{},",
-                "\"candidate_js\":{},\"incumbent_js\":{},\"corrector_js\":{},",
-                "\"cells\":{},\"intervals\":{},\"margin\":{},\"decision\":\"{:?}\"}}"
-            ),
-            f(self.candidate.emd),
-            f(self.incumbent.emd),
-            f(self.corrector.emd),
-            f(self.candidate.js),
-            f(self.incumbent.js),
-            f(self.corrector.js),
-            self.candidate.cells,
-            self.intervals,
-            self.margin,
-            self.decision(),
-        )
-    }
 }
 
 impl std::fmt::Display for ShadowReport {
@@ -189,14 +160,5 @@ mod tests {
         assert!(!report(1.04, 1.0, 1.0, 0.05).regressed());
         assert!(report(1.06, 1.0, 1.0, 0.05).regressed());
         assert!(report(f64::NAN, 1.0, 1.0, 0.05).regressed());
-    }
-
-    #[test]
-    fn json_is_well_formed_ish() {
-        let j = report(0.8, 1.0, 0.9, 0.05).to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"decision\":\"Promote\""));
-        let j = report(f64::NAN, 1.0, 0.9, 0.05).to_json();
-        assert!(j.contains("\"candidate_emd\":null"));
     }
 }

@@ -68,6 +68,16 @@
 //! composed max-pool then sent the slot's gradient to element 0 of its
 //! input, while the fused op routes none.
 //!
+//! In eval mode, when nothing can differentiate the output — no parent
+//! [`Tape::requires_grad`], as on a [`Tape::no_grad`] tape — the stage
+//! keeps no backward state: it frees `Z` right after the mixing GEMM,
+//! max-pools `relu(y)` straight into the output with the mask and the
+//! winner tracking compiled out of the same scan (`pool_block`'s
+//! `TRACK`), and records a `cheby_pool` node with no backward. The
+//! output keeps every bit: the eval factor it skips is exactly 1.0,
+//! `relu` never yields NaN, and the same candidates are compared in the
+//! same order.
+//!
 //! The composed layer and the composed chain survive as the test oracles
 //! the unit suite compares the fused ops against, bit for bit.
 
@@ -260,13 +270,15 @@ fn unpack_winner(code: f32) -> (usize, bool, bool) {
 const LANES: usize = 8;
 
 /// Max-pools one window over the `L` features from `j0` of a slice's
-/// conv output `yb [N, Q]` and dropout factors: `(max, winning node)`
-/// per feature, the node as an `f32` or [`FAKE_WINNER`]. A candidate
-/// replaces the running max only when strictly larger, so the first of
-/// equal candidates wins and NaN never does; a fake slot (node `N`) is
-/// +0.0.
+/// conv output `yb [N, Q]`, the candidates `relu(y)·mask` with `TRACK`
+/// and `relu(y)` without: `(max, winning node)` per feature, the node as
+/// an `f32` or [`FAKE_WINNER`]. A candidate replaces the running max only
+/// when strictly larger, so the first of equal candidates wins and NaN
+/// never does; a fake slot (node `N`) is +0.0. Without `TRACK` the mask
+/// is not read and the winners are not written: the eval scan keeps
+/// only the compare-select of the max.
 #[inline(always)]
-fn pool_block<const L: usize>(
+fn pool_block<const L: usize, const TRACK: bool>(
     window: &[usize],
     yb: &[f32],
     mask: &[f32],
@@ -279,7 +291,9 @@ fn pool_block<const L: usize>(
     let mut take_if_greater = |l: usize, cand: f32, id: f32| {
         let take = cand > best[l];
         best[l] = if take { cand } else { best[l] };
-        won[l] = if take { id } else { won[l] };
+        if TRACK {
+            won[l] = if take { id } else { won[l] };
+        }
     };
     for &node in window {
         if node == n {
@@ -288,15 +302,20 @@ fn pool_block<const L: usize>(
         }
         let at = node * q + j0;
         let v: &[f32; L] = yb[at..at + L].try_into().expect("one block");
-        let f: &[f32; L] = mask[at..at + L].try_into().expect("one block");
-        (0..L).for_each(|l| take_if_greater(l, v[l].max(0.0) * f[l], node as f32));
+        if TRACK {
+            let f: &[f32; L] = mask[at..at + L].try_into().expect("one block");
+            (0..L).for_each(|l| take_if_greater(l, v[l].max(0.0) * f[l], node as f32));
+        } else {
+            (0..L).for_each(|l| take_if_greater(l, v[l].max(0.0), node as f32));
+        }
     }
     (best, won)
 }
 
 /// Records one spatial-factorization stage — conv, relu, inverted
 /// dropout, zero pad, coarsening gather and max-pool — as one
-/// `cheby_pool` tape node over `x [Bs, N, F]`, `w` and `b`.
+/// `cheby_pool` tape node over `x [Bs, N, F]`, `w` and `b`. An eval stage
+/// that nothing can differentiate keeps no backward state.
 #[allow(clippy::too_many_arguments)] // one op's operands, private to this file
 fn cheby_pool(
     tape: &mut Tape,
@@ -310,13 +329,19 @@ fn cheby_pool(
     dropout: Option<f32>,
     rng: &mut Rng64,
 ) -> Var {
-    let (y, z) = forward(l, order, tape.value(x), tape.value(w), tape.value(b));
-    let (pooled, winners) = pool_forward(&y, slots, pool, dropout, rng);
-    let n = y.dim(1);
     // The parents of `cheby_conv`, so the input's contributions reach the
     // tape in the same order.
     let mut parents = vec![x; order.min(3)];
     parents.extend([w, b]);
+    let (y, z) = forward(l, order, tape.value(x), tape.value(w), tape.value(b));
+    if dropout.is_none() && !parents.iter().any(|&p| tape.requires_grad(p)) {
+        // Nothing can differentiate the output: no backward state.
+        drop(z);
+        let pooled = pool_eval(&y, slots, pool);
+        return tape.custom_op_no_grad("cheby_pool", pooled, &parents);
+    }
+    let (pooled, winners) = pool_forward(&y, slots, pool, dropout, rng);
+    let n = y.dim(1);
     let l = Arc::clone(l);
     let scale = dropout.map(keep_scale);
     tape.custom_op(
@@ -388,12 +413,12 @@ fn pool_forward(
         let windows = ob.chunks_exact_mut(q).zip(wb.chunks_exact_mut(q));
         for (window, (best, won)) in slots.chunks_exact(pool).zip(windows) {
             for j0 in (0..blocked).step_by(LANES) {
-                let (b, w) = pool_block::<LANES>(window, yb, &mask, q, j0);
+                let (b, w) = pool_block::<LANES, true>(window, yb, &mask, q, j0);
                 best[j0..j0 + LANES].copy_from_slice(&b);
                 won[j0..j0 + LANES].copy_from_slice(&w);
             }
             for j in blocked..q {
-                let ([b], [w]) = pool_block::<1>(window, yb, &mask, q, j);
+                let ([b], [w]) = pool_block::<1, true>(window, yb, &mask, q, j);
                 best[j] = b;
                 won[j] = w;
             }
@@ -410,6 +435,37 @@ fn pool_forward(
         Tensor::from_vec(&[bs, m, q], pooled),
         Tensor::from_vec(&[bs, m, q], winners),
     )
+}
+
+/// [`pool_forward`] in eval mode with nothing to differentiate: the
+/// pooled `[Bs, m, Q]` alone, from one scan with no dropout mask and no
+/// winners. Without dropout the forward's factors are all exactly 1.0
+/// and relu never yields NaN, so every candidate and every output bit is
+/// the same.
+fn pool_eval(y: &Tensor, slots: &[usize], pool: usize) -> Tensor {
+    let (bs, n, q) = (y.dim(0), y.dim(1), y.dim(2));
+    let m = slots.len() / pool;
+    let mut pooled = arena::alloc_raw(bs * m * q);
+    let blocked = q - q % LANES;
+    let slices = y.data().chunks_exact(n * q);
+    for (yb, ob) in slices.zip(pooled.chunks_exact_mut(m * q)) {
+        if pool == 1 {
+            for (o, &v) in ob.iter_mut().zip(yb) {
+                *o = v.max(0.0);
+            }
+            continue;
+        }
+        for (window, best) in slots.chunks_exact(pool).zip(ob.chunks_exact_mut(q)) {
+            for j0 in (0..blocked).step_by(LANES) {
+                let (b, _) = pool_block::<LANES, false>(window, yb, &[], q, j0);
+                best[j0..j0 + LANES].copy_from_slice(&b);
+            }
+            for (j, b) in best.iter_mut().enumerate().skip(blocked) {
+                *b = pool_block::<1, false>(window, yb, &[], q, j).0[0];
+            }
+        }
+    }
+    Tensor::from_vec(&[bs, m, q], pooled)
 }
 
 /// The conv output's gradient `dY [Bs·N, Q]` from the pooled gradient
@@ -1270,6 +1326,137 @@ mod tests {
             ],
             "pool 1 / fake-heavy",
         );
+    }
+
+    /// Conv outputs or inputs drawn from the values where eval pooling
+    /// could go wrong: both zeros, both infinities, NaN, the extremes of
+    /// the finite range and a subnormal, beside plain values.
+    fn special_values(len: usize, seed: u64) -> Vec<f32> {
+        const PALETTE: [f32; 10] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            1e-40,
+            1.5,
+            -2.0,
+        ];
+        let mut rng = Rng64::new(seed);
+        (0..len)
+            .map(|_| PALETTE[rng.next_below(PALETTE.len())])
+            .collect()
+    }
+
+    #[test]
+    fn untracked_pooling_matches_tracked_and_composed_on_special_values() {
+        for (pool, n, m) in [(1, 9, 9), (2, 9, 6), (4, 9, 3), (4, 7, 4)] {
+            let (bs, q) = (3, 11);
+            let st = Stage {
+                n,
+                f: 1,
+                q,
+                order: 1,
+                pool,
+                m,
+            };
+            let slots = random_order(st, 5 + pool as u64);
+            let y = Tensor::from_vec(&[bs, n, q], special_values(bs * n * q, pool as u64));
+            let lean = pool_eval(&y, &slots, pool);
+            let (tracked, _) = pool_forward(&y, &slots, pool, None, &mut Rng64::new(0));
+            let mut tape = Tape::new();
+            let r = tape.constant(y.clone());
+            let mut composed = tape.relu(r);
+            if pool > 1 {
+                let zeros = tape.constant(Tensor::zeros(&[bs, 1, q]));
+                let padded = tape.concat(&[composed, zeros], 1);
+                let gathered = tape.index_select(padded, 1, &slots);
+                composed = tape.max_pool_axis(gathered, 1, pool);
+            }
+            assert_eq!(
+                bits(&lean),
+                bits(&tracked),
+                "pool {pool}: tracked bits differ"
+            );
+            assert_eq!(
+                bits(&lean),
+                bits(tape.value(composed)),
+                "pool {pool}: composed bits differ"
+            );
+        }
+    }
+
+    /// The output bits of `stage` on `x0` in eval mode, on a no-grad tape
+    /// or on a training tape with `x0` as a leaf, plus whether the
+    /// recorded node can be differentiated.
+    fn eval_stage(
+        stage: &ChebyPool,
+        store: &ParamStore,
+        x0: &Tensor,
+        no_grad: bool,
+    ) -> (Vec<u32>, bool) {
+        let mut tape = if no_grad {
+            Tape::no_grad()
+        } else {
+            Tape::new()
+        };
+        let x = tape.leaf(x0.clone());
+        let y = stage.apply(&mut tape, store, x, 0.2, false, &mut Rng64::new(1));
+        assert_eq!(tape.op_counts().get("cheby_pool"), Some(&1));
+        (bits(tape.value(y)), tape.requires_grad(y))
+    }
+
+    #[test]
+    fn no_grad_pool_matches_training_tape_eval_bitwise() {
+        let stages = [
+            (67, 7, 16, 3, 2, 35),
+            (23, 4, 5, 3, 1, 23),
+            (17, 6, 9, 2, 4, 9),
+            (9, 3, 4, 5, 2, 8),
+        ];
+        for threads in [1, 4] {
+            for (n, f, q, order, pool, m) in stages {
+                let st = Stage {
+                    n,
+                    f,
+                    q,
+                    order,
+                    pool,
+                    m,
+                };
+                let mut store = ParamStore::new();
+                let mut rng = Rng64::new(70 + n as u64);
+                let l = random_scaled_laplacian(n, n as u64);
+                let conv = ChebyConv::new(&mut store, "p", l, order, f, q, &mut rng);
+                let stage = ChebyPool::new(conv, random_order(st, 90 + n as u64), pool);
+                let id = store.id_of("p.b").unwrap();
+                *store.get_mut(id) = Tensor::randn(&[q], 0.3, &mut rng);
+                let batch = 3;
+                let inputs = [
+                    ("random", Tensor::randn(&[batch, n, f], 1.0, &mut rng)),
+                    ("zeros", Tensor::zeros(&[batch, n, f])),
+                    (
+                        "special",
+                        Tensor::from_vec(&[batch, n, f], special_values(batch * n * f, n as u64)),
+                    ),
+                ];
+                for (label, x0) in &inputs {
+                    let case = format!("threads={threads} {st:?} {label}");
+                    let ((lean, lean_grad), (full, full_grad)) =
+                        stod_tensor::par::with_forced_threads(threads, || {
+                            (
+                                eval_stage(&stage, &store, x0, true),
+                                eval_stage(&stage, &store, x0, false),
+                            )
+                        });
+                    assert!(lean == full, "{case}: no-grad output bits differ");
+                    assert!(!lean_grad, "{case}: the no-grad node has a backward");
+                    assert!(full_grad, "{case}: the training node has no backward");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,20 @@
 //! multiplying by fixed matrices — scaled Laplacians, masks — costs nothing
 //! on the backward pass.
 //!
+//! # No-grad tapes
+//!
+//! A forward that nothing differentiates — a served forecast, a validation
+//! or test evaluation — runs on a [`Tape::no_grad`] tape. Its parameter
+//! leaves are constants, so no node requires gradients and `push` prunes
+//! every op's backward closure as the op records it: whatever a closure
+//! captured (a fused op's `Z`, pooling winners, dropout masks) is freed
+//! back to the arena when the op returns instead of living until the
+//! tape drops. Fused ops that would do backward-only work ask
+//! [`Tape::requires_grad`] first and skip it (`cheby_pool` pools without
+//! winner codes). Every op computes its value the same way on either
+//! tape, so forward values are bitwise equal; [`Tape::backward`] on a
+//! no-grad tape panics.
+//!
 //! Every node carries a static op name (`matmul`, `cheby_conv`, …). When
 //! the observability layer is armed, [`Tape::backward`] times each node's
 //! backward closure under an `nn/bwd/<op>` span, so backward time is
@@ -119,6 +133,8 @@ pub struct Tape {
     nodes: Vec<Node>,
     /// `(node index, param id)` for every parameter leaf on this tape.
     param_leaves: Vec<(usize, ParamId)>,
+    /// Set by [`Tape::no_grad`]: every leaf is a constant.
+    no_grad: bool,
 }
 
 /// Sums a gradient down to `target_dims`, undoing NumPy-style broadcasting.
@@ -142,9 +158,28 @@ fn reduce_to_shape(grad: Tensor, target_dims: &[usize]) -> Tensor {
 }
 
 impl Tape {
-    /// Creates an empty tape.
+    /// Creates an empty training tape.
     pub fn new() -> Self {
         Tape::default()
+    }
+
+    /// Creates an empty no-grad tape, for forwards that nothing
+    /// differentiates: [`Tape::param`] and [`Tape::leaf`] record
+    /// `constant` leaves, so no op keeps a backward closure and
+    /// [`Tape::backward`] panics. Forward values are bitwise those of a
+    /// [`Tape::new`] tape.
+    pub fn no_grad() -> Self {
+        Tape {
+            no_grad: true,
+            ..Tape::default()
+        }
+    }
+
+    /// Whether anything can differentiate `v`: false for constants, for
+    /// values computed only from constants, and for every node of a
+    /// no-grad tape. Fused ops ask before doing backward-only work.
+    pub fn requires_grad(&self, v: Var) -> bool {
+        self.nodes[v.0].requires_grad
     }
 
     /// Number of nodes recorded so far.
@@ -221,6 +256,21 @@ impl Tape {
         )
     }
 
+    /// Registers a fused operation whose output nothing can
+    /// differentiate (no parent [`Tape::requires_grad`]): a node named
+    /// `op` over `parents` with no backward, for ops that skip building
+    /// backward state they would only drop.
+    ///
+    /// # Panics
+    /// Panics if a parent requires gradients.
+    pub fn custom_op_no_grad(&mut self, op: &'static str, value: Tensor, parents: &[Var]) -> Var {
+        assert!(
+            !parents.iter().any(|&p| self.requires_grad(p)),
+            "{op}: a parent requires gradients, so the op needs a backward"
+        );
+        self.push(op, value, parents.iter().map(|v| v.0).collect(), None)
+    }
+
     /// Adds a constant (non-differentiable) leaf.
     pub fn constant(&mut self, t: Tensor) -> Var {
         self.nodes.push(Node {
@@ -234,8 +284,11 @@ impl Tape {
     }
 
     /// Adds a differentiable leaf that is *not* a registered parameter
-    /// (used by gradient checks).
+    /// (used by gradient checks); a constant on a no-grad tape.
     pub fn leaf(&mut self, t: Tensor) -> Var {
+        if self.no_grad {
+            return self.constant(t);
+        }
         self.nodes.push(Node {
             op: "leaf",
             value: t,
@@ -246,10 +299,13 @@ impl Tape {
         Var(self.nodes.len() - 1)
     }
 
-    /// Adds a parameter leaf reading its current value from `store`.
+    /// Adds a parameter leaf reading its current value from `store`; a
+    /// constant on a no-grad tape.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         let v = self.leaf(store.get(id).clone());
-        self.param_leaves.push((v.0, id));
+        if !self.no_grad {
+            self.param_leaves.push((v.0, id));
+        }
         v
     }
 
@@ -827,7 +883,8 @@ impl Tape {
     /// for parameters used multiple times accumulate.
     ///
     /// # Panics
-    /// Panics if `loss` is not a scalar (1-element) node.
+    /// Panics if `loss` is not a scalar (1-element) node, or on a no-grad
+    /// tape.
     pub fn backward(&self, loss: Var) -> Gradients {
         let _span = stod_obs::span!("nn/backward");
         let grads = self.propagate(loss, &[]);
@@ -866,6 +923,10 @@ impl Tape {
     /// `keep` holding theirs after their own backward ran (the others
     /// hand theirs to the closure by value).
     fn propagate(&self, loss: Var, keep: &[Var]) -> Vec<Option<Tensor>> {
+        assert!(
+            !self.no_grad,
+            "backward on a no-grad tape (Tape::no_grad): it records no backward closures"
+        );
         assert_eq!(
             self.nodes[loss.0].value.numel(),
             1,
@@ -1098,6 +1159,90 @@ mod tests {
         let loss = tape.sum_all(p);
         let g = tape.backward_wrt(loss, &[a]);
         assert_eq!(g[0].as_ref().unwrap().data(), &[0.0, 1.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn no_grad_tape_records_parameters_as_constants() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Tensor::from_vec(&[2], vec![2.0, 3.0]));
+        let mut tape = Tape::no_grad();
+        let wv = tape.param(&store, w);
+        let x = tape.leaf(Tensor::ones(&[2]));
+        let y = tape.mul(wv, x);
+        assert_eq!(tape.value(y).data(), &[2.0, 3.0]);
+        assert!(![wv, x, y].iter().any(|&v| tape.requires_grad(v)));
+        let counts = tape.op_counts();
+        assert_eq!(counts.get("constant"), Some(&2));
+        assert_eq!(counts.get("leaf"), None);
+        assert_eq!(counts.get("mul"), Some(&1));
+    }
+
+    /// The bits of a small graph mixing every op family, on `tape`.
+    fn chain_bits(mut tape: Tape) -> Vec<u32> {
+        let mut store = ParamStore::new();
+        let mut rng = Rng64::new(3);
+        let w = store.register("w", Tensor::randn(&[3, 4], 1.0, &mut rng));
+        let x = tape.constant(Tensor::randn(&[2, 3], 1.0, &mut rng));
+        let wv = tape.param(&store, w);
+        let h = tape.matmul(x, wv);
+        let h = tape.sigmoid(h);
+        let h = tape.dropout(h, 0.3, true, &mut rng);
+        let h = tape.transpose(h, 0, 1);
+        let s = tape.softmax(h, 1);
+        tape.value(s).data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn no_grad_values_match_a_training_tape_bitwise() {
+        assert_eq!(chain_bits(Tape::no_grad()), chain_bits(Tape::new()));
+    }
+
+    #[test]
+    fn no_grad_op_frees_its_backward_state_when_it_returns() {
+        use std::rc::Rc;
+        let state = Rc::new(());
+        for (mut tape, holders) in [(Tape::new(), 2), (Tape::no_grad(), 1)] {
+            let x = tape.leaf(Tensor::ones(&[2]));
+            let captured = Rc::clone(&state);
+            tape.custom_op(
+                "probe",
+                Tensor::ones(&[2]),
+                &[x],
+                Box::new(move |g, _, _, _| {
+                    let _ = &captured;
+                    vec![Some(g.clone())]
+                }),
+            );
+            assert_eq!(Rc::strong_count(&state), holders);
+        }
+    }
+
+    #[test]
+    fn custom_op_no_grad_records_a_named_node_without_backward() {
+        let mut tape = Tape::no_grad();
+        let x = tape.leaf(Tensor::ones(&[2]));
+        let y = tape.custom_op_no_grad("probe", Tensor::zeros(&[2]), &[x]);
+        assert!(!tape.requires_grad(y));
+        assert_eq!(tape.op_counts().get("probe"), Some(&1));
+    }
+
+    #[test]
+    #[should_panic(expected = "requires gradients")]
+    fn custom_op_no_grad_rejects_a_differentiable_parent() {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::ones(&[2]));
+        tape.custom_op_no_grad("probe", Tensor::zeros(&[2]), &[x]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no-grad tape")]
+    fn backward_on_a_no_grad_tape_panics() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Tensor::ones(&[2]));
+        let mut tape = Tape::no_grad();
+        let wv = tape.param(&store, w);
+        let loss = tape.sum_all(wv);
+        tape.backward(loss);
     }
 
     #[test]

@@ -167,8 +167,13 @@ impl ServedModel {
 
     /// Runs one deterministic evaluation forward pass and materializes the
     /// predicted tensors (each `[B, N, N', K]`, one per horizon step).
+    ///
+    /// The forward runs on a no-grad tape ([`Tape::no_grad`]) in
+    /// [`Mode::Eval`]: the weights are constants, no op keeps backward
+    /// state and no regularizer is built, and the predictions are bitwise
+    /// those of a training tape's eval forward.
     pub fn forecast(&self, inputs: &[Tensor], horizon: usize) -> Vec<Tensor> {
-        let mut tape = Tape::new();
+        let mut tape = Tape::no_grad();
         let mut rng = Rng64::new(0); // unused in Eval mode; forward needs one
         let out = self
             .model

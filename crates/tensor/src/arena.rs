@@ -65,6 +65,17 @@ pub struct ArenaStats {
     pub reuses: u64,
     /// Allocations that had to hit the global allocator.
     pub fresh: u64,
+    /// Bytes those fresh allocations asked the global allocator for (a
+    /// managed request's whole size class).
+    pub fresh_bytes: u64,
+}
+
+impl ArenaStats {
+    /// Counts one fresh allocation of `len` elements.
+    fn count_fresh(&mut self, len: usize) {
+        self.fresh += 1;
+        self.fresh_bytes += 4 * len as u64;
+    }
 }
 
 struct Arena {
@@ -103,7 +114,7 @@ fn class_of(len: usize) -> Option<usize> {
 /// be overwritten before it is read.
 pub fn alloc_raw(len: usize) -> Vec<f32> {
     let Some(c) = class_of(len) else {
-        ARENA.with(|a| a.borrow_mut().stats.fresh += 1);
+        ARENA.with(|a| a.borrow_mut().stats.count_fresh(len));
         return vec![0.0; len];
     };
     let cap = 1usize << c;
@@ -119,7 +130,7 @@ pub fn alloc_raw(len: usize) -> Vec<f32> {
             }
             buf
         } else {
-            a.stats.fresh += 1;
+            a.stats.count_fresh(cap);
             let mut buf = Vec::with_capacity(cap);
             buf.resize(len, 0.0);
             buf
@@ -130,7 +141,7 @@ pub fn alloc_raw(len: usize) -> Vec<f32> {
 /// A buffer of `len` elements filled with `value`.
 pub fn alloc_filled(len: usize, value: f32) -> Vec<f32> {
     let Some(c) = class_of(len) else {
-        ARENA.with(|a| a.borrow_mut().stats.fresh += 1);
+        ARENA.with(|a| a.borrow_mut().stats.count_fresh(len));
         return vec![value; len];
     };
     let cap = 1usize << c;
@@ -143,7 +154,7 @@ pub fn alloc_filled(len: usize, value: f32) -> Vec<f32> {
             buf.resize(len, value);
             buf
         } else {
-            a.stats.fresh += 1;
+            a.stats.count_fresh(cap);
             let mut buf = Vec::with_capacity(cap);
             buf.resize(len, value);
             buf
@@ -239,6 +250,8 @@ mod tests {
         assert_eq!(b.as_ptr(), p, "same-class request must reuse the buffer");
         assert_eq!(b.len(), 70);
         assert_eq!(stats().reuses, 1);
+        assert_eq!(stats().fresh, 1);
+        assert_eq!(stats().fresh_bytes, 4 * 128, "a fresh buffer is its class");
         reset_stats();
     }
 

@@ -51,7 +51,7 @@ fn main() {
         })
         .unwrap_or(split.test.last().expect("test windows"));
     let batch = od_forecast::core::batch::make_batch(&ds, &[w]);
-    let mut tape = od_forecast::nn::Tape::new();
+    let mut tape = od_forecast::nn::Tape::no_grad();
     let mut rng = od_forecast::tensor::rng::Rng64::new(0);
     let out = model.forward(&mut tape, &batch.inputs, 1, Mode::Eval, &mut rng);
     let pred = tape.value(out.predictions[0]);

@@ -66,7 +66,7 @@ fn main() {
     // 5. Inspect one forecast cell: full tensors have no empty cells.
     let w = split.test[split.test.len() / 2];
     let batch = od_forecast::core::batch::make_batch(&ds, &[w]);
-    let mut tape = od_forecast::nn::Tape::new();
+    let mut tape = od_forecast::nn::Tape::no_grad();
     let mut rng = od_forecast::tensor::rng::Rng64::new(0);
     let out = od_forecast::core::OdForecaster::forward(
         &model,

@@ -3,7 +3,8 @@
 #
 #   scripts/verify.sh                 # tier-1 gate + format + dependency check + lint
 #   scripts/verify.sh --quick         # alias for the default gate (fmt + deps + clippy
-#                                     # + tier-1 + the fused-op bitwise suites)
+#                                     # + tier-1 + the fused-op bitwise suites
+#                                     # + the tape unit tests)
 #   scripts/verify.sh --full          # additionally run the whole workspace suite
 #                                     # (every crate's own tests, at each thread count)
 #   scripts/verify.sh --conformance   # additionally run the oracle gate
@@ -15,10 +16,14 @@
 #
 # Tier-1 (the gate CI enforces) is the root package: its integration
 # tests in tests/ exercise every crate end-to-end. The default gate also
-# runs the fused tape ops' bitwise suites (`cargo test -p stod-nn --lib
+# runs two stod-nn unit suites, which live outside the root package: the
+# fused tape ops' bitwise suites (`cargo test -p stod-nn --lib
 # layers::cheby`: `cheby_conv` and `cheby_pool` against their composed
-# oracles, forward bits and every gradient, at 1 and 4 threads), which
-# live in stod-nn's unit tests and so outside the root package.
+# oracles, forward bits and every gradient, and the no-grad `cheby_pool`
+# against the training tape's eval output, at 1 and 4 threads), and the
+# tape's own tests (`cargo test -p stod-nn --lib tape`: among them the
+# no-grad mode's constant leaves, pruned backward state and panicking
+# backward), at STOD_THREADS=1 and 4.
 #
 # The default gate also checks that the workspace builds on std alone:
 # every normal (non-dev) dependency of a workspace crate must resolve to a
@@ -148,6 +153,10 @@ stage_tier1() {
   # The suites force 1 and 4 threads themselves, so one run covers both.
   echo "==> fused-op bitwise suites (stod-nn layers::cheby)"
   cargo test -q -p stod-nn --lib layers::cheby
+  for t in 1 4; do
+    echo "==> tape unit tests (stod-nn tape), STOD_THREADS=$t"
+    STOD_THREADS="$t" cargo test -q -p stod-nn --lib tape
+  done
 }
 
 stage_full() {
