@@ -3,8 +3,8 @@
 //! * the model modes (`oracle`, `mr`, `fc`, `var`, `bf`, `af`, listed
 //!   comma-separated; unset means `af`) fit or train each method on the
 //!   small NYC dataset after the NH baseline and print its test EMD;
-//! * `M=city` is the big-city scale probe and `M=adapt` the
-//!   streaming-adaptation probe; each runs alone and asserts its gates.
+//! * `M=city` is the big-city scale probe; it runs alone and asserts its
+//!   gates.
 //!
 //! Speed is measured by the repository benchmark
 //! (`crates/bench/src/bin/benchmark`), not here: apart from `M=city`'s
@@ -16,7 +16,7 @@ use stod_core::*;
 use stod_nn::optim::StepDecay;
 
 /// `M` values that run one mode alone.
-const SOLO_MODES: [&str; 2] = ["city", "adapt"];
+const SOLO_MODES: [&str; 1] = ["city"];
 
 /// `M` values that may be listed comma-separated (`M=bf,af`); after the
 /// NH baseline, the listed ones run in this order.
@@ -64,222 +64,6 @@ fn time_ms_best_of(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
     }
     best
-}
-
-/// `M=adapt`: the streaming-adaptation probe. Rebuilds the `adapt_gate`
-/// drift scenario (a small city whose daily regime slides a quarter day
-/// at the onset interval), replays the live stream into a single-shard
-/// fleet, then runs one full adaptation cycle — ingest snapshot →
-/// warm-start fine-tune → shadow eval → promote — with the observability
-/// layer armed while closed-loop clients keep hammering the serving path.
-///
-/// Reports fine-tune wall, shadow-eval wall, promote latency (from the
-/// pipeline's own `adapt/latency/*` histograms) and the serve p99
-/// observed *during* the adaptation, and writes
-/// `results/BENCH_adapt.json` (override `STOD_ADAPT_OUT`).
-fn run_adapt_bench() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::{Duration, Instant};
-    use stod_adapt::{AdaptConfig, CityAdapter, CycleOutcome};
-    use stod_fleet::{Fleet, FleetConfig, FleetRequest, Shard, ShardConfig};
-    use stod_serve::{ModelConfig, ModelKind};
-    use stod_traffic::{generate_drift, CityModel, DriftConfig, DriftKind, SimConfig};
-
-    const IPD: usize = 12;
-    let seed: u64 = 53279;
-    let clients = 4usize;
-
-    let acfg = AdaptConfig {
-        epochs: 20,
-        holdout: 8,
-        min_windows: 4,
-        lookback: 2,
-        ckpt_every_steps: 4,
-        ..AdaptConfig::default()
-    };
-
-    // The adapt_gate drift scenario: stationary past trains the incumbent,
-    // the live stream shifts its daily regime a quarter day at onset.
-    let city = CityModel::small(6);
-    let sim = SimConfig {
-        num_days: 3,
-        intervals_per_day: IPD,
-        trips_per_interval: 600.0,
-        ..SimConfig::small(seed)
-    };
-    let (stationary, _) = generate_drift(city.clone(), &sim, &DriftConfig::stationary());
-    let (drifted, trips) = generate_drift(
-        city.clone(),
-        &sim,
-        &DriftConfig {
-            kind: DriftKind::RushHourShift { shift_intervals: 3 },
-            onset: IPD,
-        },
-    );
-    let model_cfg = ModelConfig {
-        kind: ModelKind::Bf(BfConfig {
-            encode_dim: 8,
-            gru_hidden: 8,
-            ..BfConfig::default()
-        }),
-        centroids: city.centroids(),
-        num_buckets: drifted.spec.num_buckets,
-    };
-    let mut incumbent = model_cfg.build(seed ^ 0x1BC);
-    let windows = stationary.windows(acfg.lookback, 1);
-    train(
-        incumbent.as_mut(),
-        &stationary,
-        &windows,
-        None,
-        &TrainConfig {
-            epochs: 4,
-            batch_size: 8,
-            schedule: StepDecay {
-                initial: 5e-3,
-                decay: 0.9,
-                every: 2,
-            },
-            dropout: 0.0,
-            clip_norm: 5.0,
-            seed,
-            verbose: false,
-        },
-    );
-    let nh = NaiveHistograms::fit(&stationary, stationary.num_intervals());
-
-    let shard = Shard::new(
-        0,
-        city.name.clone(),
-        model_cfg,
-        drifted.spec,
-        nh.clone(),
-        &ShardConfig {
-            workers: 2,
-            lookback: acfg.lookback,
-            window_capacity: 24,
-            broker_cache_capacity: 32,
-            retain_results: true,
-            breaker: stod_fleet::BreakerConfig::default(),
-        },
-    );
-    shard
-        .install_checkpoint(incumbent.params().clone())
-        .unwrap();
-    let fleet = Fleet::new(
-        &FleetConfig {
-            shards: 1,
-            cache_capacity: 64,
-            shed_depth: 256,
-            cache_enabled: true,
-        },
-        vec![shard],
-    );
-    for (t, interval) in trips.iter().enumerate() {
-        for trip in interval {
-            fleet.shard(0).ingest_trip(*trip).unwrap();
-        }
-        fleet.shard(0).seal_interval(t);
-    }
-
-    let dir = std::env::temp_dir().join(format!("stod_adapt_probe_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut adapter = CityAdapter::new(
-        0,
-        city.clone(),
-        IPD,
-        nh,
-        drifted.spec.num_buckets,
-        acfg,
-        dir.clone(),
-    )
-    .expect("create adapter work dir");
-
-    println!(
-        "-- adapt probe: N={} IPD={IPD} epochs={} holdout={} margin={} --",
-        city.num_regions(),
-        acfg.epochs,
-        acfg.holdout,
-        acfg.margin
-    );
-
-    // One full adaptation cycle with obs armed, while closed-loop clients
-    // keep the serving path hot — the p99 the fleet's tenants actually see
-    // during an adaptation.
-    let t_end = 3 * IPD - 1;
-    let stop = AtomicBool::new(false);
-    let (outcome, served) = stod_obs::with_mode(stod_obs::ObsMode::On, || {
-        stod_obs::reset();
-        std::thread::scope(|scope| {
-            let fleet = &fleet;
-            let stop = &stop;
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut n = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            let r = FleetRequest {
-                                city: 0,
-                                origin: (n as usize + c) % 6,
-                                dest: (n as usize + c + 1) % 6,
-                                t_end,
-                                horizon: 1,
-                                step: 0,
-                                deadline: Duration::from_millis(150),
-                            };
-                            std::hint::black_box(fleet.forecast(r));
-                            n += 1;
-                        }
-                        n
-                    })
-                })
-                .collect();
-            let cycle_start = Instant::now();
-            let outcome = adapter.run_cycle(fleet).expect("adaptation cycle failed");
-            let cycle_ms = cycle_start.elapsed().as_secs_f64() * 1e3;
-            stop.store(true, Ordering::Relaxed);
-            let served: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-            println!("cycle wall {cycle_ms:.1} ms, {served} forecasts served during it");
-            (outcome, served)
-        })
-    });
-    let obs = stod_obs::snapshot();
-    let hist_ms = |name: &str| -> (f64, f64) {
-        obs.histogram(name)
-            .map(|h| (h.total as f64 / 1e6, h.max as f64 / 1e6))
-            .unwrap_or((0.0, 0.0))
-    };
-    let (fine_tune_ms, _) = hist_ms("adapt/latency/fine_tune");
-    let (shadow_eval_ms, _) = hist_ms("adapt/latency/shadow_eval");
-    let (promote_ms, _) = hist_ms("adapt/latency/promote");
-    let serve_p99_us = fleet.shard(0).stats().snapshot().p99_us;
-    let promoted = matches!(outcome, CycleOutcome::Promoted { .. });
-    println!("outcome {:?}", adapter.decisions().last().map(|(_, d)| *d));
-    println!(
-        "fine_tune {fine_tune_ms:>9.1} ms   shadow_eval {shadow_eval_ms:>7.1} ms   promote {promote_ms:>6.2} ms   serve p99 {serve_p99_us} us"
-    );
-    assert!(
-        promoted,
-        "the probe scenario is tuned to promote; got {outcome:?} — scenario drifted"
-    );
-
-    let header = BenchHeader::collect(Scale::from_env());
-    let json = format!(
-        "{{\n  {},\n  \"scenario\": {{\"seed\": {seed}, \"regions\": {}, \"intervals_per_day\": {IPD}, \"drift\": \"rush_hour_shift_3\"}},\n  \"config\": {{\"epochs\": {}, \"holdout\": {}, \"margin\": {}, \"min_windows\": {}}},\n  \"fine_tune_ms\": {fine_tune_ms:.3},\n  \"shadow_eval_ms\": {shadow_eval_ms:.3},\n  \"promote_ms\": {promote_ms:.3},\n  \"serve_p99_during_adapt_us\": {serve_p99_us},\n  \"forecasts_during_adapt\": {served},\n  \"promoted\": {promoted}\n}}\n",
-        header.json_fields(),
-        city.num_regions(),
-        acfg.epochs,
-        acfg.holdout,
-        acfg.margin,
-        acfg.min_windows,
-    );
-    let out = std::env::var("STOD_ADAPT_OUT").unwrap_or_else(|_| "results/BENCH_adapt.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(parent).expect("create artifact dir");
-    }
-    std::fs::write(&out, &json).expect("write adapt artifact");
-    println!("wrote {out}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `M=city`: the big-city scale probe behind `STOD_SCALE=city`. Two
@@ -496,14 +280,10 @@ fn main() {
         std::process::exit(2);
     });
     let runs = |mode: &str| modes.contains(&mode);
-    // Modes that bring their own data short-circuit before the shared
-    // NYC dataset build.
+    // `M=city` brings its own data: it returns before the shared NYC
+    // dataset build.
     if runs("city") {
         run_city_bench();
-        return;
-    }
-    if runs("adapt") {
-        run_adapt_bench();
         return;
     }
     let ds = build_dataset(Dataset::Nyc, Scale::Small, 11);
@@ -663,6 +443,7 @@ mod tests {
             "parallel",
             "obs",
             "serve_load",
+            "adapt",
             "bfaf",
             "city,af",
             "af,adapt",

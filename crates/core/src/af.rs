@@ -394,16 +394,6 @@ impl AfModel {
         let e = tape.relu(e);
         tape.scale(e, lambda / b)
     }
-
-    /// Configured rank β.
-    pub fn rank(&self) -> usize {
-        self.cfg.rank
-    }
-
-    /// The model's configuration.
-    pub fn config(&self) -> &AfConfig {
-        &self.cfg
-    }
 }
 
 impl OdForecaster for AfModel {

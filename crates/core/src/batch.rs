@@ -82,25 +82,9 @@ pub fn make_batch(ds: &OdDataset, windows: &[Window]) -> Batch {
     }
 }
 
-/// Splits windows into shuffled minibatches of at most `batch_size`.
-pub fn minibatches(
-    windows: &[Window],
-    batch_size: usize,
-    rng: &mut stod_tensor::rng::Rng64,
-) -> Vec<Vec<Window>> {
-    assert!(batch_size >= 1, "batch size must be ≥ 1");
-    let mut shuffled = windows.to_vec();
-    rng.shuffle(&mut shuffled);
-    shuffled
-        .chunks(batch_size)
-        .map(<[Window]>::to_vec)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stod_tensor::rng::Rng64;
     use stod_traffic::{CityModel, SimConfig};
 
     fn ds() -> OdDataset {
@@ -157,23 +141,6 @@ mod tests {
             .map(|w| d.tensors[w.target_indices()[0]].num_observed() as f32 * 7.0)
             .sum();
         assert_eq!(b.observed_cells(), expect.max(1.0));
-    }
-
-    #[test]
-    fn minibatches_partition_windows() {
-        let d = ds();
-        let ws = d.windows(3, 1);
-        let mut rng = Rng64::new(0);
-        let mbs = minibatches(&ws, 4, &mut rng);
-        let total: usize = mbs.iter().map(Vec::len).sum();
-        assert_eq!(total, ws.len());
-        assert!(mbs.iter().all(|m| m.len() <= 4));
-        // Every window appears exactly once.
-        let mut seen: Vec<usize> = mbs.iter().flatten().map(|w| w.t_end).collect();
-        seen.sort_unstable();
-        let mut expect: Vec<usize> = ws.iter().map(|w| w.t_end).collect();
-        expect.sort_unstable();
-        assert_eq!(seen, expect);
     }
 
     #[test]

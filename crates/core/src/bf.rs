@@ -156,11 +156,6 @@ impl BfModel {
         let c = self.enc_c2.apply(tape, &self.store, hc);
         (r, c)
     }
-
-    /// Configured factorization rank β.
-    pub fn rank(&self) -> usize {
-        self.cfg.rank
-    }
 }
 
 impl OdForecaster for BfModel {

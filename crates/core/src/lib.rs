@@ -23,7 +23,8 @@
 //!
 //! Supporting modules: [`batch`] (window → tensor batching), [`recovery`]
 //! (the shared R·C + softmax recovery), [`model`] (the `OdForecaster`
-//! trait), [`train`] (Adam + step-decay trainer), [`evaluate`]
+//! trait), [`train`] (the one training loop: Adam, step decay, checkpoints
+//! and resume), [`checkpoint`] (its on-disk state), [`evaluate`]
 //! (DisSim-based evaluation incl. the per-figure groupings) and
 //! [`config`] (hyper-parameters incl. the Table I presets).
 
@@ -44,6 +45,6 @@ pub use config::{AfConfig, BfConfig, TrainConfig};
 pub use evaluate::{evaluate, EvalReport};
 pub use model::{Mode, ModelOutput, OdForecaster};
 pub use train::{
-    fine_tune, fine_tune_resume, train, train_resume, train_robust, FaultPolicy, RobustConfig,
-    TrainError, TrainReport,
+    fine_tune_resume, train, train_resume, train_robust, FaultPolicy, RobustConfig, TrainError,
+    TrainReport,
 };

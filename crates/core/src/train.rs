@@ -1,6 +1,12 @@
 //! The training loop (§VI-A.5): Adam with the paper's step-decay schedule,
 //! dropout, gradient clipping, and masked-loss normalization.
 //!
+//! There is one loop, and it is crash-safe. [`train`] runs it without
+//! checkpoints and panics on a non-finite minibatch; [`train_robust`],
+//! [`train_resume`] and [`fine_tune_resume`] configure it through
+//! [`RobustConfig`]: cadence checkpoints, resume after a kill, and a
+//! [`FaultPolicy`] for non-finite minibatches.
+//!
 //! # Data-parallel shards, deterministically
 //!
 //! Each minibatch is cut into fixed [`SHARD_GRAIN`]-sample shards whose
@@ -12,7 +18,7 @@
 //! pool therefore cannot change a single bit of the result: the loss
 //! trajectory at `STOD_THREADS=4` is identical to `STOD_THREADS=1`.
 
-use crate::batch::{make_batch, minibatches, Batch};
+use crate::batch::{make_batch, Batch};
 use crate::checkpoint::TrainCheckpoint;
 use crate::config::TrainConfig;
 use crate::model::{Mode, OdForecaster};
@@ -38,10 +44,11 @@ pub struct TrainReport {
     pub epoch_lrs: Vec<f32>,
     /// Optimizer steps taken.
     pub steps: u64,
-    /// Minibatches whose loss or gradients were non-finite (detected by
-    /// the robust trainer's guard; always 0 for plain [`train`]).
+    /// Minibatches whose loss or gradients were non-finite. Always 0
+    /// under [`FaultPolicy::Halt`], which stops at the first: [`train`]
+    /// panics, [`train_robust`] returns [`TrainError::NonFinite`].
     pub nonfinite_batches: u64,
-    /// Times the robust trainer rolled back to the last checkpoint.
+    /// Times training rolled back to the last checkpoint.
     pub rollbacks: u64,
     /// Checkpoint saves that failed; training continued and the previous
     /// checkpoint file, if any, remained intact.
@@ -76,6 +83,14 @@ impl TrainReport {
 /// Trains `model` on the given windows by minimizing the masked squared
 /// error (normalized by the number of observed cells) plus the model's
 /// regularizer — Eq. 4 for BF, Eq. 11 for AF.
+///
+/// This is [`train_robust`] with [`RobustConfig::default()`]: no
+/// checkpoint, and [`FaultPolicy::Halt`].
+///
+/// # Panics
+/// Panics on zero windows, and with the [`TrainError`] text when a
+/// minibatch's loss or gradients come out non-finite or the `train-abort`
+/// fault site fires.
 pub fn train(
     model: &mut dyn OdForecaster,
     ds: &OdDataset,
@@ -83,59 +98,8 @@ pub fn train(
     val: Option<&[Window]>,
     cfg: &TrainConfig,
 ) -> TrainReport {
-    assert!(!windows.is_empty(), "cannot train on zero windows");
-    let mut adam = Adam::new(cfg.schedule.initial);
-    let mut rng = Rng64::new(cfg.seed);
-    let mut report = TrainReport::default();
-
-    for epoch in 0..cfg.epochs {
-        let _epoch_span = stod_obs::span!("train/epoch");
-        let epoch_t0 = std::time::Instant::now();
-        adam.lr = cfg.schedule.lr_at(epoch);
-        report.epoch_lrs.push(adam.lr);
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        for mb in minibatches(windows, cfg.batch_size, &mut rng) {
-            let _mb_span = stod_obs::span!("train/minibatch");
-            let (mut grads, mb_loss) = minibatch_outcome(model, ds, &mb, cfg.dropout, &mut rng);
-            debug_assert!(mb_loss.is_finite(), "non-finite loss");
-            epoch_loss += mb_loss;
-            batches += 1;
-
-            let clip = {
-                let _opt_span = stod_obs::span!("train/optimizer");
-                let clip = clip_global_norm(&mut grads, cfg.clip_norm);
-                adam.step(model.params_mut(), &grads);
-                clip
-            };
-            if let ClipStatus::Finite { pre_norm, .. } = clip {
-                report.grad_norms.push(pre_norm);
-            }
-            report.steps += 1;
-        }
-        let mean_loss = (epoch_loss / batches.max(1) as f64) as f32;
-        report.epoch_losses.push(mean_loss);
-        report
-            .epoch_wall_ms
-            .push(epoch_t0.elapsed().as_secs_f64() * 1e3);
-
-        if let Some(val_windows) = val {
-            let emd = quick_val_emd(model, ds, val_windows, cfg.batch_size, &mut rng);
-            report.val_emd.push(emd);
-            if emd.is_finite() && report.best_val.is_none_or(|(_, b)| emd < b) {
-                report.best_val = Some((epoch as u64, emd));
-            }
-            if cfg.verbose {
-                println!(
-                    "epoch {epoch:>3}  lr {:.5}  loss {mean_loss:.5}  val EMD {emd:.4}",
-                    adam.lr
-                );
-            }
-        } else if cfg.verbose {
-            println!("epoch {epoch:>3}  lr {:.5}  loss {mean_loss:.5}", adam.lr);
-        }
-    }
-    report
+    train_robust(model, ds, windows, val, cfg, &RobustConfig::default())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the forward/backward pass of one minibatch across fixed-grain
@@ -200,9 +164,9 @@ fn minibatch_outcome(
                 let reg = tape.scale(reg, batch.len() as f32 / total_b);
                 loss = tape.add(loss, reg);
             }
-            // A non-finite loss is *not* asserted here: the robust
-            // trainer detects it after the shard-order reduction and
-            // applies its fault policy.
+            // A non-finite loss is *not* asserted here: the loop
+            // detects it after the shard-order reduction and applies
+            // its fault policy.
             let loss_val = tape.value(loss).item();
             drop(fwd_span);
             let _bwd_span = stod_obs::span!("train/bwd");
@@ -230,8 +194,8 @@ fn minibatch_outcome(
     (merged.expect("≥ 1 shard"), mb_loss)
 }
 
-/// What the robust trainer does when a minibatch's loss or gradients come
-/// out non-finite (NaN or ±Inf).
+/// What training does when a minibatch's loss or gradients come out
+/// non-finite (NaN or ±Inf).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPolicy {
     /// Stop training and return [`TrainError::NonFinite`].
@@ -251,7 +215,8 @@ pub enum FaultPolicy {
 #[derive(Debug, Clone)]
 pub struct RobustConfig {
     /// Where to persist checkpoints; `None` disables checkpoint I/O
-    /// (rollback then restores the in-memory initial state).
+    /// (the rollback policy then restores an in-memory snapshot, and the
+    /// other policies keep none).
     pub ckpt_path: Option<PathBuf>,
     /// Checkpoint every N optimizer steps (0 = only at epoch
     /// boundaries). Epoch-boundary checkpoints are always written when
@@ -399,7 +364,8 @@ fn apply(
     Ok(())
 }
 
-/// [`train`] with crash-consistent checkpointing and non-finite guards.
+/// The training loop with crash-consistent checkpointing and a
+/// [`FaultPolicy`] for non-finite minibatches, both set by `rcfg`.
 ///
 /// Starts from scratch; combine with [`train_resume`] to continue after a
 /// crash. An uninterrupted `train_robust` run, and any kill-at-step-k +
@@ -439,35 +405,21 @@ pub fn train_resume(
     run_robust(model, ds, windows, val, cfg, rcfg, init)
 }
 
-/// Warm-start fine-tuning: copies `init` (e.g. the live incumbent's
-/// weights exported from the serving registry) into `model`, then runs the
-/// crash-safe trainer over the given windows.
+/// Warm-start fine-tuning with crash resume, the continual-adaptation
+/// entry point: copies `init` (e.g. the live incumbent's weights exported
+/// from the serving registry) into `model`, then runs [`train_resume`]
+/// over the given windows.
 ///
-/// This is the continual-adaptation entry point: `model` should be a
-/// freshly built instance of the same architecture (`copy_from` panics on
-/// a layout mismatch, which would mean the caller mixed architectures),
-/// and the optimizer/RNG state starts fresh from `cfg.seed` — a fine-tune
-/// is a new, short training run seeded from live weights, not a
-/// continuation of the original run's Adam moments.
-pub fn fine_tune(
-    model: &mut dyn OdForecaster,
-    init: &ParamStore,
-    ds: &OdDataset,
-    windows: &[Window],
-    cfg: &TrainConfig,
-    rcfg: &RobustConfig,
-) -> Result<TrainReport, TrainError> {
-    model.params_mut().copy_from(init);
-    train_robust(model, ds, windows, None, cfg, rcfg)
-}
-
-/// [`fine_tune`] with crash resume: when `rcfg.ckpt_path` holds a valid
-/// cadence checkpoint from an interrupted fine-tune, training continues
-/// from it (the checkpoint's weights override the warm-start copy);
-/// otherwise the fine-tune starts fresh from `init`. The same call
-/// therefore works for attempt 1 and every retry after a kill, and the
-/// combined kill+resume trajectory is bitwise identical to an
-/// uninterrupted [`fine_tune`].
+/// `model` should be a freshly built instance of the same architecture
+/// (`copy_from` panics on a layout mismatch, which would mean the caller
+/// mixed architectures). Without a checkpoint at `rcfg.ckpt_path` the
+/// optimizer/RNG state starts fresh from `cfg.seed`: a fine-tune is a new,
+/// short training run seeded from live weights, not a continuation of the
+/// original run's Adam moments. With a cadence checkpoint from an
+/// interrupted fine-tune, training continues from it (its weights override
+/// the warm-start copy). The same call therefore works for attempt 1 and
+/// every retry after a kill, and the combined kill+resume trajectory is
+/// bitwise identical to an uninterrupted fine-tune.
 pub fn fine_tune_resume(
     model: &mut dyn OdForecaster,
     init: &ParamStore,
@@ -497,22 +449,30 @@ fn run_robust(
     if let Some(ck) = &init {
         apply(ck, model, &mut adam, &mut rng, &mut st, false)?;
     }
-    // The rollback target: the last completed checkpoint, or the pristine
-    // initial state before any step ran.
-    let mut snapshot = capture(model, &adam, &rng, &st);
-
-    let save_snapshot = |snapshot: &TrainCheckpoint, st: &mut LoopState| {
+    // The rollback target: the last checkpoint, or the initial state before
+    // any step ran. It is kept only when something reads it, a checkpoint
+    // file or the rollback policy: one capture serializes every weight and
+    // both Adam moments.
+    let keep_snapshot =
+        rcfg.ckpt_path.is_some() || rcfg.policy == FaultPolicy::RollbackToCheckpoint;
+    let mut snapshot = keep_snapshot.then(|| capture(model, &adam, &rng, &st));
+    let checkpoint = |model: &dyn OdForecaster, adam: &Adam, rng: &Rng64, st: &mut LoopState| {
+        let ck = capture(model, adam, rng, st);
         if let Some(path) = &rcfg.ckpt_path {
-            if snapshot.save(path).is_err() {
+            if ck.save(path).is_err() {
                 // Best-effort durability: the previous checkpoint file is
                 // intact (atomic replace), training continues.
                 st.report.ckpt_save_failures += 1;
             }
         }
+        Some(ck)
     };
 
     let mut epoch_t0 = std::time::Instant::now();
     'training: while st.epoch < cfg.epochs as u64 {
+        // The epoch's minibatches and validation; the epoch-end checkpoint
+        // runs after it closes.
+        let epoch_span = stod_obs::span!("train/epoch");
         if st.order.is_empty() {
             // Fresh epoch: set the learning rate and draw the shuffle.
             epoch_t0 = std::time::Instant::now();
@@ -529,13 +489,12 @@ fn run_robust(
         while (st.next_mb as usize) < num_chunks {
             let lo = st.next_mb as usize * cfg.batch_size;
             let hi = (lo + cfg.batch_size).min(st.order.len());
-            let mb: Vec<Window> = st.order[lo..hi].to_vec();
             let _mb_span = stod_obs::span!("train/minibatch");
-            let (mut grads, mb_loss) = minibatch_outcome(model, ds, &mb, cfg.dropout, &mut rng);
-            let clip = {
-                let _opt_span = stod_obs::span!("train/optimizer");
-                clip_global_norm(&mut grads, cfg.clip_norm)
-            };
+            let (mut grads, mb_loss) =
+                minibatch_outcome(model, ds, &st.order[lo..hi], cfg.dropout, &mut rng);
+            // The clip's norm doubles as the non-finite detector.
+            let opt_span = stod_obs::span!("train/optimizer");
+            let clip = clip_global_norm(&mut grads, cfg.clip_norm);
             if !mb_loss.is_finite() || !clip.is_finite() {
                 st.report.nonfinite_batches += 1;
                 match rcfg.policy {
@@ -556,26 +515,27 @@ fn run_robust(
                                 rollbacks: st.report.rollbacks,
                             });
                         }
-                        apply(&snapshot, model, &mut adam, &mut rng, &mut st, true)?;
+                        let ck = snapshot.as_ref().expect("rollback keeps a snapshot");
+                        apply(ck, model, &mut adam, &mut rng, &mut st, true)?;
                         continue 'training;
                     }
                 }
             }
+            adam.step(model.params_mut(), &grads);
+            drop(opt_span);
             st.epoch_loss += mb_loss;
             st.batches += 1;
-            {
-                let _opt_span = stod_obs::span!("train/optimizer");
-                adam.step(model.params_mut(), &grads);
-            }
             if let ClipStatus::Finite { pre_norm, .. } = clip {
                 st.report.grad_norms.push(pre_norm);
             }
             st.report.steps += 1;
             st.next_mb += 1;
 
-            if rcfg.ckpt_every_steps > 0 && st.report.steps % rcfg.ckpt_every_steps == 0 {
-                snapshot = capture(model, &adam, &rng, &st);
-                save_snapshot(&snapshot, &mut st);
+            if keep_snapshot
+                && rcfg.ckpt_every_steps > 0
+                && st.report.steps % rcfg.ckpt_every_steps == 0
+            {
+                snapshot = checkpoint(model, &adam, &rng, &mut st);
             }
             // Simulated crashes: the explicit step budget, and the seeded
             // `train-abort` chaos site. Neither writes a final checkpoint.
@@ -612,14 +572,16 @@ fn run_robust(
                 st.epoch, adam.lr
             );
         }
+        drop(epoch_span);
         st.epoch += 1;
         st.order = Vec::new();
         st.next_mb = 0;
         st.epoch_loss = 0.0;
         st.batches = 0;
         // Epoch-boundary checkpoint (always, when a path is configured).
-        snapshot = capture(model, &adam, &rng, &st);
-        save_snapshot(&snapshot, &mut st);
+        if keep_snapshot {
+            snapshot = checkpoint(model, &adam, &rng, &mut st);
+        }
     }
     Ok(st.report)
 }

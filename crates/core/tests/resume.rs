@@ -159,45 +159,6 @@ fn robust_trajectory_thread_invariant() {
     assert_eq!(run(1), run(4));
 }
 
-/// With no faults and no checkpointing, `train_robust` walks the same
-/// RNG/shuffle sequence as the legacy `train` — their trajectories match.
-#[test]
-fn robust_matches_plain_trainer_without_faults() {
-    // Fault-free: the chaos tests in this binary arm plans process-wide.
-    let _quiet = quiet();
-    let ds = tiny_ds();
-    let windows = ds.windows(2, 1);
-    let cfg = fast_cfg(9);
-    let mut plain_model = fresh_model(9);
-    let plain = train(&mut plain_model, &ds, &windows, None, &cfg);
-    let mut robust_model = fresh_model(9);
-    let robust = train_robust(
-        &mut robust_model,
-        &ds,
-        &windows,
-        None,
-        &cfg,
-        &RobustConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(
-        plain
-            .epoch_losses
-            .iter()
-            .map(|l| l.to_bits())
-            .collect::<Vec<_>>(),
-        robust
-            .epoch_losses
-            .iter()
-            .map(|l| l.to_bits())
-            .collect::<Vec<_>>(),
-    );
-    assert_eq!(
-        plain_model.params().to_bytes(),
-        robust_model.params().to_bytes()
-    );
-}
-
 /// `train_resume` without an existing checkpoint file starts fresh.
 #[test]
 fn resume_without_checkpoint_starts_fresh() {
@@ -477,6 +438,20 @@ fn halt_policy_stops_on_first_poisoned_batch() {
         }) => {}
         other => panic!("expected NonFinite at (0, 0), got {other:?}"),
     }
+}
+
+/// `train` is the same loop under `FaultPolicy::Halt`: the first
+/// poisoned batch stops it, in release builds too, with the
+/// `TrainError::NonFinite` text.
+#[test]
+#[should_panic(expected = "non-finite loss/gradients at epoch 0 minibatch 0")]
+fn train_panics_on_the_first_poisoned_batch() {
+    // Fault-free: the chaos tests in this binary arm plans process-wide.
+    let _quiet = quiet();
+    let ds = tiny_ds();
+    let windows = ds.windows(2, 1);
+    let mut model = Poisoned::new(1);
+    train(&mut model, &ds, &windows, None, &fast_cfg(1));
 }
 
 #[test]

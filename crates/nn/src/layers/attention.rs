@@ -44,11 +44,6 @@ impl AttnGruSeq2Seq {
         }
     }
 
-    /// Feature dimension shared by inputs and outputs.
-    pub fn dim(&self) -> usize {
-        self.encoder.in_dim()
-    }
-
     /// Encodes `inputs` (each `[B, D]`) and decodes `horizon` steps with
     /// attention over the encoder states.
     pub fn forward(

@@ -519,7 +519,6 @@ pub struct ChebyConv {
     b: ParamId,
     order: usize,
     in_feat: usize,
-    out_feat: usize,
 }
 
 impl ChebyConv {
@@ -556,28 +555,12 @@ impl ChebyConv {
             b,
             order,
             in_feat,
-            out_feat,
         }
     }
 
     /// Number of graph nodes the layer operates on.
     pub fn num_nodes(&self) -> usize {
         self.l.rows()
-    }
-
-    /// Chebyshev order `S`.
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
-    /// Input feature dimension.
-    pub fn in_feat(&self) -> usize {
-        self.in_feat
-    }
-
-    /// Output feature dimension.
-    pub fn out_feat(&self) -> usize {
-        self.out_feat
     }
 
     /// Applies the convolution to `x ∈ R^{B×N×F_in}` → `R^{B×N×F_out}`,
@@ -632,7 +615,8 @@ impl ChebyConv {
         let y = tape.matmul(flat, ws);
         let b = tape.param(store, self.b);
         let y = tape.add(y, b);
-        tape.reshape(y, &[batch, n, self.out_feat])
+        let out_feat = store.get(self.ws).dim(1);
+        tape.reshape(y, &[batch, n, out_feat])
     }
 }
 
@@ -684,7 +668,8 @@ impl ChebyPool {
     }
 
     /// Node count of the pooled output.
-    pub fn pooled_nodes(&self) -> usize {
+    #[cfg(test)]
+    fn pooled_nodes(&self) -> usize {
         self.order.len() / self.pool
     }
 
@@ -746,7 +731,8 @@ impl ChebyPool {
         if self.pool == 1 {
             return y;
         }
-        let zeros = tape.constant(Tensor::zeros(&[bs, 1, self.conv.out_feat]));
+        let q = tape.value(y).dim(2);
+        let zeros = tape.constant(Tensor::zeros(&[bs, 1, q]));
         let padded = tape.concat(&[y, zeros], 1);
         let gathered = tape.index_select(padded, 1, &self.order);
         tape.max_pool_axis(gathered, 1, self.pool)

@@ -88,21 +88,6 @@ impl GcGruCell {
         }
     }
 
-    /// Number of graph nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Input feature dimension per node.
-    pub fn in_feat(&self) -> usize {
-        self.in_feat
-    }
-
-    /// Hidden feature dimension per node.
-    pub fn hidden_feat(&self) -> usize {
-        self.hidden_feat
-    }
-
     /// Zero hidden state `[batch, N, hidden]`.
     pub fn zero_state(&self, tape: &mut Tape, batch: usize) -> Var {
         tape.constant(Tensor::zeros(&[batch, self.num_nodes, self.hidden_feat]))

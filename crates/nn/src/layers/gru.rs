@@ -54,11 +54,6 @@ impl GruCell {
         }
     }
 
-    /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
     /// Hidden state dimension.
     pub fn hidden(&self) -> usize {
         self.hidden

@@ -59,16 +59,6 @@ impl Linear {
         }
     }
 
-    /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
     /// Applies the layer on the tape.
     ///
     /// # Panics

@@ -37,11 +37,6 @@ impl GruSeq2Seq {
         }
     }
 
-    /// Feature dimension shared by inputs and outputs.
-    pub fn dim(&self) -> usize {
-        self.encoder.in_dim()
-    }
-
     /// Encodes `inputs` (length `s`, each `[B, D]`) and decodes `horizon`
     /// future steps, returning one `[B, D]` prediction per step.
     ///
@@ -123,16 +118,6 @@ impl GcGruSeq2Seq {
                 rng,
             ),
         }
-    }
-
-    /// Per-node feature dimension of inputs and outputs.
-    pub fn feat(&self) -> usize {
-        self.encoder.in_feat()
-    }
-
-    /// Number of graph nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.encoder.num_nodes()
     }
 
     /// Encodes `inputs` (each `[B, N, F]`) and decodes `horizon` steps.

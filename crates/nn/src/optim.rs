@@ -68,29 +68,6 @@ pub fn clip_global_norm(grads: &mut Gradients, max_norm: f32) -> ClipStatus {
     }
 }
 
-/// Plain stochastic gradient descent (used by tests as a reference).
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Applies one descent step to every parameter with a gradient.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        for (id, g) in grads.iter() {
-            let p = store.get_mut(id);
-            for (w, &gw) in p.data_mut().iter_mut().zip(g.data()) {
-                *w -= self.lr * gw;
-            }
-        }
-    }
-}
-
 /// Adam optimizer (Kingma & Ba) with optional decoupled weight decay.
 pub struct Adam {
     /// Current learning rate (mutable so schedules can adjust it).
@@ -278,13 +255,6 @@ mod tests {
             optim(&mut store, &grads);
         }
         store.get(w).max_abs_diff(&target)
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.05);
-        let err = converges_with(&mut |s, g| sgd.step(s, g));
-        assert!(err < 1e-3, "SGD residual {err}");
     }
 
     #[test]

@@ -56,12 +56,11 @@
 # --adapt runs the streaming-adaptation gate (tests/adapt_gate.rs) at its
 # full drift-seed matrix (STOD_CHAOS=full widens the tier-1 smoke slice)
 # at 1 and 4 threads — drift auto-promotion past the incumbent and the
-# Kalman corrector, stationary no-churn, kill/corrupt/crash chaos with
-# bitwise recovery, and decision/weight determinism — then runs the
-# adaptation probe (`M=adapt`), which must promote while closed-loop
-# clients are served, and writes results/BENCH_adapt_t2.json (fine-tune
-# wall, shadow-eval wall, promote latency, serve p99 during adaptation;
-# gitignored, so a run never rewrites the committed results/BENCH_adapt.json).
+# Kalman corrector while two clients keep forecasting (every client
+# answered, the serve ledger balanced), stationary no-churn,
+# kill/corrupt/crash chaos with bitwise recovery, and decision/weight
+# determinism. No stage times a cycle: the benchmark's traced
+# `serve_live` runs report its stage times (`adapt.*`).
 #
 # --scale runs the big-city scale gate: the CSR slice (the csr_props
 # suite of CSR graph builders against their dense references, the AF
@@ -198,10 +197,6 @@ stage_adapt() {
     echo "==> adapt gate, full drift-seed matrix, STOD_THREADS=$t"
     STOD_THREADS="$t" STOD_CHAOS=full cargo test -q --test adapt_gate
   done
-  cargo build -q --release -p stod-bench
-  echo "==> adapt probe (STOD_THREADS=2)"
-  STOD_THREADS=2 M=adapt STOD_ADAPT_OUT=results/BENCH_adapt_t2.json \
-    cargo run -q --release -p stod-bench --bin probe
 }
 
 stage_durability() {

@@ -4,7 +4,8 @@
 //!
 //! * under a rush-hour regime shift the adapted candidate's shadow EMD
 //!   beats both the frozen incumbent and the online Kalman corrector,
-//!   and the pipeline auto-promotes it via registry hot-swap;
+//!   and the pipeline auto-promotes it via registry hot-swap while two
+//!   clients keep forecasting (each answered, the serve ledger balanced);
 //! * under stationary traffic no cycle ever promotes (no churn);
 //! * chaos matrix — a kill mid-fine-tune resumes bitwise and still
 //!   promotes; a corrupted candidate checkpoint is a typed reject that
@@ -38,7 +39,8 @@ use od_forecast::traffic::{
     generate_drift, CityModel, DriftConfig, DriftKind, HistogramSpec, OdDataset, SimConfig, Trip,
 };
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
 /// Serializes the traffic-driving tests: obs arming and fault injection
@@ -257,10 +259,12 @@ fn req(t_end: usize) -> FleetRequest {
 
 /// Tentpole: under a rush-hour shift the fine-tuned candidate beats both
 /// the frozen incumbent and the online corrector on the shadow slice, and
-/// the pipeline promotes it. The adaptation ledger balances and the obs
-/// counters mirror it exactly.
+/// the pipeline promotes it while two clients keep forecasting. The
+/// adaptation ledger and the shard's serve ledger balance, and the obs
+/// counters mirror the adaptation ledger exactly.
 #[test]
 fn drift_cycle_auto_promotes_when_candidate_beats_incumbent_and_corrector() {
+    const CLIENTS: usize = 2;
     let _g = lock_traffic();
     for seed in drift_seeds() {
         let sc = Scenario::new(seed, drift_kind());
@@ -269,7 +273,45 @@ fn drift_cycle_auto_promotes_when_candidate_beats_incumbent_and_corrector() {
         let mut adapter = sc.adapter(&dir);
         obs::with_mode(obs::ObsMode::On, || {
             obs::reset();
-            let outcome = adapter.run_cycle(&fleet).unwrap();
+            // The clients are running when the cycle starts, and stop
+            // when it returns.
+            let start = Barrier::new(CLIENTS + 1);
+            let cycle_done = AtomicBool::new(false);
+            let (outcome, answers) = std::thread::scope(|scope| {
+                let clients: Vec<_> = (0..CLIENTS)
+                    .map(|c| {
+                        let (fleet, start, cycle_done) = (&fleet, &start, &cycle_done);
+                        scope.spawn(move || {
+                            start.wait();
+                            let mut answers = 0usize;
+                            while !cycle_done.load(Ordering::Relaxed) {
+                                let n = answers + c;
+                                fleet.forecast(FleetRequest {
+                                    origin: n % N,
+                                    dest: (n + 1) % N,
+                                    ..req(3 * IPD - 1)
+                                });
+                                answers += 1;
+                            }
+                            answers
+                        })
+                    })
+                    .collect();
+                start.wait();
+                let outcome = adapter.run_cycle(&fleet);
+                cycle_done.store(true, Ordering::Relaxed);
+                let answers: Vec<usize> = clients.into_iter().map(|h| h.join().unwrap()).collect();
+                (outcome.unwrap(), answers)
+            });
+            assert!(
+                answers.iter().all(|&a| a >= 1),
+                "seed {seed}: every client must be answered during the cycle, got {answers:?}"
+            );
+            assert_eq!(
+                fleet.shard(0).stats().snapshot().ledger_balance(),
+                0,
+                "seed {seed}: serve ledger"
+            );
             let CycleOutcome::Promoted {
                 version, shadow, ..
             } = outcome

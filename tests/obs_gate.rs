@@ -252,18 +252,19 @@ fn checkpoint_run(threads: usize) -> (obs::ObsSnapshot, u64) {
 
 /// The checkpoint path's spans, pinned exactly: 12 optimizer steps (29
 /// windows in batches of 8, over 3 epochs) save a cadence checkpoint every
-/// 2 steps inside `train/minibatch` and one more at each epoch's end,
-/// outside any training span; the reload is one more root. Each save
-/// seals one CRC and makes one atomic write, and the load checks one CRC.
+/// 2 steps inside `train/epoch`'s `train/minibatch` and one more at each
+/// epoch's end, after `train/epoch` closes; the reload is one more root.
+/// Each save seals one CRC and makes one atomic write, and the load checks
+/// one CRC.
 const CKPT_SPANS: [(&str, u64); 8] = [
     ("ckpt/load", 1),
     ("ckpt/load/ckpt/crc", 1),
     ("ckpt/save", 3),
     ("ckpt/save/ckpt/crc", 3),
     ("ckpt/save/io/atomic_write", 3),
-    ("train/minibatch/ckpt/save", 6),
-    ("train/minibatch/ckpt/save/ckpt/crc", 6),
-    ("train/minibatch/ckpt/save/io/atomic_write", 6),
+    ("train/epoch/train/minibatch/ckpt/save", 6),
+    ("train/epoch/train/minibatch/ckpt/save/ckpt/crc", 6),
+    ("train/epoch/train/minibatch/ckpt/save/io/atomic_write", 6),
 ];
 
 /// The checkpoint path's span tree is exact, and the whole tree and every
