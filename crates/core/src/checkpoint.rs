@@ -210,9 +210,7 @@ impl TrainCheckpoint {
     pub fn load(path: &Path) -> Result<TrainCheckpoint, StoreError> {
         let _span = stod_obs::span!("ckpt/load");
         let bytes = std::fs::read(path).map_err(StoreError::Io)?;
-        if stod_obs::armed() {
-            stod_obs::count("ckpt/loads", 1);
-        }
+        stod_obs::count("ckpt/loads", 1);
         TrainCheckpoint::from_bytes(&bytes)
     }
 }
@@ -311,12 +309,32 @@ mod tests {
         assert!(TrainCheckpoint::from_bytes(&padded).is_err());
     }
 
+    /// This test's own scratch directory, removed on drop unless the
+    /// thread is panicking, so a failed test keeps its files.
+    struct TmpDir(std::path::PathBuf);
+
+    impl TmpDir {
+        fn new(test: &str) -> TmpDir {
+            let dir = std::env::temp_dir().join(format!("stod_ckpt_{}_{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TmpDir(dir)
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
     #[test]
     fn save_load_roundtrip_and_atomicity() {
         use stod_faultline::{install, FaultPlan, FaultSite};
-        let dir = std::env::temp_dir().join(format!("stod_ckpt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("train.stck");
+        let dir = TmpDir::new("save_load_roundtrip");
+        let path = dir.0.join("train.stck");
         let ck = sample();
         ck.save(&path).unwrap();
         assert_eq!(TrainCheckpoint::load(&path).unwrap(), ck);

@@ -34,10 +34,29 @@ fn fast_cfg(seed: u64) -> TrainConfig {
     }
 }
 
-fn tmp_ckpt(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("stod_resume_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// One test's own scratch directory, removed on drop unless the thread is
+/// panicking, so a failed test keeps its checkpoints.
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(test: &str) -> TmpDir {
+        let dir = std::env::temp_dir().join(format!("stod_resume_{}_{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TmpDir(dir)
+    }
+
+    fn file(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 }
 
 fn fresh_model(seed: u64) -> BfModel {
@@ -59,6 +78,7 @@ fn fingerprint(model: &BfModel, report: &TrainReport) -> (Vec<u8>, Vec<u32>, Vec
 /// loss trajectory, validation curve, and final weights bitwise.
 #[test]
 fn kill_and_resume_is_bitwise_identical() {
+    let dir = TmpDir::new("kill_and_resume");
     // Fault-free: the chaos tests in this binary arm plans process-wide.
     let _quiet = quiet();
     let ds = tiny_ds();
@@ -90,7 +110,7 @@ fn kill_and_resume_is_bitwise_identical() {
                 );
 
                 for kill_at in [1u64, 4, base.steps - 1] {
-                    let path = tmp_ckpt(&format!("kill_{threads}_{seed}_{kill_at}.stck"));
+                    let path = dir.file(&format!("kill_{threads}_{seed}_{kill_at}.stck"));
                     let _ = std::fs::remove_file(&path);
                     let rcfg = RobustConfig {
                         ckpt_path: Some(path.clone()),
@@ -162,12 +182,13 @@ fn robust_trajectory_thread_invariant() {
 /// `train_resume` without an existing checkpoint file starts fresh.
 #[test]
 fn resume_without_checkpoint_starts_fresh() {
+    let dir = TmpDir::new("fresh_start");
     // Fault-free: the chaos tests in this binary arm plans process-wide.
     let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(3);
-    let path = tmp_ckpt("fresh_start.stck");
+    let path = dir.file("fresh_start.stck");
     let _ = std::fs::remove_file(&path);
     let rcfg = RobustConfig {
         ckpt_path: Some(path.clone()),
@@ -184,13 +205,14 @@ fn resume_without_checkpoint_starts_fresh() {
 /// never a silent restart.
 #[test]
 fn resume_rejects_damaged_checkpoint() {
+    let dir = TmpDir::new("damaged");
     // Fault-free: the chaos tests in this binary arm plans process-wide.
     let _quiet = quiet();
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(4);
 
-    let garbage = tmp_ckpt("garbage.stck");
+    let garbage = dir.file("garbage.stck");
     std::fs::write(&garbage, b"not a checkpoint at all").unwrap();
     let rcfg = RobustConfig {
         ckpt_path: Some(garbage.clone()),
@@ -203,7 +225,7 @@ fn resume_rejects_damaged_checkpoint() {
     ));
 
     // A real checkpoint with one flipped bit must fail the CRC.
-    let path = tmp_ckpt("flipped.stck");
+    let path = dir.file("flipped.stck");
     let _ = std::fs::remove_file(&path);
     let rcfg = RobustConfig {
         ckpt_path: Some(path.clone()),
@@ -230,10 +252,11 @@ fn resume_rejects_damaged_checkpoint() {
 /// previous checkpoint intact and must not alter the training trajectory.
 #[test]
 fn injected_save_faults_never_damage_previous_checkpoint() {
+    let dir = TmpDir::new("save_faults");
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(6);
-    let path = tmp_ckpt("savefault.stck");
+    let path = dir.file("savefault.stck");
     let _ = std::fs::remove_file(&path);
     let rcfg = RobustConfig {
         ckpt_path: Some(path.clone()),
@@ -303,10 +326,11 @@ fn injected_save_faults_never_damage_previous_checkpoint() {
 /// from the cadence checkpoint completes and matches the baseline.
 #[test]
 fn injected_abort_then_resume_matches_baseline() {
+    let dir = TmpDir::new("abort_resume");
     let ds = tiny_ds();
     let windows = ds.windows(2, 1);
     let cfg = fast_cfg(8);
-    let path = tmp_ckpt("chaos_abort.stck");
+    let path = dir.file("chaos_abort.stck");
     let _ = std::fs::remove_file(&path);
     let rcfg = RobustConfig {
         ckpt_path: Some(path.clone()),

@@ -74,20 +74,33 @@ mod tests {
     use super::*;
     use crate::{install, quiet, FaultPlan};
 
-    fn tmp_dir() -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "stod_faultline_io_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    /// This test's own scratch directory, removed on drop unless the
+    /// thread is panicking, so a failed test keeps its files.
+    struct TmpDir(std::path::PathBuf);
+
+    impl TmpDir {
+        fn new(test: &str) -> TmpDir {
+            let dir = std::env::temp_dir()
+                .join(format!("stod_faultline_io_{}_{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TmpDir(dir)
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
     }
 
     #[test]
     fn writes_and_replaces() {
         let _quiet = quiet();
-        let path = tmp_dir().join("a.bin");
+        let dir = TmpDir::new("writes_and_replaces");
+        let path = dir.0.join("a.bin");
         atomic_write(&path, b"first").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
         atomic_write(&path, b"second, longer payload").unwrap();
@@ -98,7 +111,8 @@ mod tests {
 
     #[test]
     fn injected_interrupt_leaves_previous_file_intact() {
-        let path = tmp_dir().join("b.bin");
+        let dir = TmpDir::new("injected_interrupt");
+        let path = dir.0.join("b.bin");
         {
             // The setup write must not see a plan another test installed.
             let _quiet = quiet();
@@ -116,7 +130,8 @@ mod tests {
 
     #[test]
     fn injected_disk_full_leaves_previous_file_intact() {
-        let path = tmp_dir().join("c.bin");
+        let dir = TmpDir::new("injected_disk_full");
+        let path = dir.0.join("c.bin");
         {
             // The setup write must not see a plan another test installed.
             let _quiet = quiet();
@@ -133,7 +148,8 @@ mod tests {
 
     #[test]
     fn failed_first_write_leaves_no_file() {
-        let path = tmp_dir().join("d.bin");
+        let dir = TmpDir::new("failed_first_write");
+        let path = dir.0.join("d.bin");
         {
             let _guard = install(FaultPlan::new(3).with(FaultSite::SaveInterrupt, 1.0, 0));
             assert!(atomic_write(&path, b"nope").is_err());

@@ -193,9 +193,7 @@ impl CircuitBreaker {
 
     fn set_gauge(&self, state: BreakerState) {
         if let Some(path) = self.gauge_path {
-            if stod_obs::armed() {
-                stod_obs::gauge_set(path, state.gauge());
-            }
+            stod_obs::gauge_set(path, state.gauge());
         }
     }
 

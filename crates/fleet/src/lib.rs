@@ -42,9 +42,12 @@
 //! Each router stage and broker outcome increments exactly one term, so
 //! the residual ([`stod_serve::StatsSnapshot::ledger_balance`]) is zero
 //! for every tenant at quiescence — under arbitrary concurrency, cache
-//! configuration, and injected faults. The same terms mirror into
-//! per-shard obs counters (`fleet/shard{i}/…`) when observability is
-//! armed.
+//! configuration, and injected faults. The shard's
+//! [`stod_serve::ServeStats`] atomics are the ledger's only store, read
+//! per tenant through [`router::Fleet::snapshot`]; each answer is booked
+//! by one [`stod_serve::ServeStats::answered`] call, which also feeds the
+//! flat, fleet-wide `fleet/*` and `serve/*` obs probes when observability
+//! is armed.
 //!
 //! ## Configuration
 //!

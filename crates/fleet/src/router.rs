@@ -19,7 +19,7 @@
 //!    breaker admits exactly one probe — and if a crash injection wiped
 //!    the shard's window, the probe first rebuilds it from the
 //!    write-ahead log ([`Shard::rebuild_from_wal`]).
-//! 4. **Broker** — dispatch through [`Broker::forecast_shared`]
+//! 4. **Broker** — dispatch through [`Broker::forecast_shared`](stod_serve::Broker::forecast_shared)
 //!    (coalescing, deadline, fallback semantics unchanged from
 //!    `stod-serve`); when the model answered, the shared full-tensor
 //!    result is inserted into the cache for every later request. The
@@ -49,8 +49,8 @@ use stod_faultline::FaultSite;
 use stod_nn::ParamStore;
 use stod_obs::json::{self, ToJson};
 use stod_serve::{
-    FallbackReason, ForecastRequest, ModelConfig, ModelKind, RegistryError, ScrubReport, Source,
-    StatsSnapshot, TripWal, WalConfig, WalStats,
+    Answer, FallbackReason, ForecastRequest, ModelConfig, ModelKind, RegistryError, ScrubReport,
+    Source, StatsSnapshot, TripWal, WalConfig, WalStats,
 };
 use stod_traffic::FleetCity;
 
@@ -283,32 +283,22 @@ impl Fleet {
         self.cache.as_ref()
     }
 
-    /// Registers and promotes a checkpoint on one shard, then invalidates
-    /// that tenant's stale result-cache entries. The version is part of
-    /// the cache key, so stale entries were already unreachable the
-    /// instant the promotion landed — invalidation here reclaims their
-    /// memory and records the count in the tenant's
-    /// `result_cache_invalidations`.
+    /// Registers a checkpoint on one shard and [activates](Fleet::activate)
+    /// it, returning the new version.
     pub fn hot_swap(&self, city: usize, store: ParamStore) -> Result<u32, RegistryError> {
-        let version = self.shards[city].install_checkpoint(store)?;
-        if let Some(cache) = &self.cache {
-            let dropped = cache.invalidate_city_except(city, version);
-            if !dropped.is_empty() {
-                self.shards[city]
-                    .stats()
-                    .result_cache_invalidations
-                    .fetch_add(dropped.len() as u64, Ordering::Relaxed);
-            }
-        }
+        let version = self.shards[city].registry().register_store(store)?;
+        self.activate(city, version)?;
         Ok(version)
     }
 
     /// Promotes an *already registered* version on one shard — the
     /// adaptation pipeline's swap step after its candidate cleared shadow
     /// evaluation (the candidate was registered earlier, through the
-    /// checkpoint-validation path). Same cache discipline as
-    /// [`Fleet::hot_swap`]: stale entries are reclaimed and counted
-    /// against the tenant.
+    /// checkpoint-validation path) — then invalidates that tenant's stale
+    /// result-cache entries. The version is part of the cache key, so
+    /// stale entries were already unreachable the instant the promotion
+    /// landed; invalidation here reclaims their memory and records the
+    /// count in the tenant's `result_cache_invalidations`.
     pub fn activate(&self, city: usize, version: u32) -> Result<(), RegistryError> {
         self.shards[city].registry().promote(version)?;
         if let Some(cache) = &self.cache {
@@ -339,10 +329,19 @@ impl Fleet {
         let shard = &self.shards[req.city];
         let stats = shard.stats();
         stats.requests_total.fetch_add(1, Ordering::Relaxed);
-        if stod_obs::armed() {
-            stod_obs::count("fleet/requests", 1);
-        }
-        stats.obs_mirror(|p| p.requests);
+        stod_obs::count("fleet/requests", 1);
+        // The router's own answers (cache hit, shed, degraded) are booked
+        // here; the broker books the model and fallback answers.
+        let reply = |answer: Answer, histogram: Vec<f32>, source: FleetSource| {
+            let latency = start.elapsed();
+            stats.answered(answer, latency);
+            FleetForecast {
+                city: req.city,
+                histogram,
+                source,
+                latency,
+            }
+        };
 
         // Stage 1: the result cache, keyed at the *active* version — a
         // hot-swap makes older entries unreachable by construction.
@@ -355,24 +354,11 @@ impl Fleet {
                 version,
             };
             if let Some(hit) = cache.get(&key) {
-                stats.result_cache_hits.fetch_add(1, Ordering::Relaxed);
-                if stod_obs::armed() {
-                    stod_obs::count("fleet/result_cache_hits", 1);
-                }
-                stats.obs_mirror(|p| p.result_cache_hits);
-                let histogram = hit.pair_histogram(req.origin, req.dest, req.step);
-                let latency = start.elapsed();
-                stats.latency.record(latency);
-                stats.latency_cache.record(latency);
-                if stod_obs::armed() {
-                    stod_obs::observe_duration("fleet/latency/result_cache", latency);
-                }
-                return FleetForecast {
-                    city: req.city,
-                    histogram,
-                    source: FleetSource::ResultCache { version },
-                    latency,
-                };
+                return reply(
+                    Answer::ResultCache,
+                    hit.pair_histogram(req.origin, req.dest, req.step),
+                    FleetSource::ResultCache { version },
+                );
             }
             stats.result_cache_misses.fetch_add(1, Ordering::Relaxed);
         }
@@ -381,24 +367,11 @@ impl Fleet {
         // broker queue are sheddable; the depth gate approximates "could
         // this request still meet a deadline behind that many jobs".
         if shard.queue_depth() >= self.shed_depth as u64 {
-            stats.shed.fetch_add(1, Ordering::Relaxed);
-            if stod_obs::armed() {
-                stod_obs::count("fleet/shed", 1);
-            }
-            stats.obs_mirror(|p| p.shed);
-            let histogram = shard.shed_histogram(req.origin, req.dest);
-            let latency = start.elapsed();
-            stats.latency.record(latency);
-            stats.latency_shed.record(latency);
-            if stod_obs::armed() {
-                stod_obs::observe_duration("fleet/latency/shed", latency);
-            }
-            return FleetForecast {
-                city: req.city,
-                histogram,
-                source: FleetSource::Shed,
-                latency,
-            };
+            return reply(
+                Answer::Shed,
+                shard.shed_histogram(req.origin, req.dest),
+                FleetSource::Shed,
+            );
         }
 
         // Stage 2½: fault injection can crash this shard in place — the
@@ -416,25 +389,12 @@ impl Fleet {
         // rebuilds it from the WAL before dispatching.
         match shard.breaker().admit() {
             Admission::Reject => {
-                stats.degraded.fetch_add(1, Ordering::Relaxed);
                 stats.breaker_open_rejects.fetch_add(1, Ordering::Relaxed);
-                if stod_obs::armed() {
-                    stod_obs::count("fleet/degraded", 1);
-                }
-                stats.obs_mirror(|p| p.degraded);
-                let histogram = shard.shed_histogram(req.origin, req.dest);
-                let latency = start.elapsed();
-                stats.latency.record(latency);
-                stats.latency_degraded.record(latency);
-                if stod_obs::armed() {
-                    stod_obs::observe_duration("fleet/latency/degraded", latency);
-                }
-                return FleetForecast {
-                    city: req.city,
-                    histogram,
-                    source: FleetSource::Degraded,
-                    latency,
-                };
+                return reply(
+                    Answer::Degraded,
+                    shard.shed_histogram(req.origin, req.dest),
+                    FleetSource::Degraded,
+                );
             }
             Admission::Probe | Admission::Admit => {
                 if shard.is_crashed() {

@@ -75,9 +75,9 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Builds a shard: fresh per-tenant stats (with obs counters mirrored
-    /// under `fleet/shard{city_id}/…`), registry, feature store, and a
-    /// running broker worker pool.
+    /// Builds a shard: fresh per-tenant stats (its exact ledger, read
+    /// through `Fleet::snapshot`), registry, feature store, and a running
+    /// broker worker pool.
     pub fn new(
         city_id: usize,
         name: String,
@@ -90,9 +90,7 @@ impl Shard {
             cfg.window_capacity >= cfg.lookback,
             "feature window must hold at least the lookback"
         );
-        let stats = Arc::new(ServeStats::with_obs_prefix(&format!(
-            "fleet/shard{city_id}"
-        )));
+        let stats = Arc::new(ServeStats::new());
         let num_regions = model.num_regions();
         let registry = Arc::new(Registry::new(model, Arc::clone(&stats)));
         let features = Arc::new(FeatureStore::new(num_regions, spec, cfg.window_capacity));
@@ -207,14 +205,6 @@ impl Shard {
         self.wal.as_ref().is_some_and(TripWal::is_dead)
     }
 
-    /// Fsyncs any unflushed WAL appends (no-op for a non-durable shard).
-    pub fn flush_wal(&self) -> std::io::Result<()> {
-        match &self.wal {
-            Some(wal) => wal.flush(),
-            None => Ok(()),
-        }
-    }
-
     /// Sealed intervals currently held in the sliding window.
     pub fn sealed_intervals(&self) -> usize {
         self.features.len()
@@ -283,25 +273,6 @@ impl Shard {
             let _ = wal.append_push(&trip);
         }
         Ok(())
-    }
-
-    /// Streams one trip by wall-clock departure time (the live-feed path;
-    /// see [`FeatureStore::push_trip_departing`]).
-    pub fn ingest_trip_departing(
-        &self,
-        mut trip: Trip,
-        depart_s: f64,
-        interval_len_s: f64,
-    ) -> Result<(), IngestError> {
-        let Some(interval) = stod_serve::interval_for_departure(depart_s, interval_len_s) else {
-            // Delegate so the rejection is validated and counted in one
-            // place; this always errors.
-            return self
-                .features
-                .push_trip_departing(trip, depart_s, interval_len_s);
-        };
-        trip.interval = interval;
-        self.ingest_trip(trip)
     }
 
     /// A consistent, interval-aligned read-snapshot of this shard's sealed

@@ -78,22 +78,6 @@ impl GroupedMean {
             .zip(self.groups.iter())
             .map(|(l, g)| (l.as_str(), g.mean(), g.count()))
     }
-
-    /// Share of all accumulated cells that fell into each group (the bar
-    /// series of Figures 8–10).
-    pub fn data_share(&self) -> Vec<f64> {
-        let total: usize = self.groups.iter().map(DisSim::count).sum();
-        self.groups
-            .iter()
-            .map(|g| {
-                if total == 0 {
-                    0.0
-                } else {
-                    g.count() as f64 / total as f64
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -131,18 +115,6 @@ mod tests {
         assert_eq!(rows[0].2, 2);
         assert!((rows[7].1 - 10.0).abs() < 1e-9);
         assert!(rows[1].1.is_nan());
-    }
-
-    #[test]
-    fn data_share_sums_to_one() {
-        let mut g = GroupedMean::distance_bins();
-        g.add(0, 1.0);
-        g.add(1, 1.0);
-        g.add(1, 1.0);
-        g.add(9, 1.0); // dropped (out of range)
-        let share = g.data_share();
-        assert!((share.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!((share[1] - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

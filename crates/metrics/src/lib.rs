@@ -72,13 +72,6 @@ impl DisSim {
         self.count += 1;
     }
 
-    /// Adds a cell if `observed`, computing the metric lazily.
-    pub fn add_cell(&mut self, observed: bool, metric: Metric, m: &[f32], m_hat: &[f32]) {
-        if observed {
-            self.add(metric.eval(m, m_hat));
-        }
-    }
-
     /// Number of cells accumulated.
     pub fn count(&self) -> usize {
         self.count
@@ -105,13 +98,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dissim_masked_mean() {
+    fn dissim_mean_over_observed_cells() {
         let mut d = DisSim::new();
         let a = [1.0f32, 0.0];
         let b = [0.5f32, 0.5];
-        d.add_cell(true, Metric::Emd, &a, &b);
-        d.add_cell(false, Metric::Emd, &a, &b); // masked out
-        d.add_cell(true, Metric::Emd, &a, &a);
+        d.add(Metric::Emd.eval(&a, &b));
+        d.add(Metric::Emd.eval(&a, &a));
         assert_eq!(d.count(), 2);
         assert!((d.mean() - 0.25).abs() < 1e-9);
     }

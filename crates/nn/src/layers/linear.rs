@@ -11,7 +11,7 @@ use stod_tensor::Tensor;
 /// batch dimensions.
 pub struct Linear {
     w: ParamId,
-    b: Option<ParamId>,
+    b: ParamId,
     in_dim: usize,
     out_dim: usize,
 }
@@ -33,27 +33,7 @@ impl Linear {
         let b = store.register(format!("{prefix}.bias"), Tensor::zeros(&[out_dim]));
         Linear {
             w,
-            b: Some(b),
-            in_dim,
-            out_dim,
-        }
-    }
-
-    /// Same as [`Linear::new`] but without a bias term.
-    pub fn new_no_bias(
-        store: &mut ParamStore,
-        prefix: &str,
-        in_dim: usize,
-        out_dim: usize,
-        rng: &mut Rng64,
-    ) -> Self {
-        let w = store.register(
-            format!("{prefix}.weight"),
-            Tensor::glorot(&[in_dim, out_dim], rng),
-        );
-        Linear {
-            w,
-            b: None,
+            b,
             in_dim,
             out_dim,
         }
@@ -74,11 +54,9 @@ impl Linear {
         let batch: usize = dims[..dims.len() - 1].iter().product();
         let flat = tape.reshape(x, &[batch, self.in_dim]);
         let w = tape.param(store, self.w);
-        let mut y = tape.matmul(flat, w);
-        if let Some(b) = self.b {
-            let b = tape.param(store, b);
-            y = tape.add(y, b);
-        }
+        let y = tape.matmul(flat, w);
+        let b = tape.param(store, self.b);
+        let y = tape.add(y, b);
         let mut out_dims = dims;
         *out_dims.last_mut().expect("nonempty") = self.out_dim;
         tape.reshape(y, &out_dims)

@@ -371,11 +371,32 @@ mod tests {
         );
     }
 
+    /// This test's own scratch directory, removed on drop unless the
+    /// thread is panicking, so a failed test keeps its files.
+    struct TmpDir(std::path::PathBuf);
+
+    impl TmpDir {
+        fn new(test: &str) -> TmpDir {
+            let dir =
+                std::env::temp_dir().join(format!("stod_params_{}_{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TmpDir(dir)
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
     #[test]
     fn save_is_atomic_under_injected_faults() {
-        let dir = std::env::temp_dir().join(format!("stod_params_atomic_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("w.stpw");
+        let dir = TmpDir::new("save_is_atomic");
+        let path = dir.0.join("w.stpw");
 
         let mut old = ParamStore::new();
         old.register("w", Tensor::from_vec(&[2], vec![1.0, 2.0]));

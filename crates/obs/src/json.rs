@@ -1,5 +1,4 @@
-//! The workspace's JSON writer, plus a human-readable table for
-//! [`ObsSnapshot`].
+//! The workspace's JSON writer.
 //!
 //! The observability snapshot, the serving stats, the WAL, breaker and
 //! fleet-health views and the conformance counterexample dumps all write
@@ -240,107 +239,6 @@ impl ObsSnapshot {
     pub fn to_json(&self) -> String {
         to_string(self)
     }
-
-    /// Renders the snapshot as an aligned, human-readable table: spans
-    /// (count, total, mean, min, max), then counters, gauges and
-    /// histogram percentiles.
-    pub fn render_table(&self) -> String {
-        fn ms(ns: u64) -> String {
-            format!("{:.3}", ns as f64 / 1e6)
-        }
-        let mut t = String::new();
-        if !self.spans.is_empty() {
-            let w = self
-                .spans
-                .iter()
-                .map(|s| s.path.len())
-                .max()
-                .unwrap_or(0)
-                .max(4);
-            let _ = writeln!(
-                t,
-                "{:<w$}  {:>9}  {:>12}  {:>10}  {:>10}  {:>10}",
-                "span", "count", "total_ms", "mean_ms", "min_ms", "max_ms"
-            );
-            for s in &self.spans {
-                let _ = writeln!(
-                    t,
-                    "{:<w$}  {:>9}  {:>12}  {:>10}  {:>10}  {:>10}",
-                    s.path,
-                    s.count,
-                    ms(s.total_ns),
-                    ms(s.mean_ns()),
-                    ms(s.min_ns),
-                    ms(s.max_ns)
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            let w = self
-                .counters
-                .iter()
-                .map(|c| c.name.len())
-                .max()
-                .unwrap_or(0)
-                .max(7);
-            let _ = writeln!(t, "{:<w$}  {:>14}", "counter", "value");
-            for c in &self.counters {
-                let _ = writeln!(t, "{:<w$}  {:>14}", c.name, c.value);
-            }
-        }
-        if !self.gauges.is_empty() {
-            let w = self
-                .gauges
-                .iter()
-                .map(|g| g.name.len())
-                .max()
-                .unwrap_or(0)
-                .max(5);
-            let _ = writeln!(
-                t,
-                "{:<w$}  {:>10}  {:>10}  {:>10}  {:>8}",
-                "gauge", "value", "min", "max", "updates"
-            );
-            for g in &self.gauges {
-                let _ = writeln!(
-                    t,
-                    "{:<w$}  {:>10}  {:>10}  {:>10}  {:>8}",
-                    g.name, g.value, g.min, g.max, g.updates
-                );
-            }
-        }
-        if !self.histograms.is_empty() {
-            let w = self
-                .histograms
-                .iter()
-                .map(|h| h.name.len())
-                .max()
-                .unwrap_or(0)
-                .max(9);
-            let _ = writeln!(
-                t,
-                "{:<w$}  {:>9}  {:>12}  {:>10}  {:>10}  {:>10}  {:>12}",
-                "histogram", "count", "mean", "p50", "p90", "p99", "max"
-            );
-            for h in &self.histograms {
-                let _ = writeln!(
-                    t,
-                    "{:<w$}  {:>9}  {:>12}  {:>10}  {:>10}  {:>10}  {:>12}",
-                    h.name,
-                    h.count,
-                    h.mean(),
-                    h.p50,
-                    h.p90,
-                    h.p99,
-                    h.max
-                );
-            }
-        }
-        if self.dropped_trace_events > 0 {
-            let _ = writeln!(t, "(dropped {} trace events)", self.dropped_trace_events);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -410,30 +308,6 @@ mod tests {
             let opens = js.matches('{').count();
             let closes = js.matches('}').count();
             assert_eq!(opens, closes);
-        });
-    }
-
-    #[test]
-    fn table_lists_all_sections() {
-        crate::with_mode(ObsMode::On, || {
-            snapshot::reset();
-            {
-                let _s = crate::span!("tb/span");
-            }
-            crate::count("tb/counter", 1);
-            crate::gauge_set("tb/gauge", 2);
-            crate::observe("tb/hist", 3);
-            let table = snapshot::snapshot().render_table();
-            for needle in [
-                "tb/span",
-                "tb/counter",
-                "tb/gauge",
-                "tb/hist",
-                "total_ms",
-                "p99",
-            ] {
-                assert!(table.contains(needle), "missing {needle} in:\n{table}");
-            }
         });
     }
 }

@@ -9,7 +9,7 @@
 //!   into fixed power-of-two buckets — bucket `b` covers
 //!   `[2^b, 2^{b+1})` — and report p50/p90/p99 as the upper edge of the
 //!   bucket holding the quantile's cumulative mass, the same estimator as
-//!   `stod_serve`'s latency histogram.
+//!   the log2 histograms `stod_serve::ServeStats` keeps per answer path.
 //!
 //! Every probe here is disarmed by a single relaxed atomic load when
 //! `STOD_OBS=off` (see the crate-level overhead contract).
@@ -142,8 +142,8 @@ pub(crate) struct GaugeAgg {
 ///
 /// The metric registries key on `&'static str` so the armed fast path
 /// never hashes string contents or allocates. Call sites whose names are
-/// only known at runtime — the fleet's per-shard counter paths like
-/// `fleet/shard3/requests` — intern them **once at construction** and
+/// only known at runtime — the fleet's per-shard breaker gauges like
+/// `fleet/shard3/breaker_state` — intern them **once at construction** and
 /// keep the returned reference. Interning takes a global lock and leaks
 /// the string on first sight (idempotently: the same name always returns
 /// the same reference), so it must stay off hot paths; the set of metric

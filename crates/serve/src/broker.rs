@@ -18,7 +18,7 @@
 
 use crate::ingest::FeatureStore;
 use crate::registry::Registry;
-use crate::stats::ServeStats;
+use crate::stats::{Answer, ServeStats};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -232,12 +232,11 @@ impl Broker {
     /// Answers one forecast request, micro-batching with concurrent
     /// requests for the same key and falling back to NH on any failure.
     pub fn forecast(&self, req: ForecastRequest) -> ServedForecast {
-        let stats = &self.shared.stats;
-        stats.requests_total.fetch_add(1, Ordering::Relaxed);
-        if stod_obs::armed() {
-            stod_obs::count("serve/requests", 1);
-        }
-        stats.obs_mirror(|p| p.requests);
+        self.shared
+            .stats
+            .requests_total
+            .fetch_add(1, Ordering::Relaxed);
+        stod_obs::count("serve/requests", 1);
         self.forecast_shared(req).0
     }
 
@@ -258,7 +257,6 @@ impl Broker {
         assert!(req.origin < n && req.dest < n, "region id out of range");
         assert!(req.step < req.horizon, "step must be < horizon");
         let start = Instant::now();
-        let stats = &self.shared.stats;
 
         let result = match self.shared.registry.active_version() {
             None => Err(FallbackReason::NoModel),
@@ -293,48 +291,27 @@ impl Broker {
         };
 
         let mut shared_result = None;
-        let (histogram, source) = match result {
+        let (histogram, source, answer) = match result {
             Ok(computed) => {
                 let hist = computed.pair_histogram(req.origin, req.dest, req.step);
                 let source = Source::Model {
                     version: computed.version,
                 };
                 shared_result = Some(computed);
-                (hist, source)
+                (hist, source, Answer::Model)
             }
-            Err(reason) => {
-                let counter = match reason {
-                    FallbackReason::Deadline => &stats.fallbacks_deadline,
-                    FallbackReason::NoModel => &stats.fallbacks_no_model,
-                    FallbackReason::NoFeatures => &stats.fallbacks_no_features,
-                    FallbackReason::WorkerPanic => &stats.fallbacks_worker_panic,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                (
-                    self.shared
-                        .fallback
-                        .pair_histogram(req.origin, req.dest)
-                        .to_vec(),
-                    Source::Fallback(reason),
-                )
-            }
+            Err(reason) => (
+                self.shared
+                    .fallback
+                    .pair_histogram(req.origin, req.dest)
+                    .to_vec(),
+                Source::Fallback(reason),
+                Answer::Fallback(reason),
+            ),
         };
 
         let latency = start.elapsed();
-        stats.latency.record(latency);
-        let outcome_hist = match &source {
-            Source::Model { .. } => {
-                stats.latency_model.record(latency);
-                "serve/latency/model"
-            }
-            Source::Fallback(_) => {
-                stats.latency_fallback.record(latency);
-                "serve/latency/fallback"
-            }
-        };
-        if stod_obs::armed() {
-            stod_obs::observe_ns(outcome_hist, latency.as_nanos() as u64);
-        }
+        self.shared.stats.answered(answer, latency);
         (
             ServedForecast {
                 histogram,
@@ -356,10 +333,7 @@ impl Broker {
             match cache.get_mut(&key) {
                 Some(CacheEntry::Done(result)) => {
                     self.shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    if stod_obs::armed() {
-                        stod_obs::count("serve/cache_hits", 1);
-                    }
-                    self.shared.stats.obs_mirror(|p| p.cache_hits);
+                    stod_obs::count("serve/cache_hits", 1);
                     return Joined::Ready(result.clone());
                 }
                 Some(CacheEntry::InFlight(waiters)) => {
@@ -367,10 +341,7 @@ impl Broker {
                         .stats
                         .batched_joins
                         .fetch_add(1, Ordering::Relaxed);
-                    if stod_obs::armed() {
-                        stod_obs::count("serve/batched_joins", 1);
-                    }
-                    self.shared.stats.obs_mirror(|p| p.batched_joins);
+                    stod_obs::count("serve/batched_joins", 1);
                     waiters.push(tx);
                     return Joined::Wait(rx);
                 }
@@ -426,10 +397,7 @@ impl Broker {
                 Ok(()) => return,
                 Err(_) => {
                     shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    if stod_obs::armed() {
-                        stod_obs::count("serve/worker_panics", 1);
-                    }
-                    shared.stats.obs_mirror(|p| p.worker_panics);
+                    stod_obs::count("serve/worker_panics", 1);
                     if let Some(key) = current.get() {
                         Broker::fail_job(shared, key);
                     }
@@ -495,10 +463,7 @@ impl Broker {
                             .stats
                             .model_invocations
                             .fetch_add(1, Ordering::Relaxed);
-                        if stod_obs::armed() {
-                            stod_obs::count("serve/model_invocations", 1);
-                        }
-                        shared.stats.obs_mirror(|p| p.model_invocations);
+                        stod_obs::count("serve/model_invocations", 1);
                         Ok(Arc::new(ComputedForecast {
                             version: key.version,
                             predictions,
@@ -514,10 +479,7 @@ impl Broker {
         // fleet-level result-cache hits and sheds).
         if result.is_err() {
             shared.stats.failed_jobs.fetch_add(1, Ordering::Relaxed);
-            if stod_obs::armed() {
-                stod_obs::count("serve/failed_jobs", 1);
-            }
-            shared.stats.obs_mirror(|p| p.failed_jobs);
+            stod_obs::count("serve/failed_jobs", 1);
         }
         let waiters = {
             let mut cache = lock(&shared.cache);
@@ -552,9 +514,7 @@ impl Broker {
         // The fan-out width is the micro-batch size this job answered:
         // the leader plus every request that joined while it was in flight.
         shared.stats.batch_sizes.record(waiters.len() as u64);
-        if stod_obs::armed() {
-            stod_obs::observe("serve/batch_size", waiters.len() as u64);
-        }
+        stod_obs::observe("serve/batch_size", waiters.len() as u64);
         for waiter in waiters {
             let _ = waiter.send(result.clone());
         }

@@ -172,11 +172,8 @@ impl FeatureStore {
     /// live feed must not be able to crash the server *or* poison a
     /// sealed histogram with NaN.
     pub fn push_trip(&self, trip: Trip) -> Result<(), IngestError> {
-        self.validate(&trip).inspect_err(|_| {
-            if stod_obs::armed() {
-                stod_obs::count("ingest/rejected_trips", 1);
-            }
-        })?;
+        self.validate(&trip)
+            .inspect_err(|_| stod_obs::count("ingest/rejected_trips", 1))?;
         lock(&self.inner)
             .pending
             .entry(trip.interval)
@@ -217,9 +214,7 @@ impl FeatureStore {
         interval_len_s: f64,
     ) -> Result<(), IngestError> {
         let Some(interval) = interval_for_departure(depart_s, interval_len_s) else {
-            if stod_obs::armed() {
-                stod_obs::count("ingest/rejected_trips", 1);
-            }
+            stod_obs::count("ingest/rejected_trips", 1);
             return Err(IngestError::BadDeparture(depart_s));
         };
         trip.interval = interval;
@@ -273,11 +268,6 @@ impl FeatureStore {
         let mut inner = lock(&self.inner);
         inner.pending.clear();
         inner.sealed.clear();
-    }
-
-    /// Newest sealed interval index, if any.
-    pub fn latest_interval(&self) -> Option<usize> {
-        lock(&self.inner).sealed.keys().next_back().copied()
     }
 
     /// Number of sealed intervals currently retained.
@@ -515,7 +505,7 @@ mod tests {
             fs.seal_interval(t);
         }
         assert_eq!(fs.len(), 4);
-        assert_eq!(fs.latest_interval(), Some(9));
+        assert_eq!(fs.snapshot_window().unwrap().last(), Some(9));
         // Evicted intervals now read as empty inside a window.
         let inputs = fs.window_inputs(9, 4).unwrap();
         assert!(inputs.iter().all(|i| i.data().iter().sum::<f32>() > 0.0));

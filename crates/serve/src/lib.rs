@@ -19,8 +19,11 @@
 //!   one model invocation, caches the computed full tensor, enforces
 //!   per-request deadlines, and degrades to the NH historical-average
 //!   baseline instead of erroring.
-//! * [`stats::ServeStats`] — counters and latency percentiles, exported
-//!   as a JSON-serializable snapshot.
+//! * [`stats::ServeStats`] — the stack's one ledger: atomic counters and
+//!   per-answer-path latency histograms, exported as a JSON-serializable
+//!   snapshot. Each answered request is booked by one
+//!   [`ServeStats::answered`] call, which also feeds the flat `serve/*`
+//!   and `fleet/*` obs probes when observability is armed.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -63,7 +66,7 @@ pub use broker::{
 };
 pub use ingest::{interval_for_departure, FeatureStore, IngestError, IngestSnapshot};
 pub use registry::{ModelConfig, ModelKind, Registry, RegistryError, ScrubReport, ServedModel};
-pub use stats::{LatencyHistogram, LedgerObsPaths, ServeStats, StatsSnapshot};
+pub use stats::{Answer, ServeStats, StatsSnapshot};
 pub use wal::{FsyncPolicy, TripWal, WalConfig, WalRecord, WalReplay, WalStats};
 
 /// The serving stack is shared across request threads; keep the central

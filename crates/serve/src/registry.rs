@@ -400,9 +400,7 @@ impl Registry {
             self.stats
                 .scrub_rejects
                 .fetch_add(rejects.len() as u64, Ordering::Relaxed);
-            if stod_obs::armed() {
-                stod_obs::count("registry/scrub_rejects", rejects.len() as u64);
-            }
+            stod_obs::count("registry/scrub_rejects", rejects.len() as u64);
         }
         // Demote a now-invalid incumbent to the newest surviving version.
         let mut demoted_active = None;
@@ -562,18 +560,40 @@ mod tests {
         assert_eq!(reg.num_versions(), 0);
     }
 
-    fn write_tmp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("stod_registry_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        std::fs::write(&path, bytes).unwrap();
-        path
+    /// This test's own scratch directory, removed on drop unless the
+    /// thread is panicking, so a failed test keeps its files.
+    struct TmpDir(std::path::PathBuf);
+
+    impl TmpDir {
+        fn new(test: &str) -> TmpDir {
+            let dir =
+                std::env::temp_dir().join(format!("stod_registry_{}_{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TmpDir(dir)
+        }
+
+        /// Writes `bytes` to `name` in this directory.
+        fn write(&self, name: &str, bytes: &[u8]) -> std::path::PathBuf {
+            let path = self.0.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            path
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
     }
 
     /// Truncated, bit-flipped, and empty checkpoint files must all yield a
     /// typed error — never a panic — and must leave the registry untouched.
     #[test]
     fn register_file_rejects_damaged_checkpoints_without_state_change() {
+        let dir = TmpDir::new("register_file_rejects");
         let _quiet = quiet();
         let config = bf_config(4);
         let stats = Arc::new(ServeStats::new());
@@ -583,7 +603,7 @@ mod tests {
 
         let good = config.build(2).params().to_bytes().to_vec();
 
-        let truncated = write_tmp_file("trunc.stpw", &good[..good.len() / 2]);
+        let truncated = dir.write("trunc.stpw", &good[..good.len() / 2]);
         assert!(matches!(
             reg.register_file(&truncated),
             Err(RegistryError::Corrupt { .. })
@@ -591,13 +611,13 @@ mod tests {
 
         let mut flipped_bytes = good.clone();
         flipped_bytes[good.len() / 2] ^= 0x40;
-        let flipped = write_tmp_file("flip.stpw", &flipped_bytes);
+        let flipped = dir.write("flip.stpw", &flipped_bytes);
         assert!(matches!(
             reg.register_file(&flipped),
             Err(RegistryError::Corrupt { .. })
         ));
 
-        let empty = write_tmp_file("empty.stpw", b"");
+        let empty = dir.write("empty.stpw", b"");
         assert!(matches!(
             reg.register_file(&empty),
             Err(RegistryError::Malformed(_))
@@ -614,7 +634,7 @@ mod tests {
         assert_eq!(stats.snapshot().checkpoint_rejects, 4);
 
         // The undamaged bytes still register fine afterwards.
-        let ok = write_tmp_file("good.stpw", &good);
+        let ok = dir.write("good.stpw", &good);
         assert_eq!(reg.register_file(&ok).unwrap(), 2);
     }
 
@@ -622,12 +642,13 @@ mod tests {
     /// parse; the CRC must catch every corruption mode it can inject.
     #[test]
     fn injected_checkpoint_corruption_is_always_rejected() {
+        let dir = TmpDir::new("injected_corruption");
         use stod_faultline::{install, FaultPlan, FaultSite};
         let config = bf_config(4);
         let stats = Arc::new(ServeStats::new());
         let reg = Registry::new(config.clone(), stats.clone());
         let good = config.build(7).params().to_bytes().to_vec();
-        let path = write_tmp_file("chaos.stpw", &good);
+        let path = dir.write("chaos.stpw", &good);
 
         for param in 0..3 {
             let _g = install(FaultPlan::new(11 + param).with(FaultSite::CkptCorrupt, 1.0, param));
@@ -648,16 +669,17 @@ mod tests {
     /// falls back to the newest surviving version.
     #[test]
     fn scrub_rejects_bit_rotted_file_and_demotes_incumbent() {
+        let dir = TmpDir::new("scrub_rejects");
         let _quiet = quiet();
         let config = bf_config(4);
         let stats = Arc::new(ServeStats::new());
         let reg = Registry::new(config.clone(), stats.clone());
 
         let v1_bytes = config.build(1).params().to_bytes().to_vec();
-        let p1 = write_tmp_file("scrub_v1.stpw", &v1_bytes);
+        let p1 = dir.write("scrub_v1.stpw", &v1_bytes);
         let v1 = reg.register_file(&p1).unwrap();
         let v2_bytes = config.build(2).params().to_bytes().to_vec();
-        let p2 = write_tmp_file("scrub_v2.stpw", &v2_bytes);
+        let p2 = dir.write("scrub_v2.stpw", &v2_bytes);
         let v2 = reg.register_file(&p2).unwrap();
         reg.promote(v2).unwrap();
 
@@ -697,11 +719,12 @@ mod tests {
     /// incumbent at all rather than serving unverifiable weights.
     #[test]
     fn scrub_with_no_survivor_clears_the_incumbent() {
+        let dir = TmpDir::new("scrub_no_survivor");
         let _quiet = quiet();
         let config = bf_config(4);
         let reg = Registry::new(config.clone(), Arc::new(ServeStats::new()));
         let bytes = config.build(1).params().to_bytes().to_vec();
-        let p = write_tmp_file("scrub_only.stpw", &bytes);
+        let p = dir.write("scrub_only.stpw", &bytes);
         let v = reg.register_file(&p).unwrap();
         reg.promote(v).unwrap();
         std::fs::write(&p, b"not a checkpoint").unwrap();

@@ -1,149 +1,104 @@
-//! Serving telemetry: lock-free counters plus a latency histogram with
-//! percentile estimates, exported as a JSON-serializable snapshot.
+//! Serving telemetry: lock-free counters plus log2 histograms of request
+//! latencies and micro-batch sizes, exported as a JSON-serializable
+//! snapshot.
 //!
-//! The latency histogram follows the same spirit as the equi-width speed
+//! The histograms follow the same spirit as the equi-width speed
 //! histograms of `stod_traffic::HistogramSpec` — fixed buckets, counts,
-//! quantiles read off the cumulative mass — but uses power-of-two bucket
+//! quantiles read off the cumulative mass — but use power-of-two bucket
 //! widths because request latencies span several orders of magnitude
 //! (a cache hit is microseconds, a cold AF forward pass can be seconds).
+//!
+//! Each request's latency is recorded once, in the histogram of the path
+//! that answered it ([`Answer`]); the all-requests percentiles are read
+//! off the bucketwise sum of those five histograms.
 
+use crate::broker::FallbackReason;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use stod_obs::json::{self, ToJson};
 
-/// Number of log2 latency buckets: bucket `b` covers `[2^b, 2^{b+1})` µs,
-/// so the range spans 1 µs … ~1.2 h, far beyond any sane deadline.
-const LATENCY_BUCKETS: usize = 32;
+/// Number of log2 buckets: bucket `b` covers `[2^b, 2^{b+1})`, so a
+/// latency in µs spans 1 µs … ~1.2 h, far beyond any sane deadline.
+const BUCKETS: usize = 32;
 
-/// A fixed-bucket log2 histogram of request latencies in microseconds.
+/// A fixed-bucket log2 histogram of `u64` values (latencies in µs,
+/// micro-batch fan-outs) with an exact running maximum. 0 counts in the
+/// first bucket; values past the last bucket saturate into it.
 #[derive(Default)]
-pub struct LatencyHistogram {
-    counts: [AtomicU64; LATENCY_BUCKETS],
+pub(crate) struct Log2Histogram {
+    counts: [AtomicU64; BUCKETS],
+    max: AtomicU64,
 }
 
-impl LatencyHistogram {
-    /// Records one latency observation.
-    pub fn record(&self, latency: Duration) {
-        let us = latency.as_micros().max(1) as u64;
-        let bucket = (63 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
+impl Log2Histogram {
+    /// Records one observation.
+    pub(crate) fn record(&self, v: u64) {
+        let bucket = (63 - v.max(1).leading_zeros() as usize).min(BUCKETS - 1);
         self.counts[bucket].fetch_add(1, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Total number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    /// A point-in-time copy of the bucket counts.
+    fn buckets(&self) -> Buckets {
+        Buckets(std::array::from_fn(|b| {
+            self.counts[b].load(Ordering::Relaxed)
+        }))
+    }
+}
+
+/// Frozen bucket counts of one or more [`Log2Histogram`]s.
+#[derive(Clone, Copy, Default)]
+struct Buckets([u64; BUCKETS]);
+
+impl Buckets {
+    /// Total number of observations.
+    fn count(&self) -> u64 {
+        self.0.iter().sum()
     }
 
-    /// The `q`-quantile (`0 < q ≤ 1`) in microseconds, estimated as the
-    /// upper edge of the bucket holding the quantile's cumulative mass.
-    /// Returns 0 when nothing has been recorded.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let snapshot: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = snapshot.iter().sum();
+    /// The `q`-quantile (`0 < q ≤ 1`), estimated as the upper edge of the
+    /// bucket holding the quantile's cumulative mass. 0 when empty.
+    fn quantile(&self, q: f64) -> u64 {
+        let total = self.count();
         if total == 0 {
             return 0;
         }
         let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
-        for (b, &c) in snapshot.iter().enumerate() {
+        for (b, &c) in self.0.iter().enumerate() {
             cum += c;
             if cum >= target {
                 return 1u64 << (b + 1);
             }
         }
-        1u64 << LATENCY_BUCKETS
-    }
-}
-
-/// Number of log2 size buckets: bucket `b` covers `[2^b, 2^{b+1})`, so the
-/// range spans 1 … 65536 — far beyond any sane micro-batch fan-out.
-const SIZE_BUCKETS: usize = 16;
-
-/// A fixed-bucket log2 histogram of small integer sizes (micro-batch
-/// fan-outs), with an exact running maximum alongside the bucketed
-/// quantiles.
-#[derive(Default)]
-pub struct SizeHistogram {
-    counts: [AtomicU64; SIZE_BUCKETS],
-    max: AtomicU64,
-}
-
-impl SizeHistogram {
-    /// Records one size observation.
-    pub fn record(&self, size: u64) {
-        let v = size.max(1);
-        let bucket = (63 - v.leading_zeros() as usize).min(SIZE_BUCKETS - 1);
-        self.counts[bucket].fetch_add(1, Ordering::Relaxed);
-        self.max.fetch_max(size, Ordering::Relaxed);
+        1u64 << BUCKETS
     }
 
-    /// Total number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Largest recorded size (exact, not a bucket edge).
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// The `q`-quantile (`0 < q ≤ 1`), estimated as the upper edge of the
-    /// bucket holding the quantile's cumulative mass, clamped to the exact
-    /// observed maximum so the estimate never exceeds a value that was
-    /// actually seen. 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let snapshot: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = snapshot.iter().sum();
-        if total == 0 {
-            return 0;
+    /// The bucketwise sum: the histogram of both sets of observations.
+    fn add(mut self, other: Buckets) -> Buckets {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
         }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        let max = self.max();
-        for (b, &c) in snapshot.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return (1u64 << (b + 1)).min(max);
-            }
-        }
-        (1u64 << SIZE_BUCKETS).min(max)
+        self
     }
 }
 
-/// Interned observability paths mirroring one serving stack's ledger
-/// counters under a per-shard prefix (`fleet/shard3/requests`, …).
-///
-/// The flat `serve/*` counters aggregate every stack in the process; a
-/// fleet needs the same ledger *per tenant*, and the obs registry keys on
-/// `&'static str`, so the paths are interned once at stack construction
-/// (see [`stod_obs::intern`]) and reused on every request.
-pub struct LedgerObsPaths {
-    /// Mirror of [`ServeStats::requests_total`].
-    pub requests: &'static str,
-    /// Mirror of [`ServeStats::model_invocations`].
-    pub model_invocations: &'static str,
-    /// Mirror of [`ServeStats::batched_joins`].
-    pub batched_joins: &'static str,
-    /// Mirror of [`ServeStats::cache_hits`].
-    pub cache_hits: &'static str,
-    /// Mirror of [`ServeStats::result_cache_hits`].
-    pub result_cache_hits: &'static str,
-    /// Mirror of [`ServeStats::shed`].
-    pub shed: &'static str,
-    /// Mirror of [`ServeStats::degraded`].
-    pub degraded: &'static str,
-    /// Mirror of [`ServeStats::worker_panics`].
-    pub worker_panics: &'static str,
-    /// Mirror of [`ServeStats::failed_jobs`].
-    pub failed_jobs: &'static str,
+/// The path that answered a request; [`ServeStats::answered`] books each
+/// answer under exactly one of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// The promoted model (a fresh invocation, a joined one, or the
+    /// broker's interval cache).
+    Model,
+    /// The broker's NH baseline, for this reason.
+    Fallback(FallbackReason),
+    /// The fleet-level forecast result cache.
+    ResultCache,
+    /// Admission control shed the request to the NH baseline.
+    Shed,
+    /// The shard's circuit breaker was open; the NH baseline answered in
+    /// degraded mode.
+    Degraded,
 }
 
 /// Counters and latency telemetry for one serving stack. All methods take
@@ -151,8 +106,6 @@ pub struct LedgerObsPaths {
 /// observers.
 #[derive(Default)]
 pub struct ServeStats {
-    /// Per-shard obs mirror paths (`None` for a plain, unprefixed stack).
-    obs_paths: Option<LedgerObsPaths>,
     /// Forecast requests received.
     pub requests_total: AtomicU64,
     /// Model forward passes actually executed.
@@ -218,22 +171,12 @@ pub struct ServeStats {
     /// Batches whose loss or gradients were non-finite during training
     /// (reported by the trainer when it shares this stats instance).
     pub nonfinite_batches: AtomicU64,
-    /// End-to-end request latencies.
-    pub latency: LatencyHistogram,
-    /// End-to-end latencies of requests answered by the model.
-    pub latency_model: LatencyHistogram,
-    /// End-to-end latencies of requests answered by a fallback path.
-    pub latency_fallback: LatencyHistogram,
-    /// End-to-end latencies of requests answered from the fleet result
-    /// cache.
-    pub latency_cache: LatencyHistogram,
-    /// End-to-end latencies of requests shed by admission control.
-    pub latency_shed: LatencyHistogram,
-    /// End-to-end latencies of requests answered in degraded mode.
-    pub latency_degraded: LatencyHistogram,
+    /// End-to-end latencies (µs) of the requests each [`Answer`] path
+    /// served: model, fallback, result cache, shed, degraded.
+    latency: [Log2Histogram; 5],
     /// Micro-batch fan-out sizes: how many waiters each finished job
     /// answered (leader included).
-    pub batch_sizes: SizeHistogram,
+    pub(crate) batch_sizes: Log2Histogram,
     /// Jobs currently enqueued or executing in the worker pool.
     pub queue_depth: AtomicU64,
     /// High-water mark of [`ServeStats::queue_depth`].
@@ -246,40 +189,50 @@ impl ServeStats {
         ServeStats::default()
     }
 
-    /// Fresh stats whose ledger counters additionally mirror into obs
-    /// counters under `prefix` (e.g. `fleet/shard3`), so a multi-tenant
-    /// process can read the conservation ledger per shard from one
-    /// [`stod_obs::snapshot`]. Paths are interned here, once; the
-    /// request-path mirror is then an ordinary `&'static str` counter bump.
-    pub fn with_obs_prefix(prefix: &str) -> ServeStats {
-        let path = |suffix: &str| stod_obs::intern(&format!("{prefix}/{suffix}"));
-        ServeStats {
-            obs_paths: Some(LedgerObsPaths {
-                requests: path("requests"),
-                model_invocations: path("model_invocations"),
-                batched_joins: path("batched_joins"),
-                cache_hits: path("cache_hits"),
-                result_cache_hits: path("result_cache_hits"),
-                shed: path("shed"),
-                degraded: path("degraded"),
-                worker_panics: path("worker_panics"),
-                failed_jobs: path("failed_jobs"),
-            }),
-            ..ServeStats::default()
+    /// Books one answered request: bumps its answer's ledger counter
+    /// (a model answer has none of its own — its slot was booked when it
+    /// led, joined or hit a job), records `latency` in that path's
+    /// histogram, and mirrors both into the flat obs counter and
+    /// histogram when observability is armed.
+    pub fn answered(&self, answer: Answer, latency: Duration) {
+        let (counter, path, obs_counter, obs_hist) = match answer {
+            Answer::Model => (None, 0, None, "serve/latency/model"),
+            Answer::Fallback(reason) => {
+                let counter = match reason {
+                    FallbackReason::Deadline => &self.fallbacks_deadline,
+                    FallbackReason::NoModel => &self.fallbacks_no_model,
+                    FallbackReason::NoFeatures => &self.fallbacks_no_features,
+                    FallbackReason::WorkerPanic => &self.fallbacks_worker_panic,
+                };
+                (Some(counter), 1, None, "serve/latency/fallback")
+            }
+            Answer::ResultCache => (
+                Some(&self.result_cache_hits),
+                2,
+                Some("fleet/result_cache_hits"),
+                "fleet/latency/result_cache",
+            ),
+            Answer::Shed => (
+                Some(&self.shed),
+                3,
+                Some("fleet/shed"),
+                "fleet/latency/shed",
+            ),
+            Answer::Degraded => (
+                Some(&self.degraded),
+                4,
+                Some("fleet/degraded"),
+                "fleet/latency/degraded",
+            ),
+        };
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Bumps the per-shard obs mirror of one ledger counter (chosen by
-    /// `pick`) when this stack has a prefix and observability is armed.
-    /// Disarmed or unprefixed cost: one relaxed load.
-    #[inline]
-    pub fn obs_mirror(&self, pick: impl FnOnce(&LedgerObsPaths) -> &'static str) {
-        if !stod_obs::armed() {
-            return;
+        if let Some(name) = obs_counter {
+            stod_obs::count(name, 1);
         }
-        if let Some(paths) = &self.obs_paths {
-            stod_obs::count(pick(paths), 1);
-        }
+        self.latency[path].record(latency.as_micros() as u64);
+        stod_obs::observe_duration(obs_hist, latency);
     }
 
     /// Folds a finished training run's fault counters into the serving
@@ -296,23 +249,24 @@ impl ServeStats {
     pub fn job_enqueued(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
-        if stod_obs::armed() {
-            stod_obs::gauge_set("serve/queue_depth", depth as i64);
-        }
+        stod_obs::gauge_set("serve/queue_depth", depth as i64);
     }
 
     /// One job left the queue for execution.
     pub fn job_dequeued(&self) {
         let prev = self.queue_depth.fetch_sub(1, Ordering::Relaxed);
         debug_assert!(prev > 0, "queue depth underflow");
-        if stod_obs::armed() {
-            stod_obs::gauge_set("serve/queue_depth", prev.saturating_sub(1) as i64);
-        }
+        stod_obs::gauge_set("serve/queue_depth", prev.saturating_sub(1) as i64);
     }
 
     /// A point-in-time copy of every counter plus latency percentiles.
     pub fn snapshot(&self) -> StatsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let paths = self.latency.each_ref().map(Log2Histogram::buckets);
+        let all = paths.iter().fold(Buckets::default(), |sum, &p| sum.add(p));
+        let [model, fallback, cache, shed, degraded] = paths;
+        let batch = self.batch_sizes.buckets();
+        let batch_max = self.batch_sizes.max.load(Ordering::Relaxed);
         StatsSnapshot {
             requests_total: load(&self.requests_total),
             model_invocations: load(&self.model_invocations),
@@ -336,28 +290,30 @@ impl ServeStats {
             checkpoint_rejects: load(&self.checkpoint_rejects),
             scrub_rejects: load(&self.scrub_rejects),
             nonfinite_batches: load(&self.nonfinite_batches),
-            latency_count: self.latency.count(),
-            p50_us: self.latency.quantile_us(0.50),
-            p95_us: self.latency.quantile_us(0.95),
-            p99_us: self.latency.quantile_us(0.99),
-            model_latency_count: self.latency_model.count(),
-            model_p50_us: self.latency_model.quantile_us(0.50),
-            model_p99_us: self.latency_model.quantile_us(0.99),
-            fallback_latency_count: self.latency_fallback.count(),
-            fallback_p50_us: self.latency_fallback.quantile_us(0.50),
-            fallback_p99_us: self.latency_fallback.quantile_us(0.99),
-            cache_latency_count: self.latency_cache.count(),
-            cache_p50_us: self.latency_cache.quantile_us(0.50),
-            cache_p99_us: self.latency_cache.quantile_us(0.99),
-            shed_latency_count: self.latency_shed.count(),
-            shed_p50_us: self.latency_shed.quantile_us(0.50),
-            shed_p99_us: self.latency_shed.quantile_us(0.99),
-            degraded_latency_count: self.latency_degraded.count(),
-            degraded_p50_us: self.latency_degraded.quantile_us(0.50),
-            degraded_p99_us: self.latency_degraded.quantile_us(0.99),
-            batch_count: self.batch_sizes.count(),
-            batch_p50: self.batch_sizes.quantile(0.50),
-            batch_max: self.batch_sizes.max(),
+            latency_count: all.count(),
+            p50_us: all.quantile(0.50),
+            p95_us: all.quantile(0.95),
+            p99_us: all.quantile(0.99),
+            model_latency_count: model.count(),
+            model_p50_us: model.quantile(0.50),
+            model_p99_us: model.quantile(0.99),
+            fallback_latency_count: fallback.count(),
+            fallback_p50_us: fallback.quantile(0.50),
+            fallback_p99_us: fallback.quantile(0.99),
+            cache_latency_count: cache.count(),
+            cache_p50_us: cache.quantile(0.50),
+            cache_p99_us: cache.quantile(0.99),
+            shed_latency_count: shed.count(),
+            shed_p50_us: shed.quantile(0.50),
+            shed_p99_us: shed.quantile(0.99),
+            degraded_latency_count: degraded.count(),
+            degraded_p50_us: degraded.quantile(0.50),
+            degraded_p99_us: degraded.quantile(0.99),
+            batch_count: batch.count(),
+            // Clamped to the exact maximum, so the estimate never exceeds
+            // a fan-out that was actually seen.
+            batch_p50: batch.quantile(0.50).min(batch_max),
+            batch_max,
             queue_depth_max: load(&self.queue_depth_max),
         }
     }
@@ -410,7 +366,8 @@ pub struct StatsSnapshot {
     pub scrub_rejects: u64,
     /// See [`ServeStats::nonfinite_batches`].
     pub nonfinite_batches: u64,
-    /// Number of latency observations behind the percentiles.
+    /// Latency observations across every answer path (the sum of the
+    /// five per-path counts below).
     pub latency_count: u64,
     /// Median request latency (µs, bucket upper edge).
     pub p50_us: u64,
@@ -559,30 +516,122 @@ impl ToJson for StatsSnapshot {
 mod tests {
     use super::*;
 
+    fn us(h: &Log2Histogram, q: f64) -> u64 {
+        h.buckets().quantile(q)
+    }
+
     #[test]
     fn latency_buckets_and_quantiles() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.quantile_us(0.5), 0);
+        let h = Log2Histogram::default();
+        assert_eq!(us(&h, 0.5), 0);
         for _ in 0..90 {
-            h.record(Duration::from_micros(100)); // bucket 6: [64, 128)
+            h.record(100); // bucket 6: [64, 128) µs
         }
         for _ in 0..10 {
-            h.record(Duration::from_millis(50)); // bucket 15: [32768, 65536)
+            h.record(50_000); // bucket 15: [32768, 65536) µs
         }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.50), 128);
-        assert_eq!(h.quantile_us(0.90), 128);
-        assert_eq!(h.quantile_us(0.99), 65536);
+        assert_eq!(h.buckets().count(), 100);
+        assert_eq!(us(&h, 0.50), 128);
+        assert_eq!(us(&h, 0.90), 128);
+        assert_eq!(us(&h, 0.99), 65536);
         // p95 falls inside the slow tail's bucket.
-        assert_eq!(h.quantile_us(0.95), 65536);
+        assert_eq!(us(&h, 0.95), 65536);
     }
 
     #[test]
     fn zero_duration_counts_in_first_bucket() {
-        let h = LatencyHistogram::default();
-        h.record(Duration::ZERO);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile_us(1.0), 2);
+        let h = Log2Histogram::default();
+        h.record(Duration::ZERO.as_micros() as u64);
+        assert_eq!(h.buckets().count(), 1);
+        assert_eq!(us(&h, 1.0), 2);
+    }
+
+    /// Every ledger counter of a snapshot, in declaration order.
+    fn counters(s: &StatsSnapshot) -> [u64; 22] {
+        [
+            s.requests_total,
+            s.model_invocations,
+            s.batched_joins,
+            s.cache_hits,
+            s.result_cache_hits,
+            s.result_cache_misses,
+            s.result_cache_evictions,
+            s.result_cache_invalidations,
+            s.shed,
+            s.degraded,
+            s.breaker_open_rejects,
+            s.failed_jobs,
+            s.fallbacks_deadline,
+            s.fallbacks_no_model,
+            s.fallbacks_no_features,
+            s.fallbacks_worker_panic,
+            s.hot_swaps,
+            s.worker_panics,
+            s.respawns,
+            s.checkpoint_rejects,
+            s.scrub_rejects,
+            s.nonfinite_batches,
+        ]
+    }
+
+    #[test]
+    fn each_answer_books_its_own_counter_and_histogram() {
+        // (answer, index in `counters` it bumps, latency path it records)
+        let cases = [
+            (Answer::Model, None, 0),
+            (Answer::Fallback(FallbackReason::Deadline), Some(12), 1),
+            (Answer::Fallback(FallbackReason::NoModel), Some(13), 1),
+            (Answer::Fallback(FallbackReason::NoFeatures), Some(14), 1),
+            (Answer::Fallback(FallbackReason::WorkerPanic), Some(15), 1),
+            (Answer::ResultCache, Some(4), 2),
+            (Answer::Shed, Some(8), 3),
+            (Answer::Degraded, Some(9), 4),
+        ];
+        for (answer, counter, path) in cases {
+            let s = ServeStats::new();
+            s.answered(answer, Duration::from_micros(300));
+            let snap = s.snapshot();
+            let mut want = [0; 22];
+            if let Some(i) = counter {
+                want[i] = 1;
+            }
+            assert_eq!(counters(&snap), want, "{answer:?}");
+            let mut want_paths = [0; 5];
+            want_paths[path] = 1;
+            let paths = [
+                snap.model_latency_count,
+                snap.fallback_latency_count,
+                snap.cache_latency_count,
+                snap.shed_latency_count,
+                snap.degraded_latency_count,
+            ];
+            assert_eq!(paths, want_paths, "{answer:?}");
+            assert_eq!(snap.latency_count, 1, "{answer:?}");
+            assert_eq!(snap.p50_us, 512, "{answer:?}");
+        }
+
+        // The all-requests percentiles, read off the five path histograms,
+        // equal those of one histogram that recorded every latency.
+        let s = ServeStats::new();
+        let one = Log2Histogram::default();
+        let answers = [
+            Answer::Model,
+            Answer::Fallback(FallbackReason::Deadline),
+            Answer::ResultCache,
+            Answer::Shed,
+            Answer::Degraded,
+        ];
+        for i in 0..500u64 {
+            let latency = Duration::from_micros((i * 7919) % 100_000);
+            s.answered(answers[(i % 5) as usize], latency);
+            one.record(latency.as_micros() as u64);
+        }
+        let snap = s.snapshot();
+        let all = one.buckets();
+        assert_eq!(snap.latency_count, all.count());
+        assert_eq!(snap.p50_us, all.quantile(0.50));
+        assert_eq!(snap.p95_us, all.quantile(0.95));
+        assert_eq!(snap.p99_us, all.quantile(0.99));
     }
 
     #[test]
@@ -608,28 +657,12 @@ mod tests {
     }
 
     #[test]
-    fn obs_prefix_mirrors_into_per_shard_counters() {
-        let plain = ServeStats::new();
-        let sharded = ServeStats::with_obs_prefix("stats-test/shard0");
-        stod_obs::with_mode(stod_obs::ObsMode::On, || {
-            stod_obs::reset();
-            plain.obs_mirror(|p| p.requests); // no prefix: no-op
-            sharded.obs_mirror(|p| p.requests);
-            sharded.obs_mirror(|p| p.requests);
-            sharded.obs_mirror(|p| p.shed);
-            let snap = stod_obs::snapshot();
-            assert_eq!(snap.counter("stats-test/shard0/requests"), 2);
-            assert_eq!(snap.counter("stats-test/shard0/shed"), 1);
-        });
-    }
-
-    #[test]
     fn snapshot_reflects_counters() {
         let s = ServeStats::new();
         s.requests_total.fetch_add(3, Ordering::Relaxed);
         s.cache_hits.fetch_add(1, Ordering::Relaxed);
         s.fallbacks_deadline.fetch_add(2, Ordering::Relaxed);
-        s.latency.record(Duration::from_micros(10));
+        s.answered(Answer::Model, Duration::from_micros(10));
         let snap = s.snapshot();
         assert_eq!(snap.requests_total, 3);
         assert_eq!(snap.cache_hits, 1);

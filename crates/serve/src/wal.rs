@@ -460,10 +460,8 @@ impl TripWal {
             truncated_tails: AtomicU64::new(truncated),
             retired_segments: AtomicU64::new(0),
         };
-        if stod_obs::armed() {
-            stod_obs::count("wal/replayed", replay.records.len() as u64);
-            stod_obs::count("wal/truncated_tail_records", truncated);
-        }
+        stod_obs::count("wal/replayed", replay.records.len() as u64);
+        stod_obs::count("wal/truncated_tail_records", truncated);
         Ok((wal, replay))
     }
 
@@ -530,9 +528,7 @@ impl TripWal {
             }
         }
         self.appends.fetch_add(1, Ordering::Relaxed);
-        if stod_obs::armed() {
-            stod_obs::count("wal/appends", 1);
-        }
+        stod_obs::count("wal/appends", 1);
         match self.cfg.fsync {
             FsyncPolicy::Every => self.sync(&mut inner)?,
             FsyncPolicy::Group(n) => {
@@ -553,9 +549,7 @@ impl TripWal {
         inner.file.sync_data()?;
         inner.unsynced = 0;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        if stod_obs::armed() {
-            stod_obs::count("wal/fsyncs", 1);
-        }
+        stod_obs::count("wal/fsyncs", 1);
         Ok(())
     }
 
@@ -589,9 +583,7 @@ impl TripWal {
         inner.tail_max_interval = None;
         inner.unsynced = 0;
         self.rotations.fetch_add(1, Ordering::Relaxed);
-        if stod_obs::armed() {
-            stod_obs::count("wal/rotations", 1);
-        }
+        stod_obs::count("wal/rotations", 1);
         self.retire(inner)?;
         Ok(())
     }

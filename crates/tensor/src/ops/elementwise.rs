@@ -68,11 +68,6 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     binary_op(a, b, |x, y| x * y)
 }
 
-/// Elementwise division with broadcasting.
-pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
-    binary_op(a, b, |x, y| x / y)
-}
-
 /// Adds a scalar to every element.
 pub fn add_scalar(a: &Tensor, s: f32) -> Tensor {
     a.map(|x| x + s)
@@ -144,7 +139,6 @@ mod tests {
         assert_eq!(add(&a, &b).data(), &[5.0; 4]);
         assert_eq!(sub(&a, &b).data(), &[-3.0, -1.0, 1.0, 3.0]);
         assert_eq!(mul(&a, &b).data(), &[4.0, 6.0, 6.0, 4.0]);
-        assert_eq!(div(&a, &b).data(), &[0.25, 2.0 / 3.0, 1.5, 4.0]);
     }
 
     #[test]

@@ -79,16 +79,6 @@ impl Shape {
         }
         off
     }
-
-    /// Converts a flat row-major offset back to a multi-index.
-    pub fn unravel(&self, mut offset: usize) -> Vec<usize> {
-        let mut idx = vec![0usize; self.0.len()];
-        for (i, &s) in self.strides().iter().enumerate() {
-            idx[i] = offset / s;
-            offset %= s;
-        }
-        idx
-    }
 }
 
 impl fmt::Debug for Shape {
@@ -181,12 +171,18 @@ mod tests {
     }
 
     #[test]
-    fn offset_and_unravel_roundtrip() {
+    fn offset_is_row_major() {
         let s = Shape::new(&[2, 3, 4]);
-        for flat in 0..s.numel() {
-            let idx = s.unravel(flat);
-            assert_eq!(s.offset(&idx), flat);
+        let mut flat = 0;
+        for i in 0..2 {
+            for j in 0..3 {
+                for k in 0..4 {
+                    assert_eq!(s.offset(&[i, j, k]), flat);
+                    flat += 1;
+                }
+            }
         }
+        assert_eq!(flat, s.numel());
     }
 
     #[test]

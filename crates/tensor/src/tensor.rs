@@ -23,14 +23,6 @@ impl Buf {
     fn new(v: Vec<f32>) -> Self {
         Buf(ManuallyDrop::new(v))
     }
-
-    /// Takes the vector out, skipping the recycle-on-drop path.
-    #[inline]
-    fn take(mut self) -> Vec<f32> {
-        let v = unsafe { ManuallyDrop::take(&mut self.0) };
-        std::mem::forget(self);
-        v
-    }
 }
 
 impl Drop for Buf {
@@ -217,11 +209,6 @@ impl Tensor {
     /// Mutable view of the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data.take()
     }
 
     /// Element at a multi-index.

@@ -16,15 +16,6 @@ pub struct Trip {
 }
 
 impl Trip {
-    /// Travel time `τ` in seconds implied by distance and speed.
-    pub fn duration_s(&self) -> f64 {
-        if self.speed_ms <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.distance_km * 1000.0 / self.speed_ms
-        }
-    }
-
     /// Interval index within its day.
     pub fn interval_of_day(&self, intervals_per_day: usize) -> usize {
         self.interval % intervals_per_day
@@ -34,30 +25,6 @@ impl Trip {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn duration_from_speed_and_distance() {
-        let t = Trip {
-            origin: 0,
-            dest: 1,
-            interval: 5,
-            distance_km: 3.6,
-            speed_ms: 10.0,
-        };
-        assert!((t.duration_s() - 360.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_speed_is_infinite_duration() {
-        let t = Trip {
-            origin: 0,
-            dest: 1,
-            interval: 0,
-            distance_km: 1.0,
-            speed_ms: 0.0,
-        };
-        assert!(t.duration_s().is_infinite());
-    }
 
     #[test]
     fn interval_of_day_wraps() {

@@ -82,6 +82,12 @@
 # codec_props) and the WAL's end-to-end recovery property (crates/serve
 # wal_props).
 #
+# Every stage runs with TMPDIR set to a fresh `mktemp -d` directory that
+# a trap removes on exit. A test that passes removes what it wrote there
+# (each suite's scratch paths are per test, behind a drop guard that keeps
+# them only while a failing test unwinds), so after each passing stage
+# any `stod_*` entry left in that directory fails the gate, listed.
+#
 # Every stage prints its wall time at the end of the run.
 
 set -euo pipefail
@@ -110,12 +116,24 @@ done
 # Thread counts the sweeping stages iterate (CI matrixes over this).
 VERIFY_THREADS="${STOD_VERIFY_THREADS:-1 4}"
 
+# Scratch space for every stage; see the header.
+VERIFY_TMP=$(mktemp -d)
+trap 'rm -rf "$VERIFY_TMP"' EXIT
+export TMPDIR="$VERIFY_TMP"
+
 summary=()
 run_stage() {
   local name="$1"; shift
   echo "==> stage: $name"
   local t0=$SECONDS
   "$@"
+  local left
+  left=$(find "$VERIFY_TMP" -mindepth 1 -maxdepth 1 -name 'stod_*' | sort)
+  if [[ -n "$left" ]]; then
+    echo "$name: FAILED — passing tests left these in TMPDIR:" >&2
+    echo "$left" >&2
+    exit 1
+  fi
   summary+=("$(printf '%5ds  %s' "$((SECONDS - t0))" "$name")")
 }
 

@@ -25,6 +25,9 @@
 //! `STOD_CHAOS=full` (set by `scripts/verify.sh --adapt`) widens the
 //! seed matrix.
 
+mod common;
+
+use common::TmpDir;
 use od_forecast::adapt::{AdaptConfig, AdaptError, CityAdapter, CycleOutcome, Decision};
 use od_forecast::baselines::NaiveHistograms;
 use od_forecast::core::{train_robust, BfConfig, RobustConfig, TrainConfig};
@@ -38,7 +41,6 @@ use od_forecast::tensor::par;
 use od_forecast::traffic::{
     generate_drift, CityModel, DriftConfig, DriftKind, HistogramSpec, OdDataset, SimConfig, Trip,
 };
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
@@ -109,11 +111,8 @@ fn adapt_cfg() -> AdaptConfig {
     }
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("stod_adapt_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tmp_dir(name: &str) -> TmpDir {
+    TmpDir::new("adapt", name)
 }
 
 fn clone_store(store: &ParamStore) -> ParamStore {

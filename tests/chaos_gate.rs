@@ -18,6 +18,9 @@
 //! `STOD_CHAOS=full` (set by `scripts/verify.sh --chaos`) widens the
 //! seed matrix.
 
+mod common;
+
+use common::TmpDir;
 use od_forecast::baselines::NaiveHistograms;
 use od_forecast::core::{
     train_resume, train_robust, BfConfig, BfModel, OdForecaster, RobustConfig, TrainCheckpoint,
@@ -30,7 +33,6 @@ use od_forecast::serve::{
     ServeStats, Source,
 };
 use od_forecast::traffic::{CityModel, OdDataset, SimConfig};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,10 +54,8 @@ fn chaos_seeds() -> Vec<u64> {
     }
 }
 
-fn tmp_file(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("stod_chaos_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+fn tmp_dir(test: &str) -> TmpDir {
+    TmpDir::new("chaos", test)
 }
 
 /// A promoted serving stack over an untrained (but architecturally valid)
@@ -234,9 +234,10 @@ fn injected_panics_and_stalls_leave_an_explainable_serving_state() {
 /// the very same file once the fault clears.
 #[test]
 fn corrupt_checkpoint_loads_are_rejected_and_the_active_model_keeps_serving() {
+    let dir = tmp_dir("corrupt_checkpoint");
     for seed in chaos_seeds() {
         let (broker, stats, registry) = serve_stack(seed, 1);
-        let path = tmp_file(&format!("ckpt_chaos_{seed}.stpw"));
+        let path = dir.join(format!("ckpt_chaos_{seed}.stpw"));
         let candidate = registry.config().build(seed + 1);
         std::fs::write(&path, candidate.params().to_bytes()).unwrap();
 
@@ -301,6 +302,7 @@ fn loss_bits(losses: &[f32]) -> Vec<u32> {
 /// always loads cleanly.
 #[test]
 fn randomized_save_faults_never_corrupt_checkpoints_or_the_trajectory() {
+    let dir = tmp_dir("save_faults");
     let ds = train_ds();
     let windows = ds.windows(2, 1);
     let mut total_failures = 0u64;
@@ -320,7 +322,7 @@ fn randomized_save_faults_never_corrupt_checkpoints_or_the_trajectory() {
             .unwrap()
         };
 
-        let path = tmp_file(&format!("save_chaos_{seed}.stck"));
+        let path = dir.join(format!("save_chaos_{seed}.stck"));
         let _ = std::fs::remove_file(&path);
         let rcfg = RobustConfig {
             ckpt_path: Some(path.clone()),
@@ -373,6 +375,7 @@ fn randomized_save_faults_never_corrupt_checkpoints_or_the_trajectory() {
 /// threads, which must also agree with each other.
 #[test]
 fn abort_chaos_with_resume_converges_bitwise_at_one_and_four_threads() {
+    let dir = tmp_dir("abort_resume");
     let ds = train_ds();
     let windows = ds.windows(2, 1);
     let heavy_seeds = if is_full_matrix() { 3 } else { 1 };
@@ -395,7 +398,7 @@ fn abort_chaos_with_resume_converges_bitwise_at_one_and_four_threads() {
                     .unwrap()
                 };
 
-                let path = tmp_file(&format!("abort_chaos_{seed}_{threads}.stck"));
+                let path = dir.join(format!("abort_chaos_{seed}_{threads}.stck"));
                 let _ = std::fs::remove_file(&path);
                 let rcfg = RobustConfig {
                     ckpt_path: Some(path.clone()),

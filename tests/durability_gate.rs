@@ -26,6 +26,9 @@
 //! `STOD_CHAOS=full` (set by `scripts/verify.sh --durability`, which
 //! repeats the run at `STOD_THREADS` 1 and 4) widens the matrix.
 
+mod common;
+
+use common::TmpDir;
 use od_forecast::core::BfConfig;
 use od_forecast::faultline::{install, FaultPlan, FaultSite};
 use od_forecast::fleet::{
@@ -34,7 +37,7 @@ use od_forecast::fleet::{
 };
 use od_forecast::serve::{FsyncPolicy, ModelKind, WalConfig};
 use od_forecast::traffic::{generate_fleet, FleetCity, FleetSimConfig, Trip};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -105,9 +108,9 @@ fn fleet_cfg(shards: usize, cache_enabled: bool) -> FleetConfig {
 
 /// Every append fsynced — the strictest policy, under which "killed after
 /// op k" and "dropped after op k" are indistinguishable on disk.
-fn durability(root: PathBuf) -> DurabilityConfig {
+fn durability(root: &Path) -> DurabilityConfig {
     DurabilityConfig {
-        root,
+        root: root.to_path_buf(),
         wal: WalConfig {
             fsync: FsyncPolicy::Every,
             ..WalConfig::default()
@@ -115,10 +118,8 @@ fn durability(root: PathBuf) -> DurabilityConfig {
     }
 }
 
-fn tmp_root(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("stod_durability_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_root(name: &str) -> TmpDir {
+    TmpDir::new("durability", name)
 }
 
 /// One ingest operation of the interleaved fleet-wide stream.
@@ -280,7 +281,7 @@ fn kill_anywhere_recovery_is_bitwise_equal_to_uninterrupted_run() {
             &shard_cfg(BreakerConfig::default()),
             small_kind,
             FLEET_SEED,
-            &durability(root_a.clone()),
+            &durability(&root_a),
         )
         .unwrap();
         apply_ops(&victim, &ops[..k]);
@@ -293,7 +294,7 @@ fn kill_anywhere_recovery_is_bitwise_equal_to_uninterrupted_run() {
             &shard_cfg(BreakerConfig::default()),
             small_kind,
             FLEET_SEED,
-            &durability(root_b),
+            &durability(&root_b),
         )
         .unwrap();
         apply_ops(&oracle, &ops[..k]);
@@ -304,7 +305,7 @@ fn kill_anywhere_recovery_is_bitwise_equal_to_uninterrupted_run() {
             &shard_cfg(BreakerConfig::default()),
             small_kind,
             FLEET_SEED,
-            &durability(root_a),
+            &durability(&root_a),
         )
         .unwrap();
         assert!(report.is_clean(), "kill at {k}: {report:?}");
@@ -340,7 +341,7 @@ fn torn_write_recovers_to_the_synced_prefix() {
         &shard_cfg(BreakerConfig::default()),
         small_kind,
         FLEET_SEED,
-        &durability(root_a.clone()),
+        &durability(&root_a),
     )
     .unwrap();
 
@@ -390,7 +391,7 @@ fn torn_write_recovers_to_the_synced_prefix() {
         &shard_cfg(BreakerConfig::default()),
         small_kind,
         FLEET_SEED,
-        &durability(root_b),
+        &durability(&root_b),
     )
     .unwrap();
     for (i, op) in ops.iter().enumerate() {
@@ -405,7 +406,7 @@ fn torn_write_recovers_to_the_synced_prefix() {
         &shard_cfg(BreakerConfig::default()),
         small_kind,
         FLEET_SEED,
-        &durability(root_a),
+        &durability(&root_a),
     )
     .unwrap();
     assert!(
@@ -522,7 +523,7 @@ fn shard_crash_self_heals_from_the_wal() {
         &shard_cfg(breaker),
         small_kind,
         FLEET_SEED,
-        &durability(root),
+        &durability(&root),
     )
     .unwrap();
     let t_end = fleet.shard(0).ingest_snapshot().unwrap().last().unwrap();
@@ -587,7 +588,7 @@ fn recovery_scrub_demotes_bit_rotted_checkpoint() {
         &shard_cfg(BreakerConfig::default()),
         small_kind,
         FLEET_SEED,
-        &durability(root.clone()),
+        &durability(&root),
     )
     .unwrap();
     apply_ops(&fleet, &ops);
@@ -599,7 +600,7 @@ fn recovery_scrub_demotes_bit_rotted_checkpoint() {
         &shard_cfg(BreakerConfig::default()),
         small_kind,
         FLEET_SEED,
-        &durability(root.clone()),
+        &durability(&root),
     )
     .unwrap();
     assert!(report.is_clean());
@@ -661,7 +662,7 @@ fn corrupt_replay_never_panics_and_fleet_serves() {
             &shard_cfg(BreakerConfig::default()),
             small_kind,
             FLEET_SEED,
-            &durability(root.clone()),
+            &durability(&root),
         )
         .unwrap();
         apply_ops(&fleet, &ops);
@@ -675,7 +676,7 @@ fn corrupt_replay_never_panics_and_fleet_serves() {
                 &shard_cfg(BreakerConfig::default()),
                 small_kind,
                 FLEET_SEED,
-                &durability(root),
+                &durability(&root),
             )
             .unwrap();
             recovered

@@ -13,8 +13,8 @@
 //!   1 and 4 kernel threads, with exact model-invocation and result-cache
 //!   hit counts on both;
 //! * every tenant's request-conservation ledger balances exactly under
-//!   concurrent mixed traffic, and the per-shard obs counters
-//!   (`fleet/shard{i}/…`) mirror the ledger terms exactly;
+//!   concurrent mixed traffic, and each flat obs counter (`fleet/*`,
+//!   `serve/*`) equals the fleet-wide total of its ledger term;
 //! * injected worker panics/stalls in one shard leave every other tenant
 //!   serving (from the result cache while the faults rage, from the
 //!   model once they stop) with all books still balanced.
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 /// Serializes the traffic-driving tests. Obs arming and fault injection
 /// are process-global, so concurrent fleet traffic from a sibling test
-/// would bleed into `fleet/shard{i}/…` counters and fault schedules.
+/// would bleed into the flat obs counters and fault schedules.
 static TRAFFIC: Mutex<()> = Mutex::new(());
 
 fn lock_traffic() -> std::sync::MutexGuard<'static, ()> {
@@ -304,8 +304,8 @@ fn cache_on_and_cache_off_fleets_agree_bitwise_across_thread_counts() {
 }
 
 /// Satellite 1: under concurrent mixed traffic every tenant's
-/// conservation ledger balances exactly, and the per-shard obs counters
-/// mirror the ledger terms exactly.
+/// conservation ledger balances exactly, and each flat obs counter equals
+/// the fleet-wide total of its ledger term.
 #[test]
 fn concurrent_traffic_balances_every_ledger_and_obs_mirror() {
     let _g = lock_traffic();
@@ -343,23 +343,25 @@ fn concurrent_traffic_balances_every_ledger_and_obs_mirror() {
             "mixed traffic must hit"
         );
 
-        // The obs mirror: per-shard counters equal the ledger terms.
+        // The flat obs counters equal the fleet-wide ledger terms.
         let o = obs::snapshot();
-        for shard in &snap.shards {
-            let c = |suffix: &str| o.counter(&format!("fleet/shard{}/{suffix}", shard.city));
-            assert_eq!(
-                c("requests"),
-                shard.stats.requests_total,
-                "shard {}",
-                shard.city
-            );
-            assert_eq!(c("model_invocations"), shard.stats.model_invocations);
-            assert_eq!(c("batched_joins"), shard.stats.batched_joins);
-            assert_eq!(c("cache_hits"), shard.stats.cache_hits);
-            assert_eq!(c("result_cache_hits"), shard.stats.result_cache_hits);
-            assert_eq!(c("shed"), shard.stats.shed);
-            assert_eq!(c("worker_panics"), shard.stats.worker_panics);
-            assert_eq!(c("failed_jobs"), shard.stats.failed_jobs);
+        for (name, total) in [
+            ("fleet/requests", snap.total(|s| s.requests_total)),
+            (
+                "fleet/result_cache_hits",
+                snap.total(|s| s.result_cache_hits),
+            ),
+            ("fleet/shed", snap.total(|s| s.shed)),
+            (
+                "serve/model_invocations",
+                snap.total(|s| s.model_invocations),
+            ),
+            ("serve/batched_joins", snap.total(|s| s.batched_joins)),
+            ("serve/cache_hits", snap.total(|s| s.cache_hits)),
+            ("serve/worker_panics", snap.total(|s| s.worker_panics)),
+            ("serve/failed_jobs", snap.total(|s| s.failed_jobs)),
+        ] {
+            assert_eq!(o.counter(name), total, "{name}");
         }
         obs::reset();
     });
