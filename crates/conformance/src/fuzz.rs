@@ -13,7 +13,9 @@
 //! condition-aware tolerance of [`crate::ulp`]. Cases whose forward also
 //! has a no-grad path (the eval cases of [`Kernel::ChebyPool`]) rerun it
 //! on a no-grad tape at both thread counts, and its output must match
-//! the training tape's bit for bit. A failing case is shrunk
+//! the training tape's bit for bit; the transposed-lhs cases of
+//! [`Kernel::BlockedGemm`] likewise rerun as `matmul` of the transposed
+//! copy, which must match `matmul_tn` bit for bit. A failing case is shrunk
 //! by greedy dimension-halving and dumped as JSON under
 //! `results/conformance/`.
 
@@ -74,8 +76,9 @@ pub enum Kernel {
     Kl,
     /// `stod_tensor::matmul` again, but with every extent drawn from the
     /// boundary corpus of the blocked kernel's tile sizes (MR/NR/KC) so
-    /// edge tiles, partial panels and the blocked/naive dispatch boundary
-    /// are all exercised.
+    /// edge tiles, partial KC blocks and the blocked/naive dispatch
+    /// boundary are all exercised; half the cases run
+    /// `stod_tensor::matmul_tn` on a transposed `a` instead.
     BlockedGemm,
     /// `stod_tensor::ops::gemm::{dot_fma_strided, dot_naive_strided}` —
     /// the transposed-layout dots the sparse recovery path reads factor
@@ -169,7 +172,8 @@ pub struct CaseSpec {
 pub struct CaseFailure {
     /// `"thread_divergence"` (threads 1 vs 4 not bitwise),
     /// `"no_grad_divergence"` (a no-grad forward not bitwise the
-    /// training tape's) or `"oracle_mismatch"`.
+    /// training tape's), `"transpose_divergence"` (`matmul_tn` not
+    /// bitwise `matmul` of the transposed copy) or `"oracle_mismatch"`.
     pub kind: &'static str,
     /// Flat index of the worst element.
     pub index: usize,
@@ -363,15 +367,11 @@ pub fn initial_dims(kernel: Kernel, seed: u64) -> Vec<usize> {
         }
         Kernel::Emd | Kernel::Kl => vec![gen::dim(&mut rng, 1, 16)],
         Kernel::BlockedGemm => {
-            use stod_tensor::ops::gemm::{KC, MC, MR, NR};
-            if big {
-                // Fixed shapes crossing the MC row-strip and KC panel
-                // boundaries with work above par::MIN_PARALLEL_WORK.
-                match rng.next_below(3) {
-                    0 => vec![MC, KC + 1, 2 * NR + 3],
-                    1 => vec![KC + 1, MC, NR],
-                    _ => vec![2 * MR + 1, 2 * KC + 3, 2 * NR + 3],
-                }
+            use stod_tensor::ops::gemm::{KC, MR, NR};
+            let mut dims = if big {
+                // Edge row and column tiles across three KC blocks, with
+                // work above par::MIN_PARALLEL_WORK.
+                vec![4 * MR + 1, 2 * KC + 3, 2 * NR + 3]
             } else {
                 // At most one extent draws from the KC family so the f64
                 // oracle stays affordable; the register-tile families
@@ -389,7 +389,9 @@ pub fn initial_dims(kernel: Kernel, seed: u64) -> Vec<usize> {
                         blocked_boundary_dim(&mut rng, block)
                     })
                     .collect()
-            }
+            };
+            dims.push(rng.next_below(2)); // 1 = transposed lhs
+            dims
         }
         Kernel::StridedDot => {
             use stod_tensor::ops::gemm::{KC, MR, NR};
@@ -441,12 +443,12 @@ pub fn initial_dims(kernel: Kernel, seed: u64) -> Vec<usize> {
 /// the minimizer can mutate dims freely.
 fn normalize_dims(kernel: Kernel, dims: &[usize]) -> Vec<usize> {
     let want_len = match kernel {
-        Kernel::Matmul | Kernel::Gru | Kernel::Softmax | Kernel::BlockedGemm => 3,
+        Kernel::Matmul | Kernel::Gru | Kernel::Softmax => 3,
         Kernel::Matvec | Kernel::MaskedLoss => 2,
         Kernel::BatchedMatmul => 5,
         Kernel::Recovery => 6,
         Kernel::Emd | Kernel::Kl => 1,
-        Kernel::StridedDot => 4,
+        Kernel::StridedDot | Kernel::BlockedGemm => 4,
         Kernel::SparseRecovery => 7,
         Kernel::Spmm => 4,
         Kernel::ChebyConv => 6,
@@ -462,7 +464,7 @@ fn normalize_dims(kernel: Kernel, dims: &[usize]) -> Vec<usize> {
     match kernel {
         Kernel::BatchedMatmul => d[4] = dims.get(4).copied().unwrap_or(0) % 3,
         Kernel::Recovery => d[5] = dims.get(5).copied().unwrap_or(0) % 2,
-        Kernel::StridedDot => d[3] = dims.get(3).copied().unwrap_or(0) % 2,
+        Kernel::StridedDot | Kernel::BlockedGemm => d[3] = dims.get(3).copied().unwrap_or(0) % 2,
         Kernel::SparseRecovery => {
             d[5] = dims.get(5).copied().unwrap_or(0) % 2;
             d[6] = dims.get(6).copied().unwrap_or(0) % 4;
@@ -555,9 +557,14 @@ fn build_inputs(kernel: Kernel, seed: u64, dims: &[usize]) -> Vec<InputBuf> {
         data: gen::fill(rng, class, d.iter().product()),
     };
     match kernel {
-        Kernel::Matmul | Kernel::BlockedGemm => {
+        Kernel::Matmul => {
             let (m, k, n) = (dims[0], dims[1], dims[2]);
             vec![buf(&mut rng, "a", &[m, k]), buf(&mut rng, "b", &[k, n])]
+        }
+        Kernel::BlockedGemm => {
+            let (m, k, n) = (dims[0], dims[1], dims[2]);
+            let a_dims = if dims[3] == 1 { [k, m] } else { [m, k] };
+            vec![buf(&mut rng, "a", &a_dims), buf(&mut rng, "b", &[k, n])]
         }
         Kernel::StridedDot => {
             let (len, lda, ldb) = (dims[0], dims[1], dims[2]);
@@ -780,26 +787,42 @@ fn cheby_pool_stage(
     (ChebyPool::new(conv, slots, pool), store)
 }
 
-/// The output of the cases whose forward also runs on a no-grad tape,
-/// which must match the training tape's bit for bit: the eval cases of
-/// [`Kernel::ChebyPool`], which then pool without winner codes. `None`
-/// for every other case.
-fn run_no_grad(kernel: Kernel, dims: &[usize], inputs: &[InputBuf]) -> Option<Vec<f32>> {
-    if kernel != Kernel::ChebyPool || dims[6] == 1 {
-        return None;
+/// The second production path of the cases that have one, with the
+/// failure kind of a mismatch: the eval cases of [`Kernel::ChebyPool`]
+/// run their forward on a no-grad tape, which then pools without winner
+/// codes, and the transposed-lhs cases of [`Kernel::BlockedGemm`] run
+/// `matmul` on the transposed copy of `a`. Either must match the first
+/// path bit for bit. `None` for every other case.
+fn run_twin(
+    kernel: Kernel,
+    dims: &[usize],
+    inputs: &[InputBuf],
+) -> Option<(&'static str, Vec<f32>)> {
+    let t = |i: usize| Tensor::from_vec(&inputs[i].dims, inputs[i].data.clone());
+    match kernel {
+        Kernel::BlockedGemm if dims[3] == 1 => {
+            let at = stod_tensor::transpose(&t(0), 0, 1);
+            Some((
+                "transpose_divergence",
+                stod_tensor::matmul(&at, &t(1)).data().to_vec(),
+            ))
+        }
+        Kernel::ChebyPool if dims[6] != 1 => {
+            let (stage, store) = cheby_pool_stage(dims, inputs);
+            let mut tape = Tape::no_grad();
+            let x = tape.constant(t(1));
+            let y = stage.apply(
+                &mut tape,
+                &store,
+                x,
+                CHEBY_POOL_DROPOUT,
+                false,
+                &mut Rng64::new(0),
+            );
+            Some(("no_grad_divergence", tape.value(y).data().to_vec()))
+        }
+        _ => None,
     }
-    let (stage, store) = cheby_pool_stage(dims, inputs);
-    let mut tape = Tape::no_grad();
-    let x = tape.constant(Tensor::from_vec(&inputs[1].dims, inputs[1].data.clone()));
-    let y = stage.apply(
-        &mut tape,
-        &store,
-        x,
-        CHEBY_POOL_DROPOUT,
-        false,
-        &mut Rng64::new(0),
-    );
-    Some(tape.value(y).data().to_vec())
 }
 
 /// Runs the production kernel on prepared inputs under the *current*
@@ -807,7 +830,9 @@ fn run_no_grad(kernel: Kernel, dims: &[usize], inputs: &[InputBuf]) -> Option<Ve
 fn run_production(kernel: Kernel, seed: u64, dims: &[usize], inputs: &[InputBuf]) -> Vec<f32> {
     let t = |i: usize| Tensor::from_vec(&inputs[i].dims, inputs[i].data.clone());
     match kernel {
-        Kernel::Matmul | Kernel::BlockedGemm => stod_tensor::matmul(&t(0), &t(1)).data().to_vec(),
+        Kernel::Matmul => stod_tensor::matmul(&t(0), &t(1)).data().to_vec(),
+        Kernel::BlockedGemm if dims[3] == 1 => stod_tensor::matmul_tn(&t(0), &t(1)).data().to_vec(),
+        Kernel::BlockedGemm => stod_tensor::matmul(&t(0), &t(1)).data().to_vec(),
         Kernel::StridedDot => {
             use stod_tensor::ops::gemm;
             let (len, lda, ldb) = (dims[0], dims[1], dims[2]);
@@ -917,8 +942,18 @@ fn run_production(kernel: Kernel, seed: u64, dims: &[usize], inputs: &[InputBuf]
 /// Runs the oracle on the same inputs.
 fn run_oracle(kernel: Kernel, dims: &[usize], inputs: &[InputBuf]) -> OracleOut {
     match kernel {
-        Kernel::Matmul | Kernel::BlockedGemm => {
+        Kernel::Matmul => {
             oracle::matmul(&inputs[0].data, &inputs[1].data, dims[0], dims[1], dims[2])
+        }
+        Kernel::BlockedGemm => {
+            let (m, k, n) = (dims[0], dims[1], dims[2]);
+            let a = &inputs[0].data;
+            let a: Vec<f32> = if dims[3] == 1 {
+                (0..m * k).map(|e| a[(e % k) * m + e / k]).collect()
+            } else {
+                a.clone()
+            };
+            oracle::matmul(&a, &inputs[1].data, m, k, n)
         }
         Kernel::StridedDot => {
             let (v, mag) =
@@ -1081,21 +1116,22 @@ pub fn run_case(spec: &CaseSpec) -> Option<CaseFailure> {
             abs_err: (g as f64 - w as f64).abs(),
         });
     }
-    // A no-grad forward must leave every output bit as it was.
+    // A second path (a no-grad forward, or `matmul` of the transposed
+    // copy) must leave every output bit as it was.
     for threads in [1, 4] {
-        let Some(lean) =
-            par::with_forced_threads(threads, || run_no_grad(spec.kernel, &dims, &inputs))
+        let Some((kind, twin)) =
+            par::with_forced_threads(threads, || run_twin(spec.kernel, &dims, &inputs))
         else {
             break;
         };
-        if let Some((index, (&g, &w))) = lean
+        if let Some((index, (&g, &w))) = twin
             .iter()
             .zip(out1.iter())
             .enumerate()
             .find(|(_, (a, b))| a.to_bits() != b.to_bits())
         {
             return Some(CaseFailure {
-                kind: "no_grad_divergence",
+                kind,
                 index,
                 got: g,
                 want: w as f64,

@@ -17,8 +17,10 @@
 //!   The blocked GEMM introduced for the training hot loop gets its own
 //!   corpus ([`fuzz::Kernel::BlockedGemm`]): every matrix extent is drawn
 //!   from `{1, b − 1, b, b + 1, 2b + 3}` around the kernel's tile sizes
-//!   (`MR`/`NR`/`KC`), which pins down edge tiles, partial K panels and
-//!   the blocked-vs-naive dispatch boundary.
+//!   (`MR`/`NR`/`KC`), which pins down edge tiles, partial K blocks and
+//!   the blocked-vs-naive dispatch boundary. Half its cases run
+//!   `matmul_tn` on a transposed `a`, which must also equal `matmul` of
+//!   the transposed copy bit for bit.
 //! * [`fuzz`] — a deterministic differential fuzzer. A seeded PRNG case
 //!   generator (see [`gen`]) draws shapes, sparsity patterns and
 //!   NaN-adjacent value corpora; every case runs the production kernel at

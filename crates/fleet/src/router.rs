@@ -383,13 +383,11 @@ impl Fleet {
         }
 
         // Stage 3: the circuit breaker. Open → degraded NH answer, typed
-        // and counted (`breaker_open_rejects` is the diagnostic subset of
-        // `degraded`; only `degraded` is a ledger term). Half-open admits
-        // exactly one probe; if a crash wiped the window, the probe
-        // rebuilds it from the WAL before dispatching.
+        // and counted in `degraded`. Half-open admits exactly one probe;
+        // if a crash wiped the window, the probe rebuilds it from the WAL
+        // before dispatching.
         match shard.breaker().admit() {
             Admission::Reject => {
-                stats.breaker_open_rejects.fetch_add(1, Ordering::Relaxed);
                 return reply(
                     Answer::Degraded,
                     shard.shed_histogram(req.origin, req.dest),

@@ -31,7 +31,7 @@
 //!   `[N, B·F]` product reproduces each per-slice product bit for bit;
 //! * `T_s` is rounded as scale-then-subtract, as the composed ops did;
 //! * the backward computes `dW = Zᵀ·dY` and `db = Σ_rows dY` with the same
-//!   `matmul` and `sum_axis` calls, accumulates each `dT_k` as `slice_k`,
+//!   `matmul_tn` and `sum_axis` calls, accumulates each `dT_k` as `slice_k`,
 //!   then `−dT_{k+2}`, then `L̃·(2·dT_{k+1})`, and lists the input as a
 //!   parent up to three times so its contributions reach the tape in the
 //!   old order `[slice₀, −dT₂, L̃·dT₁]` — which matters when the input has
@@ -183,7 +183,7 @@ fn backward(
     } else {
         vec![None; x_slots]
     };
-    grads.push(needs[x_slots].then(|| mm::matmul(&tf::transpose(z, 0, 1), dy)));
+    grads.push(needs[x_slots].then(|| mm::matmul_tn(z, dy)));
     grads.push(needs[x_slots + 1].then(|| stod_tensor::sum_axis(dy, 0, false)));
     grads
 }
@@ -269,6 +269,52 @@ fn unpack_winner(code: f32) -> (usize, bool, bool) {
 /// branch-free and vectorized.
 const LANES: usize = 8;
 
+/// Max-pools one window over all `Q` features of a slice's conv output
+/// `yb [N, Q]` into `best [Q]`, and with `TRACK` the winners into `won
+/// [Q]`: `LANES`-wide blocks, then the `Q % LANES` remainder as one
+/// block of its own width, so the window is scanned once per block.
+#[inline(always)]
+fn pool_window<const TRACK: bool>(
+    window: &[usize],
+    yb: &[f32],
+    mask: &[f32],
+    q: usize,
+    best: &mut [f32],
+    won: &mut [f32],
+) {
+    let blocked = q - q % LANES;
+    for j0 in (0..blocked).step_by(LANES) {
+        let (b, w) = pool_block::<LANES, TRACK>(window, yb, mask, q, j0);
+        best[j0..j0 + LANES].copy_from_slice(&b);
+        if TRACK {
+            won[j0..j0 + LANES].copy_from_slice(&w);
+        }
+    }
+    let (b, w) = (
+        &mut best[blocked..],
+        won.get_mut(blocked..).unwrap_or_default(),
+    );
+    match q - blocked {
+        0 => {}
+        1 => put(pool_block::<1, TRACK>(window, yb, mask, q, blocked), b, w),
+        2 => put(pool_block::<2, TRACK>(window, yb, mask, q, blocked), b, w),
+        3 => put(pool_block::<3, TRACK>(window, yb, mask, q, blocked), b, w),
+        4 => put(pool_block::<4, TRACK>(window, yb, mask, q, blocked), b, w),
+        5 => put(pool_block::<5, TRACK>(window, yb, mask, q, blocked), b, w),
+        6 => put(pool_block::<6, TRACK>(window, yb, mask, q, blocked), b, w),
+        7 => put(pool_block::<7, TRACK>(window, yb, mask, q, blocked), b, w),
+        _ => unreachable!("LANES is 8"),
+    }
+}
+
+/// Stores a tail block's maxima into `best` and winners into `won`, as
+/// far as `won` reaches (the eval scan passes none).
+fn put<const L: usize>((b, w): ([f32; L], [f32; L]), best: &mut [f32], won: &mut [f32]) {
+    best.copy_from_slice(&b);
+    let n = won.len();
+    won.copy_from_slice(&w[..n]);
+}
+
 /// Max-pools one window over the `L` features from `j0` of a slice's
 /// conv output `yb [N, Q]`, the candidates `relu(y)·mask` with `TRACK`
 /// and `relu(y)` without: `(max, winning node)` per feature, the node as
@@ -304,9 +350,9 @@ fn pool_block<const L: usize, const TRACK: bool>(
         let v: &[f32; L] = yb[at..at + L].try_into().expect("one block");
         if TRACK {
             let f: &[f32; L] = mask[at..at + L].try_into().expect("one block");
-            (0..L).for_each(|l| take_if_greater(l, v[l].max(0.0) * f[l], node as f32));
+            (0..L).for_each(|l| take_if_greater(l, ew::relu_scalar(v[l]) * f[l], node as f32));
         } else {
-            (0..L).for_each(|l| take_if_greater(l, v[l].max(0.0), node as f32));
+            (0..L).for_each(|l| take_if_greater(l, ew::relu_scalar(v[l]), node as f32));
         }
     }
     (best, won)
@@ -404,24 +450,14 @@ fn pool_forward(
                 .zip(yb.iter().zip(&mask))
                 .enumerate()
             {
-                *o = v.max(0.0) * f;
+                *o = ew::relu_scalar(v) * f;
                 *w = pack_winner((i / q) as u32, f != 0.0, v > 0.0);
             }
             continue;
         }
-        let blocked = q - q % LANES;
         let windows = ob.chunks_exact_mut(q).zip(wb.chunks_exact_mut(q));
         for (window, (best, won)) in slots.chunks_exact(pool).zip(windows) {
-            for j0 in (0..blocked).step_by(LANES) {
-                let (b, w) = pool_block::<LANES, true>(window, yb, &mask, q, j0);
-                best[j0..j0 + LANES].copy_from_slice(&b);
-                won[j0..j0 + LANES].copy_from_slice(&w);
-            }
-            for j in blocked..q {
-                let ([b], [w]) = pool_block::<1, true>(window, yb, &mask, q, j);
-                best[j] = b;
-                won[j] = w;
-            }
+            pool_window::<true>(window, yb, &mask, q, best, won);
             for (j, w) in won.iter_mut().enumerate() {
                 if *w != FAKE_WINNER {
                     let node = *w as u32;
@@ -446,23 +482,16 @@ fn pool_eval(y: &Tensor, slots: &[usize], pool: usize) -> Tensor {
     let (bs, n, q) = (y.dim(0), y.dim(1), y.dim(2));
     let m = slots.len() / pool;
     let mut pooled = arena::alloc_raw(bs * m * q);
-    let blocked = q - q % LANES;
     let slices = y.data().chunks_exact(n * q);
     for (yb, ob) in slices.zip(pooled.chunks_exact_mut(m * q)) {
         if pool == 1 {
             for (o, &v) in ob.iter_mut().zip(yb) {
-                *o = v.max(0.0);
+                *o = ew::relu_scalar(v);
             }
             continue;
         }
         for (window, best) in slots.chunks_exact(pool).zip(ob.chunks_exact_mut(q)) {
-            for j0 in (0..blocked).step_by(LANES) {
-                let (b, _) = pool_block::<LANES, false>(window, yb, &[], q, j0);
-                best[j0..j0 + LANES].copy_from_slice(&b);
-            }
-            for (j, b) in best.iter_mut().enumerate().skip(blocked) {
-                *b = pool_block::<1, false>(window, yb, &[], q, j).0[0];
-            }
+            pool_window::<false>(window, yb, &[], q, best, &mut []);
         }
     }
     Tensor::from_vec(&[bs, m, q], pooled)

@@ -474,7 +474,7 @@ impl Tape {
             Some(Box::new(|g, ps, _, needs| {
                 vec![
                     needs[0].then(|| mm::matmul(g, &tf::transpose(ps[1], 0, 1))),
-                    needs[1].then(|| mm::matmul(&tf::transpose(ps[0], 0, 1), g)),
+                    needs[1].then(|| mm::matmul_tn(ps[0], g)),
                 ]
             })),
         )

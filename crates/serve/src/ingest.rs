@@ -14,27 +14,6 @@ use stod_obs::sync::lock;
 use stod_tensor::{stack, Tensor};
 use stod_traffic::{HistogramSpec, OdTensor, Trip};
 
-/// Interval index for a trip departing `depart_s` seconds after the stream
-/// epoch, with `interval_len_s`-second intervals (900 s = the paper's
-/// 15-minute ticks).
-///
-/// Intervals are start-inclusive, end-exclusive: `[k·len, (k+1)·len)`. A
-/// departure landing *exactly* on a tick `k · interval_len_s` therefore
-/// belongs to interval `k`, never `k − 1` — the off-by-one that would
-/// silently shift boundary trips one window back and make the sliding
-/// window disagree with the offline binning. Returns `None` for negative
-/// or non-finite departures and for degenerate interval lengths, so a
-/// malformed feed record is dropped rather than binned somewhere wrong.
-pub fn interval_for_departure(depart_s: f64, interval_len_s: f64) -> Option<usize> {
-    if !depart_s.is_finite() || !interval_len_s.is_finite() || interval_len_s <= 0.0 {
-        return None;
-    }
-    if depart_s < 0.0 {
-        return None;
-    }
-    Some((depart_s / interval_len_s).floor() as usize)
-}
-
 /// A consistent, interval-aligned copy of a [`FeatureStore`]'s sealed
 /// window, taken under one lock acquisition.
 ///
@@ -43,7 +22,7 @@ pub fn interval_for_departure(depart_s: f64, interval_len_s: f64) -> Option<usiz
 /// the range is always contiguous. Open (pending) intervals are excluded
 /// by construction — only sealed tensors are copied — which is what makes
 /// the snapshot safe to hand to a training pipeline while the live feed
-/// keeps calling [`FeatureStore::push_trip_departing`]: a concurrent push
+/// keeps calling [`FeatureStore::push_trip`]: a concurrent push
 /// can only touch intervals the snapshot does not contain.
 #[derive(Debug, Clone)]
 pub struct IngestSnapshot {
@@ -98,9 +77,6 @@ pub enum IngestError {
     BadDistance(f64),
     /// `speed_ms` is non-finite or non-positive (duration would be ∞).
     BadSpeed(f64),
-    /// The wall-clock departure time does not map to an interval
-    /// (negative or non-finite, or degenerate interval length).
-    BadDeparture(f64),
 }
 
 impl std::fmt::Display for IngestError {
@@ -120,9 +96,6 @@ impl std::fmt::Display for IngestError {
             ),
             IngestError::BadSpeed(s) => {
                 write!(f, "trip speed_ms {s} is not a finite, positive number")
-            }
-            IngestError::BadDeparture(t) => {
-                write!(f, "trip departure time {t} does not map to an interval")
             }
         }
     }
@@ -199,28 +172,6 @@ impl FeatureStore {
         Ok(())
     }
 
-    /// Buffers a streamed trip by wall-clock departure time instead of a
-    /// pre-binned interval index.
-    ///
-    /// The trip's `interval` field is overwritten with
-    /// [`interval_for_departure`]`(depart_s, interval_len_s)`; a departure
-    /// that maps to no interval is rejected as
-    /// [`IngestError::BadDeparture`] and counted like any other malformed
-    /// trip.
-    pub fn push_trip_departing(
-        &self,
-        mut trip: Trip,
-        depart_s: f64,
-        interval_len_s: f64,
-    ) -> Result<(), IngestError> {
-        let Some(interval) = interval_for_departure(depart_s, interval_len_s) else {
-            stod_obs::count("ingest/rejected_trips", 1);
-            return Err(IngestError::BadDeparture(depart_s));
-        };
-        trip.interval = interval;
-        self.push_trip(trip)
-    }
-
     /// Closes interval `t`: bins its buffered trips into a sparse OD
     /// tensor, stores it, evicts intervals beyond capacity, and returns
     /// the number of trips binned. Unseen intervals seal as all-empty.
@@ -288,7 +239,7 @@ impl FeatureStore {
     /// Takes a consistent, interval-aligned read-snapshot of the sealed
     /// window: every sealed tensor from the oldest retained interval to
     /// the newest, cloned under a single lock acquisition so a concurrent
-    /// `push_trip_departing` / `seal_interval` can never produce a torn
+    /// `push_trip` / `seal_interval` can never produce a torn
     /// view (a snapshot either contains an interval's fully binned tensor
     /// or an all-empty placeholder, never a half-filled histogram).
     ///
@@ -454,11 +405,9 @@ mod tests {
                 ..trip(0, 1, 1, 1.0)
             })
             .unwrap_err();
-            fs.push_trip_departing(trip(0, 0, 0, 5.0), f64::NAN, 900.0)
-                .unwrap_err();
             fs.push_trip(trip(0, 1, 1, 5.0)).unwrap();
             let snap = stod_obs::snapshot();
-            assert_eq!(snap.counter("ingest/rejected_trips"), 3);
+            assert_eq!(snap.counter("ingest/rejected_trips"), 2);
         });
     }
 
@@ -511,53 +460,6 @@ mod tests {
         assert!(inputs.iter().all(|i| i.data().iter().sum::<f32>() > 0.0));
         assert!(fs.coverage(5).is_none(), "interval 5 evicted");
         assert!(fs.coverage(6).is_some());
-    }
-
-    #[test]
-    fn departure_exactly_on_tick_belongs_to_the_starting_interval() {
-        // Regression: a trip departing at exactly k·900 s must bin into
-        // interval k (start-inclusive), not trail into interval k−1.
-        assert_eq!(interval_for_departure(0.0, 900.0), Some(0));
-        assert_eq!(interval_for_departure(900.0, 900.0), Some(1));
-        assert_eq!(interval_for_departure(899.9999, 900.0), Some(0));
-        assert_eq!(interval_for_departure(900.0001, 900.0), Some(1));
-        assert_eq!(interval_for_departure(42.0 * 900.0, 900.0), Some(42));
-
-        let fs = store();
-        // Two trips straddling the tick at t = 900 s, one exactly on it.
-        fs.push_trip_departing(trip(0, 1, 0, 2.0), 899.0, 900.0)
-            .unwrap();
-        fs.push_trip_departing(trip(0, 1, 0, 2.0), 900.0, 900.0)
-            .unwrap();
-        assert_eq!(fs.seal_interval(0), 1, "only the pre-tick trip is in 0");
-        assert_eq!(fs.seal_interval(1), 1, "the on-tick trip lands in 1");
-
-        // Window membership: the on-tick trip is visible in the window
-        // ending at interval 1 and absent from the one ending at 0.
-        let w1 = fs.window_inputs(1, 1).unwrap();
-        assert_eq!(w1[0].at(&[0, 0, 1, 0]), 1.0);
-        let w0 = fs.window_inputs(0, 1).unwrap();
-        assert_eq!(w0[0].at(&[0, 0, 1, 0]), 1.0);
-        assert_eq!(w0[0].data().iter().sum::<f32>(), 1.0);
-    }
-
-    #[test]
-    fn invalid_departures_are_dropped() {
-        assert_eq!(interval_for_departure(-1e-9, 900.0), None);
-        assert_eq!(interval_for_departure(f64::NAN, 900.0), None);
-        assert_eq!(interval_for_departure(f64::INFINITY, 900.0), None);
-        assert_eq!(interval_for_departure(100.0, 0.0), None);
-        assert_eq!(interval_for_departure(100.0, -900.0), None);
-
-        let fs = store();
-        assert_eq!(
-            fs.push_trip_departing(trip(0, 0, 0, 5.0), -0.5, 900.0),
-            Err(IngestError::BadDeparture(-0.5))
-        );
-        assert!(fs
-            .push_trip_departing(trip(0, 0, 0, 5.0), f64::NAN, 900.0)
-            .is_err());
-        assert_eq!(fs.seal_interval(0), 0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod wal;
 pub use broker::{
     Broker, BrokerConfig, ComputedForecast, FallbackReason, ForecastRequest, ServedForecast, Source,
 };
-pub use ingest::{interval_for_departure, FeatureStore, IngestError, IngestSnapshot};
+pub use ingest::{FeatureStore, IngestError, IngestSnapshot};
 pub use registry::{ModelConfig, ModelKind, Registry, RegistryError, ScrubReport, ServedModel};
 pub use stats::{Answer, ServeStats, StatsSnapshot};
 pub use wal::{FsyncPolicy, TripWal, WalConfig, WalRecord, WalReplay, WalStats};

@@ -134,11 +134,6 @@ pub struct ServeStats {
     /// from the NH baseline without touching the broker. Typed outcome;
     /// a term of the conservation ledger.
     pub degraded: AtomicU64,
-    /// The subset of [`ServeStats::degraded`] rejected *by* an open
-    /// breaker (as opposed to an in-place shard crash). Diagnostic, not a
-    /// ledger term: every breaker-open reject is already counted in
-    /// `degraded`.
-    pub breaker_open_rejects: AtomicU64,
     /// Broker jobs that completed without a model invocation (no promoted
     /// model, missing feature window); each closes its leader's slot in
     /// the conservation ledger.
@@ -278,7 +273,6 @@ impl ServeStats {
             result_cache_invalidations: load(&self.result_cache_invalidations),
             shed: load(&self.shed),
             degraded: load(&self.degraded),
-            breaker_open_rejects: load(&self.breaker_open_rejects),
             failed_jobs: load(&self.failed_jobs),
             fallbacks_deadline: load(&self.fallbacks_deadline),
             fallbacks_no_model: load(&self.fallbacks_no_model),
@@ -342,8 +336,6 @@ pub struct StatsSnapshot {
     pub shed: u64,
     /// See [`ServeStats::degraded`].
     pub degraded: u64,
-    /// See [`ServeStats::breaker_open_rejects`].
-    pub breaker_open_rejects: u64,
     /// See [`ServeStats::failed_jobs`].
     pub failed_jobs: u64,
     /// See [`ServeStats::fallbacks_deadline`].
@@ -473,7 +465,6 @@ impl ToJson for StatsSnapshot {
             );
             o.field("shed", &self.shed);
             o.field("degraded", &self.degraded);
-            o.field("breaker_open_rejects", &self.breaker_open_rejects);
             o.field("failed_jobs", &self.failed_jobs);
             o.field("fallbacks_deadline", &self.fallbacks_deadline);
             o.field("fallbacks_no_model", &self.fallbacks_no_model);
@@ -547,7 +538,7 @@ mod tests {
     }
 
     /// Every ledger counter of a snapshot, in declaration order.
-    fn counters(s: &StatsSnapshot) -> [u64; 22] {
+    fn counters(s: &StatsSnapshot) -> [u64; 21] {
         [
             s.requests_total,
             s.model_invocations,
@@ -559,7 +550,6 @@ mod tests {
             s.result_cache_invalidations,
             s.shed,
             s.degraded,
-            s.breaker_open_rejects,
             s.failed_jobs,
             s.fallbacks_deadline,
             s.fallbacks_no_model,
@@ -579,10 +569,10 @@ mod tests {
         // (answer, index in `counters` it bumps, latency path it records)
         let cases = [
             (Answer::Model, None, 0),
-            (Answer::Fallback(FallbackReason::Deadline), Some(12), 1),
-            (Answer::Fallback(FallbackReason::NoModel), Some(13), 1),
-            (Answer::Fallback(FallbackReason::NoFeatures), Some(14), 1),
-            (Answer::Fallback(FallbackReason::WorkerPanic), Some(15), 1),
+            (Answer::Fallback(FallbackReason::Deadline), Some(11), 1),
+            (Answer::Fallback(FallbackReason::NoModel), Some(12), 1),
+            (Answer::Fallback(FallbackReason::NoFeatures), Some(13), 1),
+            (Answer::Fallback(FallbackReason::WorkerPanic), Some(14), 1),
             (Answer::ResultCache, Some(4), 2),
             (Answer::Shed, Some(8), 3),
             (Answer::Degraded, Some(9), 4),
@@ -591,7 +581,7 @@ mod tests {
             let s = ServeStats::new();
             s.answered(answer, Duration::from_micros(300));
             let snap = s.snapshot();
-            let mut want = [0; 22];
+            let mut want = [0; 21];
             if let Some(i) = counter {
                 want[i] = 1;
             }
@@ -648,11 +638,9 @@ mod tests {
         assert_eq!(s.snapshot().ledger_balance(), 0);
         s.requests_total.fetch_add(3, Ordering::Relaxed);
         assert_eq!(s.snapshot().ledger_balance(), 3);
-        // Degraded answers are a ledger term: two degraded requests (one
-        // of them a breaker-open reject — a diagnostic subset, not a
-        // second term) close two of the three open slots.
+        // Degraded answers are a ledger term: two degraded requests close
+        // two of the three open slots.
         s.degraded.fetch_add(2, Ordering::Relaxed);
-        s.breaker_open_rejects.fetch_add(1, Ordering::Relaxed);
         assert_eq!(s.snapshot().ledger_balance(), 1);
     }
 
@@ -689,7 +677,6 @@ mod tests {
             "result_cache_invalidations",
             "shed",
             "degraded",
-            "breaker_open_rejects",
             "scrub_rejects",
             "failed_jobs",
         ] {

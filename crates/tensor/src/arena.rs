@@ -2,7 +2,7 @@
 //!
 //! Every tensor op allocates its output buffer, and training allocates
 //! thousands of short-lived tensors per minibatch (op outputs, gradients,
-//! GEMM packing panels). Round-tripping each of those through the global
+//! transposes). Round-tripping each of those through the global
 //! allocator costs more than some of the kernels themselves. The arena
 //! keeps dropped buffers in per-thread size-class freelists and hands
 //! them back to the next allocation of a compatible size.
@@ -46,9 +46,9 @@ const MAX_HELD_BYTES: usize = 128 << 20;
 /// Held-bytes cap for persistent pool worker threads. Workers live for
 /// the life of the process and there can be dozens of them; at the
 /// default cap a long-lived many-core process could pin several GiB of
-/// freed buffers forever. Workers only recycle packing panels and row
-/// chunks, so a small cap costs nothing — `stod_tensor::par` applies it
-/// at worker startup via [`set_held_cap`].
+/// freed buffers forever. Workers only recycle row chunks, so a small
+/// cap costs nothing — `stod_tensor::par` applies it at worker startup
+/// via [`set_held_cap`].
 pub const WORKER_MAX_HELD_BYTES: usize = 8 << 20;
 /// Number of power-of-two size classes (class `c` holds `2^c` elements);
 /// requests above `2^(NUM_CLASSES-1)` elements are never recycled.

@@ -7,9 +7,9 @@
 //!    checked with property-based tests.
 //! 2. **Predictability** — tensors are always contiguous row-major buffers;
 //!    there are no lazily-evaluated views to reason about.
-//! 3. **Adequate speed** — the matmul uses an `i-k-j` loop order so the
-//!    inner loop streams both operands, which is sufficient for the model
-//!    sizes of the paper (≤ a few hundred rows/columns).
+//! 3. **Adequate speed** — large products run a register-tiled AVX2+FMA
+//!    GEMM that reads its operands in place ([`ops::gemm`]), small ones
+//!    an `i-k-j` loop whose inner loop streams both operands.
 //!
 //! The crate also bundles the small amount of dense linear algebra the
 //! project needs beyond neural-network kernels: Cholesky factorization for
@@ -32,7 +32,7 @@ pub use sparse::{CsrBuilder, CsrMatrix};
 pub use tensor::Tensor;
 
 pub use ops::elementwise::{self, binary_op, unary_op};
-pub use ops::matmul::{batched_matmul, matmul, matvec};
+pub use ops::matmul::{batched_matmul, matmul, matmul_tn, matvec};
 pub use ops::reduce::{argmax_axis, max_axis, mean_axis, sum_axis};
 pub use ops::softmax::{log_softmax, softmax};
 pub use ops::transform::{concat, slice_axis, stack, transpose};

@@ -113,9 +113,22 @@ pub fn sigmoid_scalar(x: f32) -> f32 {
     }
 }
 
-/// Elementwise rectified linear unit.
+/// Scalar rectified linear unit: `x` when above zero, else +0.0, for
+/// −0.0 and NaN too. (`f32::max(x, 0.0)` leaves the sign of a zero
+/// result to the code generator, which picks differently across build
+/// profiles and vector widths.)
+#[inline(always)]
+pub fn relu_scalar(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
+}
+
+/// Elementwise rectified linear unit ([`relu_scalar`]).
 pub fn relu(a: &Tensor) -> Tensor {
-    a.map(|x| x.max(0.0))
+    a.map(relu_scalar)
 }
 
 /// Clamps every element to `[lo, hi]`.

@@ -1,11 +1,10 @@
 //! Matrix multiplication kernels.
 //!
-//! Large products route through the cache-blocked, register-tiled
-//! microkernels in [`crate::ops::gemm`]; small ones use the naive
-//! `i-k-j` kernel whose inner loop streams both operands (packing
-//! overhead would dominate). The path is a pure function of the problem
-//! shape and host CPU features — see the determinism notes in
-//! [`crate::ops::gemm`].
+//! Large products run the cache-blocked, register-tiled microkernel in
+//! [`crate::ops::gemm`], which reads both operands in place; small ones
+//! use the naive `i-k-j` kernel whose inner loop streams both operands.
+//! The path is a pure function of the problem shape and host CPU
+//! features — see the determinism notes in [`crate::ops::gemm`].
 //!
 //! Large products fan out across [`crate::par`]: output rows (2-D) or
 //! batch items (batched) are distributed over the pool, and every
@@ -13,7 +12,7 @@
 //! results are bitwise identical at any `STOD_THREADS`.
 
 use crate::arena;
-use crate::ops::gemm;
+use crate::ops::gemm::{self, Lhs};
 use crate::par;
 use crate::tensor::Tensor;
 
@@ -31,12 +30,30 @@ use crate::tensor::Tensor;
 /// Panics if either operand is not 2-D or the inner dimensions mismatch.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D, got {:?}", a.dims());
+    let k = a.dim(1);
+    product(Lhs::rows(a.data(), k), a.dim(0), k, b, a)
+}
+
+/// Transposed-lhs product `aᵀ · b` for `a (k×m)`, `b (k×n) → (m×n)`,
+/// reading `a` in place: bitwise `matmul(&transpose(a, 0, 1), b)`
+/// without the copy.
+///
+/// # Panics
+/// Panics if either operand is not 2-D or the row counts mismatch.
+pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
+    assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D, got {:?}", a.dims());
+    let m = a.dim(1);
+    product(Lhs::transposed(a.data(), m), m, a.dim(0), b, a)
+}
+
+/// The `m×n` product of the `m×k` left operand `lhs` (viewing `a`) and
+/// `b`, booked as one `matmul` call.
+fn product(lhs: Lhs, m: usize, k: usize, b: &Tensor, a: &Tensor) -> Tensor {
     assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D, got {:?}", b.dims());
-    let (m, k) = (a.dim(0), a.dim(1));
-    let (k2, n) = (b.dim(0), b.dim(1));
+    let n = b.dim(1);
     assert_eq!(
         k,
-        k2,
+        b.dim(0),
         "matmul inner dims mismatch: {:?} vs {:?}",
         a.dims(),
         b.dims()
@@ -45,17 +62,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         stod_obs::count("kernel/matmul/calls", 1);
         stod_obs::count("kernel/matmul/elements", (m * n) as u64);
     }
-    let mut out = arena::alloc_filled(m * n, 0.0);
-    matmul_rows(a.data(), b.data(), &mut out, m, k, n);
+    let mut out = arena::alloc_raw(m * n);
+    gemm::gemm(lhs, b.data(), &mut out, m, k, n);
     Tensor::from_vec(&[m, n], out)
-}
-
-/// Dispatch over the blocked/naive GEMM kernels: splits the output rows
-/// across the pool when the product is large enough, otherwise runs the
-/// serial kernel directly. Either way each row is computed by the same
-/// inner loops, so the result is bitwise independent of the schedule.
-pub(crate) fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm::gemm_rows(a, b, out, m, k, n);
 }
 
 /// Matrix–vector product `a (m×k) · x (k) → (m)`.
@@ -137,7 +146,7 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         stod_obs::count("kernel/batched_matmul/calls", 1);
         stod_obs::count("kernel/batched_matmul/elements", (batch * m * n) as u64);
     }
-    let mut out = arena::alloc_filled(batch * m * n, 0.0);
+    let mut out = arena::alloc_raw(batch * m * n);
     let a_step = if batch_a == 1 && a.ndim() == 2 {
         0
     } else {
@@ -148,71 +157,32 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     } else {
         k * n
     };
+    let blocked = gemm::uses_blocked(m, k, n);
+    let item = |t: usize, out: &mut [f32]| {
+        let a_t = Lhs::rows(&a.data()[t * a_step..t * a_step + m * k], k);
+        let b_t = &b.data()[t * b_step..t * b_step + k * n];
+        gemm::gemm_serial(blocked, a_t, b_t, out, m, k, n);
+    };
     if batch == 1 {
         // A single item: the row-parallel 2-D path covers it.
-        matmul_rows(&a.data()[..m * k], &b.data()[..k * n], &mut out, m, k, n);
-    } else if gemm::uses_blocked(m, k, n) {
-        // Blocked items: a broadcast rhs is packed once and shared by
-        // every item (and thread); per-item rhs operands are packed by
-        // whichever thread runs the item, from its own arena.
-        let shared_pb = (b_step == 0).then(|| gemm::pack_b(&b.data()[..k * n], k, n));
-        let run_item = |t: usize, item_out: &mut [f32]| match &shared_pb {
-            Some(pb) => gemm::blocked_chunk(
-                &a.data()[t * a_step..t * a_step + m * k],
-                pb,
-                item_out,
-                m,
-                k,
-                n,
-            ),
-            None => {
-                let pb = gemm::pack_b(&b.data()[t * b_step..t * b_step + k * n], k, n);
-                gemm::blocked_chunk(
-                    &a.data()[t * a_step..t * a_step + m * k],
-                    &pb,
-                    item_out,
-                    m,
-                    k,
-                    n,
-                );
-                arena::recycle(pb);
-            }
-        };
-        if par::should_parallelize(batch * m * k * n) {
-            par::for_each_row_chunk(&mut out, batch, m * n, |items, chunk| {
-                for (local, t) in items.enumerate() {
-                    run_item(t, &mut chunk[local * m * n..(local + 1) * m * n]);
-                }
-            });
-        } else {
-            for t in 0..batch {
-                run_item(t, &mut out[t * m * n..(t + 1) * m * n]);
-            }
-        }
-        if let Some(pb) = shared_pb {
-            arena::recycle(pb);
-        }
+        gemm::gemm(
+            Lhs::rows(&a.data()[..m * k], k),
+            &b.data()[..k * n],
+            &mut out,
+            m,
+            k,
+            n,
+        );
     } else if par::should_parallelize(batch * m * k * n) {
         // Batch items are fully independent — distribute them whole.
         par::for_each_row_chunk(&mut out, batch, m * n, |items, chunk| {
             for (local, t) in items.enumerate() {
-                let a_sl = &a.data()[t * a_step..t * a_step + m * k];
-                let b_sl = &b.data()[t * b_step..t * b_step + k * n];
-                gemm::naive_into(
-                    a_sl,
-                    b_sl,
-                    &mut chunk[local * m * n..(local + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
+                item(t, &mut chunk[local * m * n..(local + 1) * m * n]);
             }
         });
     } else {
         for t in 0..batch {
-            let a_sl = &a.data()[t * a_step..t * a_step + m * k];
-            let b_sl = &b.data()[t * b_step..t * b_step + k * n];
-            gemm::naive_into(a_sl, b_sl, &mut out[t * m * n..(t + 1) * m * n], m, k, n);
+            item(t, &mut out[t * m * n..(t + 1) * m * n]);
         }
     }
     let mut dims = batch_dims;

@@ -14,7 +14,7 @@ use std::ops::{Deref, DerefMut};
 /// offered back to the thread-local workspace arena (see [`crate::arena`]).
 /// Buffers whose capacity matches an arena size class are parked for reuse;
 /// anything else is freed normally. This is what lets per-minibatch
-/// temporaries (activations, gradients, packed panels) recycle their
+/// temporaries (activations, gradients, transposes) recycle their
 /// allocations instead of round-tripping through the global allocator.
 struct Buf(ManuallyDrop<Vec<f32>>);
 

@@ -4,7 +4,7 @@
 #   scripts/verify.sh                 # tier-1 gate + format + dependency check + lint
 #   scripts/verify.sh --quick         # alias for the default gate (fmt + deps + clippy
 #                                     # + tier-1 + the fused-op bitwise suites
-#                                     # + the tape unit tests)
+#                                     # + the tape and GEMM unit tests)
 #   scripts/verify.sh --full          # additionally run the whole workspace suite
 #                                     # (every crate's own tests, at each thread count)
 #   scripts/verify.sh --conformance   # additionally run the oracle gate
@@ -16,14 +16,18 @@
 #
 # Tier-1 (the gate CI enforces) is the root package: its integration
 # tests in tests/ exercise every crate end-to-end. The default gate also
-# runs two stod-nn unit suites, which live outside the root package: the
+# runs three unit suites, which live outside the root package: the
 # fused tape ops' bitwise suites (`cargo test -p stod-nn --lib
 # layers::cheby`: `cheby_conv` and `cheby_pool` against their composed
 # oracles, forward bits and every gradient, and the no-grad `cheby_pool`
-# against the training tape's eval output, at 1 and 4 threads), and the
+# against the training tape's eval output, at 1 and 4 threads), the
 # tape's own tests (`cargo test -p stod-nn --lib tape`: among them the
 # no-grad mode's constant leaves, pruned backward state and panicking
-# backward), at STOD_THREADS=1 and 4.
+# backward), and the GEMM kernel's (`cargo test -p stod-tensor --lib --
+# ops::gemm ops::matmul`: every element of `matmul` and `matmul_tn` over
+# the tile-boundary corpus equals its path's per-element chain, and
+# `matmul_tn` equals `matmul` of the transposed copy bit for bit), the
+# last two at STOD_THREADS=1 and 4.
 #
 # The default gate also checks that the workspace builds on std alone:
 # every normal (non-dev) dependency of a workspace crate must resolve to a
@@ -173,6 +177,8 @@ stage_tier1() {
   for t in 1 4; do
     echo "==> tape unit tests (stod-nn tape), STOD_THREADS=$t"
     STOD_THREADS="$t" cargo test -q -p stod-nn --lib tape
+    echo "==> GEMM unit tests (stod-tensor ops::gemm, ops::matmul), STOD_THREADS=$t"
+    STOD_THREADS="$t" cargo test -q -p stod-tensor --lib -- ops::gemm ops::matmul
   done
 }
 

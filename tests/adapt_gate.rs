@@ -682,7 +682,7 @@ fn promotion_invalidates_fleet_result_cache_bitwise_fresh() {
 }
 
 /// Satellite (regression): [`FeatureStore::snapshot_window`] under a
-/// concurrent storm of `push_trip_departing` calls never tears — sealed
+/// concurrent storm of `push_trip` calls never tears — sealed
 /// intervals are immutable, so every in-race snapshot must agree bitwise
 /// with the final state wherever they overlap.
 #[test]
@@ -701,13 +701,11 @@ fn ingest_snapshot_is_consistent_under_concurrent_pushes() {
                     let trip = Trip {
                         origin: i % 4,
                         dest: (i + 1) % 4,
-                        interval: 0, // overwritten by the departure time
+                        interval: t,
                         distance_km: 1.0 + (i % 7) as f64,
                         speed_ms: 3.0 + (i % 11) as f64,
                     };
-                    store
-                        .push_trip_departing(trip, (t * 60 + i) as f64, 60.0)
-                        .unwrap();
+                    store.push_trip(trip).unwrap();
                 }
                 store.seal_interval(t);
             }

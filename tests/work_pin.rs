@@ -161,8 +161,8 @@ const TRAIN: Pin = Pin {
     ],
     matmul_calls: 126,
     matmul_elements: 4_124_424,
-    fresh: 421,
-    fresh_bytes: 47_586_560,
+    fresh: 419,
+    fresh_bytes: 45_473_024,
 };
 
 // On the no-grad tape every parameter is a `constant` leaf, and eval
@@ -187,8 +187,8 @@ const EVAL: Pin = Pin {
     ],
     matmul_calls: 60,
     matmul_elements: 1_020_678,
-    fresh: 349,
-    fresh_bytes: 12_755_712,
+    fresh: 348,
+    fresh_bytes: 12_690_176,
 };
 
 #[test]
