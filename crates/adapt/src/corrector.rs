@@ -18,8 +18,8 @@
 //! once and keeps the corrector state a pure function of the ingest
 //! stream.
 
-use stod_baselines::NaiveHistograms;
-use stod_traffic::OdTensor;
+use stod_baselines::{HistogramPredictor, NaiveHistograms};
+use stod_traffic::{OdDataset, OdTensor, Window};
 
 /// Per-pair Kalman-filtered histogram estimates over a live interval
 /// stream.
@@ -123,6 +123,19 @@ impl OnlineCorrector {
     /// Pair-observations blended in so far.
     pub fn updates(&self) -> u64 {
         self.updates
+    }
+}
+
+/// The shadow eval scores the corrector with
+/// `stod_baselines::evaluate_predictor`: every step of every window gets
+/// the pair's current estimate.
+impl HistogramPredictor for OnlineCorrector {
+    fn name(&self) -> &str {
+        "corrector"
+    }
+
+    fn predict(&self, _: &OdDataset, o: usize, d: usize, _: &Window, _: usize) -> Vec<f32> {
+        OnlineCorrector::predict(self, o, d)
     }
 }
 

@@ -16,7 +16,8 @@
 //! * **Shadow eval** — candidate, incumbent, and the always-on
 //!   [`OnlineCorrector`] (per-pair Kalman over histograms) are scored on
 //!   the same held-out recent intervals with the paper's EMD/JS metrics
-//!   ([`stod_metrics::ShadowReport`]).
+//!   ([`stod_metrics::ShadowReport`]), through the workspace's one
+//!   scorer, [`stod_core::evaluate()`].
 //! * **Promote / hold / rollback** — promotion requires beating the
 //!   incumbent by a margin *and* the corrector outright; the decision is
 //!   made durable before the registry hot-swap (crash between the two is

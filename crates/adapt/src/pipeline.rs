@@ -57,16 +57,15 @@ use std::time::Instant;
 use crate::config::AdaptConfig;
 use crate::corrector::OnlineCorrector;
 use crate::stats::AdaptStats;
-use stod_baselines::NaiveHistograms;
-use stod_core::{batch::make_batch, TrainConfig, TrainError};
+use stod_baselines::{evaluate_predictor, NaiveHistograms};
+use stod_core::{evaluate, EvalReport, TrainConfig, TrainError};
 use stod_core::{fine_tune_resume, FaultPolicy, RobustConfig};
 use stod_faultline::FaultSite;
 use stod_fleet::Fleet;
-use stod_metrics::{DisSim, Metric, ShadowReport, ShadowScore};
+use stod_metrics::{Metric, ShadowReport, ShadowScore};
 use stod_nn::optim::StepDecay;
 use stod_nn::ParamStore;
 use stod_serve::{RegistryError, ServedModel};
-use stod_tensor::Tensor;
 use stod_traffic::{CityModel, OdDataset, Window};
 
 /// Why a cycle was skipped before fine-tuning.
@@ -282,8 +281,15 @@ impl CityAdapter {
         self.dir.join(format!("promoted_c{}.stpw", self.city))
     }
 
-    fn candidate_path(&self) -> PathBuf {
-        self.dir.join(format!("candidate_c{}.stpw", self.city))
+    /// One file per candidate: the registry keeps it as the version's
+    /// backing file, which [`stod_serve::Registry::scrub`] re-reads. The
+    /// snapshot and the incumbent determine the candidate, so a cycle
+    /// that rewrites an existing file writes the same bytes.
+    fn candidate_path(&self, t_last: usize, incumbent: u32) -> PathBuf {
+        self.dir.join(format!(
+            "candidate_c{}_t{t_last}_v{incumbent}.stpw",
+            self.city
+        ))
     }
 
     fn finetune_ckpt_path(&self, t_last: usize) -> PathBuf {
@@ -310,8 +316,34 @@ impl CityAdapter {
         }
     }
 
+    /// Logs and books one cycle's outcome: its ledger counter and, for
+    /// holds and rejects, the armed obs mirror. Every exit of
+    /// [`CityAdapter::run_cycle`] makes exactly one call.
     fn decide(&mut self, t_last: usize, d: Decision) {
         self.decisions.push((t_last, d));
+        let s = &self.stats;
+        let counter = match d {
+            Decision::Skipped => &s.skipped,
+            Decision::Held => &s.held,
+            Decision::Promoted => &s.promoted_clean,
+            Decision::RolledBack => &s.rolled_back,
+            Decision::Rejected => &s.rejected_candidates,
+            Decision::Aborted => &s.aborted,
+            Decision::Crashed => &s.crashed,
+            Decision::Failed => &s.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        match d {
+            Decision::Held => s.obs_mirror(|p| p.holds),
+            Decision::Rejected => s.obs_mirror(|p| p.candidate_rejects),
+            _ => {}
+        }
+    }
+
+    /// Books a failed cycle and hands `err` back to be returned.
+    fn fail(&mut self, t_last: usize, err: AdaptError) -> AdaptError {
+        self.decide(t_last, Decision::Failed);
+        err
     }
 
     /// Replays the durable promotion record after a process restart: when
@@ -340,7 +372,6 @@ impl CityAdapter {
 
         let shard = fleet.shard(self.city);
         let Some(snapshot) = shard.ingest_snapshot() else {
-            self.stats.skipped.fetch_add(1, Ordering::Relaxed);
             self.decide(0, Decision::Skipped);
             return Ok(CycleOutcome::Skipped(SkipReason::NoSnapshot));
         };
@@ -348,7 +379,6 @@ impl CityAdapter {
             .last()
             .expect("snapshot_window never returns an empty snapshot");
         let Some(incumbent) = shard.registry().active() else {
-            self.stats.skipped.fetch_add(1, Ordering::Relaxed);
             self.decide(t_last, Decision::Skipped);
             return Ok(CycleOutcome::Skipped(SkipReason::NoIncumbent));
         };
@@ -370,7 +400,6 @@ impl CityAdapter {
         let (train, eval): (Vec<Window>, Vec<Window>) =
             all.into_iter().partition(|w| w.t_end + 1 < holdout_start);
         if train.len() < self.cfg.min_windows || eval.len() < 2 {
-            self.stats.skipped.fetch_add(1, Ordering::Relaxed);
             self.decide(t_last, Decision::Skipped);
             return Ok(CycleOutcome::Skipped(SkipReason::TooFewWindows {
                 train: train.len(),
@@ -426,15 +455,10 @@ impl CityAdapter {
             Err(TrainError::Aborted { steps }) => {
                 // Killed mid-fine-tune: the cadence checkpoint stays on
                 // disk and the next cycle over this snapshot resumes it.
-                self.stats.aborted.fetch_add(1, Ordering::Relaxed);
                 self.decide(t_last, Decision::Aborted);
                 return Err(AdaptError::Aborted { steps });
             }
-            Err(e) => {
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                self.decide(t_last, Decision::Failed);
-                return Err(AdaptError::Train(e));
-            }
+            Err(e) => return Err(self.fail(t_last, AdaptError::Train(e))),
         };
         self.stats
             .fine_tune_steps
@@ -444,19 +468,14 @@ impl CityAdapter {
         // Persist and register the candidate through the validation path
         // (checksum + layout); corrupt bytes are a typed reject that
         // leaves the incumbent serving.
-        let cand_path = self.candidate_path();
-        candidate.params().save(&cand_path).map_err(|e| {
-            self.stats.failed.fetch_add(1, Ordering::Relaxed);
-            self.decide(t_last, Decision::Failed);
-            AdaptError::Io(e)
-        })?;
+        let cand_path = self.candidate_path(t_last, incumbent.version());
+        candidate
+            .params()
+            .save(&cand_path)
+            .map_err(|e| self.fail(t_last, AdaptError::Io(e)))?;
         let version = match shard.registry().register_file(&cand_path) {
             Ok(v) => v,
             Err(e) => {
-                self.stats
-                    .rejected_candidates
-                    .fetch_add(1, Ordering::Relaxed);
-                self.stats.obs_mirror(|p| p.candidate_rejects);
                 self.decide(t_last, Decision::Rejected);
                 return Ok(CycleOutcome::RejectedCandidate(e));
             }
@@ -479,8 +498,6 @@ impl CityAdapter {
             stod_obs::observe_duration("adapt/latency/shadow_eval", se_start.elapsed());
         }
         if shadow.decision() != stod_metrics::ShadowDecision::Promote {
-            self.stats.held.fetch_add(1, Ordering::Relaxed);
-            self.stats.obs_mirror(|p| p.holds);
             self.decide(t_last, Decision::Held);
             return Ok(CycleOutcome::Held(shadow));
         }
@@ -492,20 +509,15 @@ impl CityAdapter {
         candidate
             .params()
             .save(&self.promoted_path())
-            .map_err(|e| {
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                self.decide(t_last, Decision::Failed);
-                AdaptError::Io(e)
-            })?;
+            .map_err(|e| self.fail(t_last, AdaptError::Io(e)))?;
         if stod_faultline::fire(FaultSite::PromoteCrash).is_some() {
-            self.stats.crashed.fetch_add(1, Ordering::Relaxed);
             self.decide(t_last, Decision::Crashed);
             return Err(AdaptError::Crashed { version });
         }
         let prev = incumbent.version();
         fleet
             .activate(self.city, version)
-            .map_err(AdaptError::Registry)?;
+            .map_err(|e| self.fail(t_last, AdaptError::Registry(e)))?;
         self.stats.promotions.fetch_add(1, Ordering::Relaxed);
         self.stats.obs_mirror(|p| p.promotions);
         if stod_obs::armed() {
@@ -516,19 +528,16 @@ impl CityAdapter {
         // promotion decision never saw.
         let confirm = self.report(&ds, confirm_windows, &registered, &incumbent);
         if confirm.regressed() {
+            // Rolling back is promoting the older, immutable version again.
             fleet
-                .rollback(self.city, prev)
-                .map_err(AdaptError::Registry)?;
+                .activate(self.city, prev)
+                .map_err(|e| self.fail(t_last, AdaptError::Registry(e)))?;
             self.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
             self.stats.obs_mirror(|p| p.rollbacks);
             // The durable record must follow the registry: after a
             // rollback it points at the incumbent again.
-            init.save(&self.promoted_path()).map_err(|e| {
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                self.decide(t_last, Decision::Failed);
-                AdaptError::Io(e)
-            })?;
-            self.stats.rolled_back.fetch_add(1, Ordering::Relaxed);
+            init.save(&self.promoted_path())
+                .map_err(|e| self.fail(t_last, AdaptError::Io(e)))?;
             self.decide(t_last, Decision::RolledBack);
             return Ok(CycleOutcome::RolledBack {
                 from: version,
@@ -537,7 +546,6 @@ impl CityAdapter {
                 confirm,
             });
         }
-        self.stats.promoted_clean.fetch_add(1, Ordering::Relaxed);
         self.decide(t_last, Decision::Promoted);
         Ok(CycleOutcome::Promoted {
             version,
@@ -546,8 +554,9 @@ impl CityAdapter {
         })
     }
 
-    /// Scores candidate, incumbent, and corrector on the same observed
-    /// cells of the given windows.
+    /// Scores candidate, incumbent and corrector on the same observed
+    /// cells of `windows` (all `h = 1`), each read off step 0 of its
+    /// [`evaluate()`] or [`evaluate_predictor`] report.
     fn report(
         &self,
         ds: &OdDataset,
@@ -555,61 +564,20 @@ impl CityAdapter {
         candidate: &ServedModel,
         incumbent: &ServedModel,
     ) -> ShadowReport {
-        let mut cand = (DisSim::new(), DisSim::new());
-        let mut inc = (DisSim::new(), DisSim::new());
-        let mut corr = (DisSim::new(), DisSim::new());
-        for chunk in windows.chunks(self.cfg.batch_size.max(1)) {
-            let batch = make_batch(ds, chunk);
-            let cand_pred = forward_eval(candidate, &batch.inputs);
-            let inc_pred = forward_eval(incumbent, &batch.inputs);
-            let n = ds.num_regions();
-            let k = ds.spec.num_buckets;
-            for (row, w) in chunk.iter().enumerate() {
-                let target = &ds.tensors[w.target_indices()[0]];
-                for o in 0..n {
-                    for d in 0..n {
-                        let Some(truth) = target.histogram(o, d) else {
-                            continue;
-                        };
-                        let extract = |pred: &Tensor| -> Vec<f32> {
-                            (0..k).map(|b| pred.at(&[row, o, d, b])).collect()
-                        };
-                        score(&mut cand, &truth, &extract(&cand_pred));
-                        score(&mut inc, &truth, &extract(&inc_pred));
-                        score(&mut corr, &truth, &self.corrector.predict(o, d));
-                    }
-                }
-            }
-        }
+        let step0 = |r: EvalReport| ShadowScore {
+            emd: r.step_mean(0, Metric::Emd),
+            js: r.step_mean(0, Metric::Js),
+            cells: r.cells_per_step[0],
+        };
+        let served =
+            |m: &ServedModel| step0(evaluate(m.forecaster(), ds, windows, self.cfg.batch_size));
         ShadowReport {
-            candidate: to_score(&cand),
-            incumbent: to_score(&inc),
-            corrector: to_score(&corr),
+            candidate: served(candidate),
+            incumbent: served(incumbent),
+            corrector: step0(evaluate_predictor(&self.corrector, ds, windows)),
             intervals: windows.len(),
             margin: self.cfg.margin,
         }
-    }
-}
-
-/// One deterministic eval-mode forward pass, first horizon step only.
-fn forward_eval(model: &ServedModel, inputs: &[Tensor]) -> Tensor {
-    model
-        .forecast(inputs, 1)
-        .into_iter()
-        .next()
-        .expect("horizon 1 yields one prediction")
-}
-
-fn score(acc: &mut (DisSim, DisSim), truth: &[f32], pred: &[f32]) {
-    acc.0.add(Metric::Emd.eval(truth, pred));
-    acc.1.add(Metric::Js.eval(truth, pred));
-}
-
-fn to_score(acc: &(DisSim, DisSim)) -> ShadowScore {
-    ShadowScore {
-        emd: acc.0.mean(),
-        js: acc.1.mean(),
-        cells: acc.0.count(),
     }
 }
 

@@ -31,8 +31,8 @@ pub use mr::MrModel;
 pub use nh::NaiveHistograms;
 pub use var::VarModel;
 
+use stod_core::evaluate::{score_window, CellScore, Tally};
 use stod_core::EvalReport;
-use stod_metrics::{DisSim, GroupedMean, Metric};
 use stod_traffic::{OdDataset, Window};
 
 /// A per-cell histogram forecaster (the classical baselines).
@@ -52,9 +52,9 @@ pub trait HistogramPredictor: Send + Sync {
         -> Vec<f32>;
 }
 
-/// Evaluates a classical predictor with the same protocol as
-/// [`stod_core::evaluate`]: `DisSim` over observed target cells per step,
-/// plus first-step groupings by time of day and OD distance.
+/// Evaluates a classical predictor through the same scorer as
+/// [`stod_core::evaluate()`]: `DisSim` over observed target cells per
+/// step, plus first-step groupings by time of day and OD distance.
 pub fn evaluate_predictor(
     pred: &dyn HistogramPredictor,
     ds: &OdDataset,
@@ -62,89 +62,31 @@ pub fn evaluate_predictor(
 ) -> EvalReport {
     assert!(!windows.is_empty(), "cannot evaluate on zero windows");
     let h = windows[0].h;
-    let mut per_step: Vec<[DisSim; 3]> = (0..h).map(|_| Default::default()).collect();
-    let mut by_time = [
-        GroupedMean::time_of_day_bins(),
-        GroupedMean::time_of_day_bins(),
-        GroupedMean::time_of_day_bins(),
-    ];
-    let mut by_distance = [
-        GroupedMean::distance_bins(),
-        GroupedMean::distance_bins(),
-        GroupedMean::distance_bins(),
-    ];
     let n = ds.num_regions();
-
-    // One window's cell scores, in the exact order the serial loop would
-    // visit them. `groups` is `Some((time_bin, distance_bin))` for
-    // first-step cells, which additionally feed the grouped means.
-    struct CellScore {
-        step: usize,
-        metric: usize,
-        value: f64,
-        groups: Option<(usize, Option<usize>)>,
-    }
-    let score_window = |w: &Window| -> Vec<CellScore> {
-        let mut out = Vec::new();
-        for (j, &target_t) in w.target_indices().iter().enumerate() {
-            let tensor = &ds.tensors[target_t];
-            let tod_bin = GroupedMean::time_bin(ds.interval_of_day(target_t), ds.intervals_per_day);
-            for o in 0..n {
-                for d in 0..n {
-                    let Some(gt) = tensor.histogram(o, d) else {
-                        continue;
-                    };
-                    let fc = pred.predict(ds, o, d, w, j);
-                    let groups = (j == 0).then(|| {
-                        (
-                            tod_bin,
-                            GroupedMean::distance_bin(ds.city.distance_km(o, d)),
-                        )
-                    });
-                    for (m, metric) in Metric::ALL.iter().enumerate() {
-                        out.push(CellScore {
-                            step: j,
-                            metric: m,
-                            value: metric.eval(&gt, &fc),
-                            groups,
-                        });
-                    }
-                }
-            }
-        }
-        out
+    let score = |w: &Window| {
+        let mut cells = Vec::new();
+        score_window(
+            ds,
+            w,
+            |step, o, d| pred.predict(ds, o, d, w, step),
+            |c| cells.push(c),
+        );
+        cells
     };
-
     // Fan windows across the pool (window scoring is read-only and
-    // independent), then fold the scores in window order on this thread —
-    // the accumulators see contributions in the same order as the serial
-    // loop, so the report is bitwise identical at any thread count.
+    // independent), then fold the cells in window order on this thread —
+    // the tally sees them in the same order as the serial loop, so the
+    // report is bitwise identical at any thread count.
     let work = windows.len() * h * n * n;
-    let window_scores: Vec<Vec<CellScore>> =
+    let window_cells: Vec<Vec<CellScore>> =
         if windows.len() > 1 && stod_tensor::par::should_parallelize(work) {
-            stod_tensor::par::map(windows.len(), |i| score_window(&windows[i]))
+            stod_tensor::par::map(windows.len(), |i| score(&windows[i]))
         } else {
-            windows.iter().map(score_window).collect()
+            windows.iter().map(score).collect()
         };
-    for s in window_scores.iter().flatten() {
-        per_step[s.step][s.metric].add(s.value);
-        if let Some((tod_bin, dist_bin)) = s.groups {
-            by_time[s.metric].add(tod_bin, s.value);
-            if let Some(db) = dist_bin {
-                by_distance[s.metric].add(db, s.value);
-            }
-        }
-    }
-    EvalReport {
-        model: pred.name().to_string(),
-        cells_per_step: per_step.iter().map(|s| s[0].count()).collect(),
-        per_step: per_step
-            .iter()
-            .map(|s| [s[0].mean(), s[1].mean(), s[2].mean()])
-            .collect(),
-        by_time,
-        by_distance,
-    }
+    let mut tally = Tally::new(h);
+    window_cells.iter().flatten().for_each(|c| tally.add(c));
+    tally.report(pred.name())
 }
 
 /// Uniform histogram — the last-resort fallback every baseline shares.

@@ -1,6 +1,14 @@
 //! Evaluation (§VI-A.4): `DisSim` under KL, JS and EMD per forecast step,
 //! plus the groupings behind Figures 8–13 (per 3-hour time-of-day bin and
 //! per OD-distance group).
+//!
+//! This module is the workspace's one scorer. [`score_window`] is the only
+//! loop over a window's observed target cells, and [`Tally`] the only
+//! accumulator of their scores. [`evaluate`] scores a model's forecasts
+//! with them; the trainer's validation EMD, `stod_baselines`'
+//! `evaluate_predictor` and stod-adapt's shadow eval all go through the
+//! same two. Cells are folded in window, then origin, then destination
+//! order, so a report is a pure function of the forecasts.
 
 use crate::batch::make_batch;
 use crate::model::{Mode, OdForecaster};
@@ -38,7 +46,98 @@ impl EvalReport {
     }
 }
 
-/// Evaluates `model` on `windows` (all sharing `(s, h)`).
+/// One observed target cell's scores: the `Metric::ALL` values of its
+/// `(step+1)`-ahead forecast.
+#[derive(Debug, Clone, Copy)]
+pub struct CellScore {
+    step: usize,
+    values: [f64; 3],
+    /// `(time-of-day bin, distance group)` of a step-0 cell, the
+    /// Fig. 8–13 groups it feeds.
+    groups: Option<(usize, Option<usize>)>,
+}
+
+/// Scores `window`'s forecast, `forecast(step, o, d)`, on every observed
+/// target cell in step, origin, destination order, and hands each cell's
+/// scores to `sink`.
+pub fn score_window<F: AsRef<[f32]>>(
+    ds: &OdDataset,
+    window: &Window,
+    mut forecast: impl FnMut(usize, usize, usize) -> F,
+    mut sink: impl FnMut(CellScore),
+) {
+    let n = ds.num_regions();
+    for (step, &t) in window.target_indices().iter().enumerate() {
+        let time_bin = GroupedMean::time_bin(ds.interval_of_day(t), ds.intervals_per_day);
+        for o in 0..n {
+            for d in 0..n {
+                let Some(truth) = ds.tensors[t].histogram(o, d) else {
+                    continue;
+                };
+                let fc = forecast(step, o, d);
+                sink(CellScore {
+                    step,
+                    values: Metric::ALL.map(|m| m.eval(&truth, fc.as_ref())),
+                    groups: (step == 0).then(|| {
+                        let km = ds.city.distance_km(o, d);
+                        (time_bin, GroupedMean::distance_bin(km))
+                    }),
+                });
+            }
+        }
+    }
+}
+
+/// The accumulators behind one [`EvalReport`]: each metric's `DisSim` per
+/// step and its step-0 groupings.
+#[derive(Debug, Clone)]
+pub struct Tally {
+    per_step: Vec<[DisSim; 3]>,
+    by_time: [GroupedMean; 3],
+    by_distance: [GroupedMean; 3],
+}
+
+impl Tally {
+    /// Empty accumulators for an `h`-step horizon.
+    pub fn new(h: usize) -> Tally {
+        Tally {
+            per_step: vec![Default::default(); h],
+            by_time: std::array::from_fn(|_| GroupedMean::time_of_day_bins()),
+            by_distance: std::array::from_fn(|_| GroupedMean::distance_bins()),
+        }
+    }
+
+    /// Folds in one cell.
+    pub fn add(&mut self, cell: &CellScore) {
+        for (m, &v) in cell.values.iter().enumerate() {
+            self.per_step[cell.step][m].add(v);
+            if let Some((time_bin, distance_bin)) = cell.groups {
+                self.by_time[m].add(time_bin, v);
+                if let Some(db) = distance_bin {
+                    self.by_distance[m].add(db, v);
+                }
+            }
+        }
+    }
+
+    /// The report of the cells folded in, under `model`'s name.
+    pub fn report(self, model: &str) -> EvalReport {
+        EvalReport {
+            model: model.to_string(),
+            cells_per_step: self.per_step.iter().map(|s| s[0].count()).collect(),
+            per_step: self
+                .per_step
+                .iter()
+                .map(|s| s.each_ref().map(DisSim::mean))
+                .collect(),
+            by_time: self.by_time,
+            by_distance: self.by_distance,
+        }
+    }
+}
+
+/// Evaluates `model` on `windows` (all sharing `(s, h)`), one eval forward
+/// on a no-grad tape per `batch_size` windows.
 pub fn evaluate(
     model: &dyn OdForecaster,
     ds: &OdDataset,
@@ -47,69 +146,28 @@ pub fn evaluate(
 ) -> EvalReport {
     assert!(!windows.is_empty(), "cannot evaluate on zero windows");
     let h = windows[0].h;
-    let mut per_step: Vec<[DisSim; 3]> = (0..h).map(|_| Default::default()).collect();
-    let mut by_time = [
-        GroupedMean::time_of_day_bins(),
-        GroupedMean::time_of_day_bins(),
-        GroupedMean::time_of_day_bins(),
-    ];
-    let mut by_distance = [
-        GroupedMean::distance_bins(),
-        GroupedMean::distance_bins(),
-        GroupedMean::distance_bins(),
-    ];
+    let (n, k) = (ds.num_regions(), ds.spec.num_buckets);
+    let mut tally = Tally::new(h);
     let mut rng = Rng64::new(0); // unused in Eval mode; forward needs one
-
     for chunk in windows.chunks(batch_size.max(1)) {
         let batch = make_batch(ds, chunk);
         let mut tape = Tape::no_grad();
         let out = model.forward(&mut tape, &batch.inputs, h, Mode::Eval, &mut rng);
-        for (j, pred_var) in out.predictions.iter().enumerate() {
-            let pred = tape.value(*pred_var);
-            let target = &batch.targets[j];
-            let mask = &batch.masks[j];
-            let (bsz, n, nd, k) = (pred.dim(0), pred.dim(1), pred.dim(2), pred.dim(3));
-            for b in 0..bsz {
-                let target_interval = batch.windows[b].target_indices()[j];
-                let tod_bin = GroupedMean::time_bin(
-                    ds.interval_of_day(target_interval),
-                    ds.intervals_per_day,
-                );
-                for o in 0..n {
-                    for d in 0..nd {
-                        if mask.at(&[b, o, d, 0]) < 0.5 {
-                            continue;
-                        }
-                        let gt: Vec<f32> = (0..k).map(|x| target.at(&[b, o, d, x])).collect();
-                        let fc: Vec<f32> = (0..k).map(|x| pred.at(&[b, o, d, x])).collect();
-                        for (m, metric) in Metric::ALL.iter().enumerate() {
-                            let v = metric.eval(&gt, &fc);
-                            per_step[j][m].add(v);
-                            if j == 0 {
-                                by_time[m].add(tod_bin, v);
-                                if let Some(db) =
-                                    GroupedMean::distance_bin(ds.city.distance_km(o, d))
-                                {
-                                    by_distance[m].add(db, v);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        // Each prediction is `[B, N, N, K]`, row-major.
+        let preds: Vec<&[f32]> = out
+            .predictions
+            .iter()
+            .map(|&v| tape.value(v).data())
+            .collect();
+        for (b, w) in chunk.iter().enumerate() {
+            let cell = |step: usize, o: usize, d: usize| {
+                let at = ((b * n + o) * n + d) * k;
+                &preds[step][at..at + k]
+            };
+            score_window(ds, w, cell, |c| tally.add(&c));
         }
     }
-
-    EvalReport {
-        model: model.name().to_string(),
-        cells_per_step: per_step.iter().map(|s| s[0].count()).collect(),
-        per_step: per_step
-            .iter()
-            .map(|s| [s[0].mean(), s[1].mean(), s[2].mean()])
-            .collect(),
-        by_time,
-        by_distance,
-    }
+    tally.report(model.name())
 }
 
 #[cfg(test)]

@@ -21,8 +21,10 @@
 use crate::batch::{make_batch, Batch};
 use crate::checkpoint::TrainCheckpoint;
 use crate::config::TrainConfig;
+use crate::evaluate::evaluate;
 use crate::model::{Mode, OdForecaster};
 use std::path::PathBuf;
+use stod_metrics::Metric;
 use stod_nn::optim::{clip_global_norm, Adam, ClipStatus};
 use stod_nn::{Gradients, ParamStore, StoreError, Tape, Var};
 use stod_tensor::rng::Rng64;
@@ -555,7 +557,7 @@ fn run_robust(
             .epoch_wall_ms
             .push(epoch_t0.elapsed().as_secs_f64() * 1e3);
         if let Some(val_windows) = val {
-            let emd = quick_val_emd(model, ds, val_windows, cfg.batch_size, &mut rng);
+            let emd = quick_val_emd(model, ds, val_windows, cfg.batch_size);
             st.report.val_emd.push(emd);
             if emd.is_finite() && st.report.best_val.is_none_or(|(_, b)| emd < b) {
                 st.report.best_val = Some((st.epoch, emd));
@@ -586,44 +588,22 @@ fn run_robust(
     Ok(st.report)
 }
 
-/// Mean first-step EMD over a validation set (cheap per-epoch signal).
-/// Each batch unrolls one step on a no-grad tape: an h-step forecast's
-/// first step is bitwise the one-step forecast, and eval draws nothing
-/// from `rng`.
+/// Mean first-step EMD over a validation set (cheap per-epoch signal):
+/// [`evaluate`] over the windows cut to `h = 1`, since an h-step
+/// forecast's first step is bitwise the one-step forecast. `NaN` for an
+/// empty set.
 fn quick_val_emd(
     model: &dyn OdForecaster,
     ds: &OdDataset,
     windows: &[Window],
     batch_size: usize,
-    rng: &mut Rng64,
 ) -> f64 {
     if windows.is_empty() {
         return f64::NAN;
     }
     let _span = stod_obs::span!("train/validate");
-    let mut acc = stod_metrics::DisSim::new();
-    for chunk in windows.chunks(batch_size) {
-        let batch = make_batch(ds, chunk);
-        let mut tape = Tape::no_grad();
-        let out = model.forward(&mut tape, &batch.inputs, 1, Mode::Eval, rng);
-        let pred = tape.value(out.predictions[0]);
-        let (bsz, n, nd, k) = (pred.dim(0), pred.dim(1), pred.dim(2), pred.dim(3));
-        let target = &batch.targets[0];
-        let mask = &batch.masks[0];
-        for b in 0..bsz {
-            for o in 0..n {
-                for d in 0..nd {
-                    if mask.at(&[b, o, d, 0]) < 0.5 {
-                        continue;
-                    }
-                    let gt: Vec<f32> = (0..k).map(|x| target.at(&[b, o, d, x])).collect();
-                    let fc: Vec<f32> = (0..k).map(|x| pred.at(&[b, o, d, x])).collect();
-                    acc.add(stod_metrics::emd(&gt, &fc));
-                }
-            }
-        }
-    }
-    acc.mean()
+    let one_step: Vec<Window> = windows.iter().map(|&w| Window { h: 1, ..w }).collect();
+    evaluate(model, ds, &one_step, batch_size).step_mean(0, Metric::Emd)
 }
 
 #[cfg(test)]

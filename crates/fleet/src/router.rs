@@ -294,7 +294,8 @@ impl Fleet {
     /// Promotes an *already registered* version on one shard — the
     /// adaptation pipeline's swap step after its candidate cleared shadow
     /// evaluation (the candidate was registered earlier, through the
-    /// checkpoint-validation path) — then invalidates that tenant's stale
+    /// checkpoint-validation path), and its rollback, which promotes the
+    /// older, immutable version again — then invalidates that tenant's stale
     /// result-cache entries. The version is part of the cache key, so
     /// stale entries were already unreachable the instant the promotion
     /// landed; invalidation here reclaims their memory and records the
@@ -311,15 +312,6 @@ impl Fleet {
             }
         }
         Ok(())
-    }
-
-    /// Re-promotes a previously active version — the rollback path when a
-    /// freshly promoted candidate regresses on its confirm slice. An alias
-    /// of [`Fleet::activate`] (the registry keeps every version immutable,
-    /// so rolling back *is* promoting the older version again), named for
-    /// the call sites that read as recovery.
-    pub fn rollback(&self, city: usize, version: u32) -> Result<(), RegistryError> {
-        self.activate(city, version)
     }
 
     /// Answers one request: result cache, then admission control, then the

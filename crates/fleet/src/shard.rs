@@ -60,10 +60,9 @@ pub struct Shard {
     registry: Arc<Registry>,
     features: Arc<FeatureStore>,
     stats: Arc<ServeStats>,
+    /// Owns the shard's one NH fallback, which also answers shed and
+    /// degraded requests.
     broker: Broker,
-    /// The shard's own NH copy for admission-control shed answers; the
-    /// broker owns another for its fallback paths.
-    shed_fallback: NaiveHistograms,
     /// This tenant's circuit breaker; the router consults it between the
     /// shed check and broker dispatch.
     breaker: CircuitBreaker,
@@ -97,7 +96,7 @@ impl Shard {
         let broker = Broker::new(
             Arc::clone(&registry),
             Arc::clone(&features),
-            fallback.clone(),
+            fallback,
             Arc::clone(&stats),
             BrokerConfig {
                 workers: cfg.workers,
@@ -125,7 +124,6 @@ impl Shard {
             features,
             stats,
             broker,
-            shed_fallback: fallback,
             breaker,
             wal: None,
             crashed: AtomicBool::new(false),
@@ -167,9 +165,9 @@ impl Shard {
         self.stats.queue_depth.load(Ordering::Relaxed)
     }
 
-    /// The shard's NH answer for a pair — the admission-control shed path.
+    /// The shard's NH answer for a pair — the shed and degraded paths.
     pub fn shed_histogram(&self, origin: usize, dest: usize) -> Vec<f32> {
-        self.shed_fallback.pair_histogram(origin, dest).to_vec()
+        self.broker.fallback().pair_histogram(origin, dest).to_vec()
     }
 
     /// Registers and promotes a checkpoint in one step, returning the new

@@ -224,6 +224,11 @@ impl Broker {
         }
     }
 
+    /// The NH fallback this broker answers with.
+    pub fn fallback(&self) -> &NaiveHistograms {
+        &self.shared.fallback
+    }
+
     /// Serving statistics shared with this broker.
     pub fn stats(&self) -> Arc<ServeStats> {
         Arc::clone(&self.shared.stats)

@@ -150,6 +150,12 @@ impl ServedModel {
         self.model.name()
     }
 
+    /// This version's forecaster, for scoring it with
+    /// [`stod_core::evaluate()`] (the adaptation pipeline's shadow eval).
+    pub fn forecaster(&self) -> &dyn OdForecaster {
+        self.model.as_ref()
+    }
+
     /// Exports this version's weights as a standalone [`ParamStore`] —
     /// the warm-start seed for a continual fine-tune: the adaptation
     /// pipeline copies the live incumbent's parameters into a fresh model
@@ -193,7 +199,7 @@ struct VersionEntry {
     /// False once a scrub caught bit-rot; invalid versions are
     /// unreachable through [`Registry::get`] and never promoted.
     valid: bool,
-    /// CRC-32 of the serialized checkpoint bytes at registration.
+    /// [`body_crc`] of the checkpoint bytes at registration.
     crc: u32,
     /// Backing file, when the version came through
     /// [`Registry::register_file`].
@@ -288,7 +294,7 @@ impl Registry {
         let result = (|| {
             let mut raw = std::fs::read(path).map_err(RegistryError::Io)?;
             stod_faultline::maybe_corrupt(stod_faultline::FaultSite::CkptCorrupt, &mut raw);
-            let crc = stod_faultline::crc::crc32(&raw);
+            let crc = body_crc(&raw);
             let store = ParamStore::from_bytes(raw)?;
             self.register_validated(store, crc, Some(path.to_path_buf()))
         })();
@@ -303,7 +309,7 @@ impl Registry {
     /// Validates a checkpoint against the configured architecture and
     /// registers it as a new (inactive) version, returning its number.
     pub fn register_store(&self, store: ParamStore) -> Result<u32, RegistryError> {
-        let crc = stod_faultline::crc::crc32(&store.to_bytes());
+        let crc = body_crc(&store.to_bytes());
         let result = self.register_validated(store, crc, None);
         if result.is_err() {
             self.stats
@@ -346,9 +352,9 @@ impl Registry {
 
     /// Re-verifies the integrity of every registered version — the
     /// bit-rot scrub. File-backed versions are re-read from their backing
-    /// checkpoint and must still carry the CRC recorded at registration
-    /// *and* parse as a structurally valid store; in-memory versions have
-    /// their live parameters re-serialized and CRC-compared.
+    /// checkpoint, in-memory versions re-serialized from their live
+    /// parameters; either way the bytes must carry the body CRC recorded
+    /// at registration *and* parse as a structurally valid store.
     ///
     /// A version that fails is marked invalid: [`Registry::get`] stops
     /// returning it and it can never be promoted again. If the *active*
@@ -365,31 +371,21 @@ impl Registry {
             if !entry.valid {
                 continue;
             }
-            let verdict: Result<(), RegistryError> = match &entry.source {
-                Some(path) => (|| {
-                    let raw = std::fs::read(path).map_err(RegistryError::Io)?;
-                    let found = stod_faultline::crc::crc32(&raw);
-                    if found != entry.crc {
-                        return Err(RegistryError::Corrupt {
-                            expected: entry.crc,
-                            found,
-                        });
-                    }
-                    ParamStore::from_bytes(raw)?;
-                    Ok(())
-                })(),
-                None => {
-                    let found = stod_faultline::crc::crc32(&entry.model.model.params().to_bytes());
-                    if found != entry.crc {
-                        Err(RegistryError::Corrupt {
-                            expected: entry.crc,
-                            found,
-                        })
-                    } else {
-                        Ok(())
-                    }
+            let verdict = (|| {
+                let bytes = match &entry.source {
+                    Some(path) => std::fs::read(path).map_err(RegistryError::Io)?,
+                    None => entry.model.model.params().to_bytes(),
+                };
+                let found = body_crc(&bytes);
+                if found != entry.crc {
+                    return Err(RegistryError::Corrupt {
+                        expected: entry.crc,
+                        found,
+                    });
                 }
-            };
+                ParamStore::from_bytes(bytes)?;
+                Ok(())
+            })();
             if let Err(err) = verdict {
                 entry.valid = false;
                 rejects.push((entry.model.version, err));
@@ -469,6 +465,14 @@ impl Registry {
 }
 
 /// Resident f32 bytes of a parameter store: Σ numel × 4.
+/// CRC-32 of a sealed checkpoint's bytes before its footer. For an intact
+/// checkpoint it equals the footer, so it tells two checkpoints apart; the
+/// CRC of a whole sealed buffer is the same residue for every intact one.
+fn body_crc(sealed: &[u8]) -> u32 {
+    let body = sealed.len().saturating_sub(stod_faultline::codec::CRC_LEN);
+    stod_faultline::crc::crc32(&sealed[..body])
+}
+
 fn store_mem_bytes(store: &ParamStore) -> u64 {
     store
         .iter()
@@ -746,6 +750,50 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(report.checked, 1);
         assert_eq!(reg.active_version(), Some(v));
+    }
+
+    /// An in-memory version whose live weights changed after registration
+    /// fails the scrub: one flipped bit changes its body CRC.
+    #[test]
+    fn scrub_rejects_an_in_memory_version_with_a_flipped_weight() {
+        let config = bf_config(4);
+        let reg = Registry::new(config.clone(), Arc::new(ServeStats::new()));
+        let v1 = reg.register_store(checkpoint_for(&config, 1)).unwrap();
+        reg.promote(v1).unwrap();
+        let v2 = reg.register_store(checkpoint_for(&config, 2)).unwrap();
+        {
+            let mut versions = write(&reg.versions);
+            let served = Arc::get_mut(&mut versions[1].model).expect("unpromoted, unshared");
+            let id = served.model.params().ids()[0];
+            let w = &mut served.model.params_mut().get_mut(id).data_mut()[0];
+            *w = f32::from_bits(w.to_bits() ^ 1);
+        }
+        let report = reg.scrub();
+        assert_eq!(report.rejects.len(), 1);
+        assert_eq!(report.rejects[0].0, v2);
+        assert!(matches!(report.rejects[0].1, RegistryError::Corrupt { .. }));
+        assert_eq!(report.demoted_active, None);
+        assert_eq!(reg.active_version(), Some(v1));
+        assert!(reg.get(v2).is_none());
+    }
+
+    /// A backing file overwritten with another valid checkpoint fails the
+    /// scrub although it parses: its body CRC is not the one registered.
+    #[test]
+    fn scrub_rejects_a_file_that_now_holds_another_checkpoint() {
+        let dir = TmpDir::new("scrub_swapped_file");
+        let _quiet = quiet();
+        let config = bf_config(4);
+        let reg = Registry::new(config.clone(), Arc::new(ServeStats::new()));
+        let path = dir.write("swapped.stpw", &config.build(1).params().to_bytes());
+        let v = reg.register_file(&path).unwrap();
+        reg.promote(v).unwrap();
+        std::fs::write(&path, config.build(2).params().to_bytes()).unwrap();
+        let report = reg.scrub();
+        assert_eq!(report.rejects.len(), 1);
+        assert!(matches!(report.rejects[0].1, RegistryError::Corrupt { .. }));
+        assert_eq!(report.demoted_active, Some(v));
+        assert!(reg.active().is_none());
     }
 
     /// A version over the `STOD_MODEL_MEM` budget is refused with a typed

@@ -356,6 +356,30 @@ fn drift_cycle_auto_promotes_when_candidate_beats_incumbent_and_corrector() {
     }
 }
 
+/// Satellite: each candidate keeps its own backing file. Two promoting
+/// cycles over different snapshots leave every registered version
+/// scrubbing clean and the second promotion active; with one shared file
+/// the second candidate would overwrite the first one's checkpoint.
+#[test]
+fn two_cycles_leave_every_candidate_file_scrubbing_clean() {
+    let _g = lock_traffic();
+    let sc = Scenario::new(DRIFT_SEEDS[0], drift_kind());
+    let fleet = sc.build_fleet(30);
+    let dir = tmp_dir("two_cycles_scrub");
+    let mut adapter = sc.adapter(&dir);
+    adapter.run_cycle(&fleet).unwrap();
+    sc.seal_range(&fleet, 30, 3 * IPD);
+    adapter.run_cycle(&fleet).unwrap();
+    let decisions: Vec<Decision> = adapter.decisions().iter().map(|&(_, d)| d).collect();
+    assert_eq!(decisions, [Decision::Promoted, Decision::Promoted]);
+    assert_eq!(adapter.stats().snapshot().ledger_balance(), 0);
+    let registry = fleet.shard(0).registry();
+    let report = registry.scrub();
+    assert!(report.is_clean(), "scrub rejected {:?}", report.rejects);
+    assert_eq!(report.checked, 3);
+    assert_eq!(registry.active_version(), Some(3));
+}
+
 /// Satellite: under stationary traffic the pipeline never promotes — the
 /// corrector bar keeps a same-regime fine-tune from churning the registry.
 #[test]
