@@ -50,6 +50,19 @@ pub trait HistogramPredictor: Send + Sync {
     /// intervals from `ds` but never its targets.
     fn predict(&self, ds: &OdDataset, o: usize, d: usize, window: &Window, step: usize)
         -> Vec<f32>;
+
+    /// `window`'s forecast as one closure of `(step, o, d)` that answers
+    /// each cell with the histogram [`predict`](Self::predict) gives.
+    /// [`evaluate_predictor`] asks for one window's cells in step order;
+    /// a predictor whose cells share work per step (VAR's roll-out)
+    /// overrides this to do that work once.
+    fn window_forecast<'a>(
+        &'a self,
+        ds: &'a OdDataset,
+        window: &'a Window,
+    ) -> Box<dyn FnMut(usize, usize, usize) -> Vec<f32> + 'a> {
+        Box::new(move |step, o, d| self.predict(ds, o, d, window, step))
+    }
 }
 
 /// Evaluates a classical predictor through the same scorer as
@@ -65,12 +78,7 @@ pub fn evaluate_predictor(
     let n = ds.num_regions();
     let score = |w: &Window| {
         let mut cells = Vec::new();
-        score_window(
-            ds,
-            w,
-            |step, o, d| pred.predict(ds, o, d, w, step),
-            |c| cells.push(c),
-        );
+        score_window(ds, w, pred.window_forecast(ds, w), |c| cells.push(c));
         cells
     };
     // Fan windows across the pool (window scoring is read-only and

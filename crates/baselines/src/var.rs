@@ -198,6 +198,27 @@ impl VarModel {
         }
         history.pop()
     }
+
+    /// The `(o, d)` histogram from its step's predicted `state`: the
+    /// pair's slot of the state, clamped at 0 and normalized, or NH's
+    /// histogram when the pair is not modeled, there is no state, or the
+    /// slot sums to (almost) nothing.
+    fn cell_histogram(&self, n: usize, o: usize, d: usize, state: Option<&[f32]>) -> Vec<f32> {
+        if let (Some(slot), Some(state)) = (self.pair_slot[o * n + d], state) {
+            let mut h: Vec<f32> = state[slot * self.k..(slot + 1) * self.k]
+                .iter()
+                .map(|&x| x.max(0.0))
+                .collect();
+            let s: f32 = h.iter().sum();
+            if s > 1e-6 {
+                for x in &mut h {
+                    *x /= s;
+                }
+                return h;
+            }
+        }
+        self.fallback.pair_histogram(o, d).to_vec()
+    }
 }
 
 impl HistogramPredictor for VarModel {
@@ -207,22 +228,28 @@ impl HistogramPredictor for VarModel {
 
     fn predict(&self, ds: &OdDataset, o: usize, d: usize, w: &Window, step: usize) -> Vec<f32> {
         let n = ds.num_regions();
-        if let Some(slot) = self.pair_slot[o * n + d] {
-            if let Some(state) = self.predict_state(ds, w, step) {
-                let mut h: Vec<f32> = state[slot * self.k..(slot + 1) * self.k]
-                    .iter()
-                    .map(|&x| x.max(0.0))
-                    .collect();
-                let s: f32 = h.iter().sum();
-                if s > 1e-6 {
-                    for x in &mut h {
-                        *x /= s;
-                    }
-                    return h;
-                }
-            }
-        }
-        self.fallback.pair_histogram(o, d).to_vec()
+        let state = self.pair_slot[o * n + d].and_then(|_| self.predict_state(ds, w, step));
+        self.cell_histogram(n, o, d, state.as_deref())
+    }
+
+    /// Rolls the model out once per step, the first time a modeled pair
+    /// asks for it, instead of once per cell.
+    fn window_forecast<'a>(
+        &'a self,
+        ds: &'a OdDataset,
+        w: &'a Window,
+    ) -> Box<dyn FnMut(usize, usize, usize) -> Vec<f32> + 'a> {
+        let n = ds.num_regions();
+        let mut states: Vec<Option<Option<Vec<f32>>>> = vec![None; w.h];
+        Box::new(move |step, o, d| {
+            let state = match self.pair_slot[o * n + d] {
+                Some(_) => states[step]
+                    .get_or_insert_with(|| self.predict_state(ds, w, step))
+                    .as_deref(),
+                None => None,
+            };
+            self.cell_histogram(n, o, d, state)
+        })
     }
 }
 

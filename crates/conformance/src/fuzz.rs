@@ -306,8 +306,10 @@ pub fn initial_dims(kernel: Kernel, seed: u64) -> Vec<usize> {
             // clusters]
             let (train, extra) = (rng.next_below(2), rng.next_below(3));
             if big {
-                // train_paper's first stage: N = 67, F = 7 → 32, S = 4, P4.
-                vec![4, 67, 7, 4, 32, 2, train, extra]
+                // train_paper's first stage: N = 67, F = 7 → 32, S = 4, P4,
+                // over 40 slices: two of the op's blocks of slices (32
+                // fit its cache budget at this shape), the second short.
+                vec![40, 67, 7, 4, 32, 2, train, extra]
             } else {
                 vec![
                     gen::dim(&mut rng, 1, 4),

@@ -119,10 +119,16 @@ fn minibatch_outcome(
     // order *before* any parallel work starts.
     let shards = stod_tensor::par::grain_blocks(mb.len(), SHARD_GRAIN);
     let seeds: Vec<u64> = shards.iter().map(|_| rng.next_u64()).collect();
-    let shard_batches: Vec<Batch> = shards
-        .iter()
-        .map(|r| make_batch(ds, &mb[r.clone()]))
-        .collect();
+    // The shards' batches are built under the same fan-out as the shards
+    // themselves; each is a pure function of its windows.
+    let work = mb.len() * model.num_weights();
+    let fan_out = shards.len() > 1 && stod_tensor::par::should_parallelize(work);
+    let build = |i: usize| make_batch(ds, &mb[shards[i].clone()]);
+    let shard_batches: Vec<Batch> = if fan_out {
+        stod_tensor::par::map(shards.len(), build)
+    } else {
+        (0..shards.len()).map(build).collect()
+    };
     // Eq. 4 normalizes by the observed cells of the *whole* minibatch;
     // shard regularizers (per-shard means) are scaled by bₛ/B so their
     // sum is the full-batch mean.
@@ -174,8 +180,7 @@ fn minibatch_outcome(
             let _bwd_span = stod_obs::span!("train/bwd");
             (tape.backward(loss), loss_val)
         };
-        let work = mb.len() * model.num_weights();
-        if shards.len() > 1 && stod_tensor::par::should_parallelize(work) {
+        if fan_out {
             stod_tensor::par::map(shards.len(), run_shard)
         } else {
             (0..shards.len()).map(run_shard).collect()

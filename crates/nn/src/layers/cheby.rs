@@ -9,12 +9,25 @@
 //! # One tape node per call
 //!
 //! [`ChebyConv::apply`] records the whole layer as a single fused tape op
-//! (`cheby_conv`, DESIGN.md §5h). The recurrence runs on node-major
-//! panels `[N, B·F]`, so each Chebyshev order is one 2-D product over the
-//! whole batch instead of `B` tiny per-slice products, and each `T_s` is
-//! written straight into its column block of the mixing operand
-//! `Z [B·N, S·F]`; one `Z·W` GEMM and a row-pass bias add finish the
-//! layer. Only `Z` and the output stay alive for the backward pass.
+//! (`cheby_conv`, DESIGN.md §5h). Each `T_s` is written straight into its
+//! column block of the mixing operand `Z [B·N, S·F]`, and one `Z·W`
+//! product and a row-pass bias add finish the layer. Only `Z` and the
+//! output stay alive for the backward pass.
+//!
+//! # One block of slices at a time
+//!
+//! Both fused ops run their slices (the `B` items of the batch) in
+//! blocks, as many as fit [`BLOCK_BYTES`] of `Z` rows plus conv output,
+//! so a block's basis, its conv output and everything that reads them
+//! stay in cache. The block size is a pure function of the shape. Per
+//! block, the recurrence runs on a node-major panel `[N, bb·F]`, so each
+//! Chebyshev order is one 2-D product over the block instead of `bb` tiny
+//! per-slice products; the block's rows of `Z` are multiplied by `W`
+//! through the whole stage's [`Product`], booked once as one `matmul`;
+//! and the backward accumulates `dW = Zᵀ·dY` as one reduction whose FMA
+//! chains continue from block to block ([`Product::tn_piece`]), sums
+//! `db` in row order, and runs `dZ = dY·Wᵀ` and the input recurrence per
+//! block.
 //!
 //! The graph operator is a CSR scaled Laplacian shared through an
 //! [`Arc`]: one model builds it once and every layer over that graph
@@ -24,18 +37,23 @@
 //! (the constructor asserts it).
 //!
 //! The fused op is bitwise identical to the composed layer it replaced —
-//! forecasts, input gradients and parameter gradients — because:
+//! forecasts, input gradients and parameter gradients — at any block
+//! size, because:
 //!
 //! * `spmm_panel` accumulates every output element over its row's stored
-//!   entries in column order, whatever the panel width, so the merged
-//!   `[N, B·F]` product reproduces each per-slice product bit for bit;
+//!   entries in column order, whatever the panel width, so a block's
+//!   `[N, bb·F]` product reproduces each per-slice product bit for bit;
 //! * `T_s` is rounded as scale-then-subtract, as the composed ops did;
-//! * the backward computes `dW = Zᵀ·dY` and `db = Σ_rows dY` with the same
-//!   `matmul_tn` and `sum_axis` calls, accumulates each `dT_k` as `slice_k`,
-//!   then `−dT_{k+2}`, then `L̃·(2·dT_{k+1})`, and lists the input as a
-//!   parent up to three times so its contributions reach the tape in the
-//!   old order `[slice₀, −dT₂, L̃·dT₁]` — which matters when the input has
-//!   other consumers, as the GCGRU gates' shared `[X ‖ H]` does.
+//! * every element of `Z·W`, `dY·Wᵀ` and `Zᵀ·dY` is one FMA chain over
+//!   its reduction, in order, on the path the whole product's shape
+//!   picks (for `dW` the chain runs over all `B·N` rows, resumed at each
+//!   block), and `db` adds the rows of `dY` in order from +0.0, as
+//!   `sum_axis` did;
+//! * each `dT_k` accumulates `slice_k`, then `−dT_{k+2}`, then
+//!   `L̃·(2·dT_{k+1})`, and the input is listed as a parent up to three
+//!   times so its contributions reach the tape in the old order
+//!   `[slice₀, −dT₂, L̃·dT₁]` — which matters when the input has other
+//!   consumers, as the GCGRU gates' shared `[X ‖ H]` does.
 //!
 //! # One tape node per factorization stage
 //!
@@ -43,18 +61,21 @@
 //! factorization (§V-A, Eqs. 5–6) — the conv, relu, inverted dropout, the
 //! zero pad for fake slots, the coarsening gather and the max-pool — as
 //! one `cheby_pool` tape node that writes only the pooled `[Bs, m, Q]`
-//! output. It reuses the conv's `forward` and `backward`; the conv output
-//! is a scratch buffer, and no relu, dropout, pad or gather tensor and no
-//! dropout mask ever becomes a tape value. For the backward pass it keeps
-//! `Z` and, per pooled slot, one code: the winning node with its dropout
-//! and relu factors, or a sentinel when a fake slot won.
+//! output. Per block it builds the basis, multiplies it into a
+//! block-sized conv output and pools each slice of it while the block is
+//! still in cache; the backward scatters the pooled gradient into a
+//! block-sized `dY` and hands it to the conv's block backward. No conv
+//! output, relu, dropout, pad or gather tensor and no dropout mask ever
+//! becomes a tape value. For the backward pass it keeps `Z` and, per
+//! pooled slot, one code: the winning node with its dropout and relu
+//! factors, or a sentinel when a fake slot won.
 //!
 //! The fused stage is bitwise identical to the composed chain — outputs,
 //! input gradients, parameter gradients and the RNG position — because:
 //!
-//! * the dropout factors are drawn one per conv-output element in
-//!   row-major order from the same `Rng64`, as `rng.next_f32() < p`,
-//!   and eval mode draws nothing;
+//! * the dropout factors are drawn one per conv-output element, slice
+//!   after slice in row-major order, from the same `Rng64`, as
+//!   `rng.next_f32() < p`, and eval mode draws nothing;
 //! * each pooled slot takes the first candidate `relu(y)·mask` strictly
 //!   above the best so far, from −∞ in window order, with +0.0 for a fake
 //!   slot, exactly the composed max-pool over the gathered, padded input;
@@ -70,11 +91,11 @@
 //!
 //! In eval mode, when nothing can differentiate the output — no parent
 //! [`Tape::requires_grad`], as on a [`Tape::no_grad`] tape — the stage
-//! keeps no backward state: it frees `Z` right after the mixing GEMM,
-//! max-pools `relu(y)` straight into the output with the mask and the
-//! winner tracking compiled out of the same scan (`pool_block`'s
-//! `TRACK`), and records a `cheby_pool` node with no backward. The
-//! output keeps every bit: the eval factor it skips is exactly 1.0,
+//! keeps no backward state: `Z` is a block-sized scratch buffer too, each
+//! slice max-pools `relu(y)` straight into the output with the mask and
+//! the winner tracking compiled out of the same scan (`pool_slice`'s
+//! `TRACK`), and the stage records a `cheby_pool` node with no backward.
+//! The output keeps every bit: the eval factor it skips is exactly 1.0,
 //! `relu` never yields NaN, and the same candidates are compared in the
 //! same order.
 //!
@@ -84,7 +105,8 @@
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use std::sync::Arc;
-use stod_tensor::ops::{elementwise as ew, matmul as mm, transform as tf};
+use stod_tensor::ops::matmul::Product;
+use stod_tensor::ops::{elementwise as ew, transform as tf};
 use stod_tensor::rng::Rng64;
 use stod_tensor::{arena, CsrMatrix, Tensor};
 
@@ -102,43 +124,87 @@ pub fn csr_propagate(tape: &mut Tape, m: Arc<CsrMatrix>, x: Var) -> Var {
     )
 }
 
-/// Records `Y = Σ_s T_s(X)·W_s + b` for `x [B, N, F]`, `w [S·F, O]` and
+/// Bytes of `Z` rows plus conv output that one block of slices holds:
+/// about a quarter of a 2 MiB per-core L2, so the block's basis, its
+/// conv output and the pooling or backward pass that reads them next
+/// stay cache-resident (32 slices at `train_paper`'s first stage).
+const BLOCK_BYTES: usize = 512 << 10;
+
+/// Slices per block of a conv over `n` nodes with `sf` basis columns and
+/// `q` outputs: as many as fit [`BLOCK_BYTES`], at least one, and no more
+/// than the `batch` there are. A pure function of the shape, so blocks
+/// move only where work runs, never what it computes.
+fn block_slices(batch: usize, n: usize, sf: usize, q: usize) -> usize {
+    let per_slice = (4 * n * (sf + q)).max(1);
+    (BLOCK_BYTES / per_slice).clamp(1, batch.max(1))
+}
+
+/// Records `Y = Σ_s T_s·W_s + b` for `x [B, N, F]`, `w [S·F, O]` and
 /// `b [O]` as one `cheby_conv` tape node.
 fn cheby_conv(tape: &mut Tape, l: &Arc<CsrMatrix>, order: usize, x: Var, w: Var, b: Var) -> Var {
-    let (y, z) = forward(l, order, tape.value(x), tape.value(w), tape.value(b));
+    let (xv, wv, bv) = (tape.value(x), tape.value(w), tape.value(b));
+    let (batch, n, f) = (xv.dim(0), xv.dim(1), xv.dim(2));
+    let (sf, o) = (order * f, wv.dim(1));
+    let bb = block_slices(batch, n, sf, o);
+    let fwd = Product::new(batch * n, sf, o);
+    let mut z = arena::alloc_raw(batch * n * sf);
+    let mut y = arena::alloc_raw(batch * n * o);
+    let blocks = z.chunks_mut(bb * n * sf).zip(y.chunks_mut(bb * n * o));
+    for (xb, (zb, yb)) in xv.data().chunks(bb * n * f).zip(blocks) {
+        conv_block(l, order, xb, wv, bv, &fwd, zb, yb);
+    }
+    let z = Tensor::from_vec(&[batch * n, sf], z);
     // The input is listed once per contribution it receives, so the tape
     // accumulates them in the composed layer's order.
-    let x_slots = order.min(3);
-    let mut parents = vec![x; x_slots];
+    let mut parents = vec![x; order.min(3)];
     parents.extend([w, b]);
     let l = Arc::clone(l);
     tape.custom_op(
         "cheby_conv",
-        y,
+        Tensor::from_vec(&[batch, n, o], y),
         &parents,
         Box::new(move |g, ps, _, needs| {
-            let dy = g.reshape(&[g.dim(0) * g.dim(1), g.dim(2)]);
-            backward(&l, order, &z, &dy, ps, needs)
+            let mut grads = ConvGrads::new(&l, order, ps, needs, bb);
+            let rows = z
+                .data()
+                .chunks(bb * n * sf)
+                .zip(g.data().chunks(bb * n * o));
+            for (zb, dyb) in rows {
+                grads.block(zb, dyb);
+            }
+            grads.finish()
         }),
     )
 }
 
-/// The fused forward pass: `(Y [B, N, O], Z [B·N, S·F])`. `Z` holds `T_s`
-/// in column block `s` with batch-major rows; the backward pass keeps it
-/// for `dW = Zᵀ·dY`.
-fn forward(l: &CsrMatrix, order: usize, x: &Tensor, w: &Tensor, b: &Tensor) -> (Tensor, Tensor) {
-    let (batch, n, f) = (x.dim(0), x.dim(1), x.dim(2));
-    let sf = order * f;
-    let mut z = arena::alloc_raw(batch * n * sf);
+/// The conv over one block of slices: the block's input `x [bb·N·F]`,
+/// its Chebyshev basis written into `z [bb·N, S·F]` (column block `s`
+/// holds `T_s`, batch-major rows), and `y [bb·N, O] = z·W + b`, the
+/// block's rows of the stage product `fwd`.
+#[allow(clippy::too_many_arguments)] // one block's operands, private to this file
+fn conv_block(
+    l: &CsrMatrix,
+    order: usize,
+    x: &[f32],
+    w: &Tensor,
+    b: &Tensor,
+    fwd: &Product,
+    z: &mut [f32],
+    y: &mut [f32],
+) {
+    let (n, f) = (l.rows(), w.dim(0) / order);
+    let (sf, bb) = (order * f, x.len() / (n * f));
     // T₀ = X is batch-major already: its rows fill block 0 directly.
-    for (zr, xr) in z.chunks_exact_mut(sf).zip(x.data().chunks_exact(f)) {
+    for (zr, xr) in z.chunks_exact_mut(sf).zip(x.chunks_exact(f)) {
         zr[..f].copy_from_slice(xr);
     }
     if order > 1 {
-        // The recurrence runs on node-major panels [N, B·F], one 2-D
+        // The recurrence runs on node-major panels [N, bb·F], one 2-D
         // product per order, each T_s scattered into its block of Z.
+        let mut panel = arena::alloc_raw(n * bb * f);
+        tf::transpose_blocks(x, f, &mut panel, f, bb, n, f);
         let mut prev: Option<Tensor> = None; // T_{s−2}
-        let mut cur = tf::permute(x, &[1, 0, 2]).reshaped(&[n, batch * f]); // T_{s−1}
+        let mut cur = Tensor::from_vec(&[n, bb * f], panel); // T_{s−1}
         for s in 1..order {
             let mut t = l.spmm_panel(&cur);
             if let Some(p2) = &prev {
@@ -147,70 +213,134 @@ fn forward(l: &CsrMatrix, order: usize, x: &Tensor, w: &Tensor, b: &Tensor) -> (
                     *v = *v * 2.0 - q;
                 }
             }
-            tf::transpose_blocks(t.data(), f, &mut z[s * f..], sf, n, batch, f);
+            tf::transpose_blocks(t.data(), f, &mut z[s * f..], sf, n, bb, f);
             prev = Some(std::mem::replace(&mut cur, t));
         }
     }
-    let z = Tensor::from_vec(&[batch * n, sf], z);
-    let mut y = mm::matmul(&z, w);
-    let out_feat = w.dim(1);
-    for row in y.data_mut().chunks_exact_mut(out_feat) {
+    fwd.rows(z, w.data(), y);
+    for row in y.chunks_exact_mut(w.dim(1)) {
         for (v, &bias) in row.iter_mut().zip(b.data()) {
             *v += bias;
         }
     }
-    (y.reshaped(&[batch, n, out_feat]), z)
 }
 
-/// The fused backward pass: gradients for the parents
-/// `[x; min(S, 3)], w, b` of [`cheby_conv`] and [`cheby_pool`], from the
-/// conv output's gradient `dy [B·N, O]`.
-fn backward(
-    l: &CsrMatrix,
+/// The conv's gradients for the parents `[x; min(S, 3)], w, b` of
+/// [`cheby_conv`] and [`cheby_pool`], accumulated one block of slices at
+/// a time, in order, from each block's `Z` rows and conv-output gradient
+/// `dY`: `dW = Zᵀ·dY` as one reduction over all rows, `db = Σ_rows dY`,
+/// and, when the input needs a gradient, the block's `dZ = dY·Wᵀ` and
+/// its input recurrence ([`input_grads`]).
+struct ConvGrads<'a> {
+    l: &'a CsrMatrix,
     order: usize,
-    z: &Tensor,
-    dy: &Tensor,
-    ps: &[&Tensor],
-    needs: &[bool],
-) -> Vec<Option<Tensor>> {
-    let x_slots = order.min(3);
-    let (x, w) = (ps[0], ps[x_slots]);
-    let (batch, n, f) = (x.dim(0), x.dim(1), x.dim(2));
-    let mut grads = if needs[0] {
-        // dZ = dY·Wᵀ, the mixing matmul's own input gradient.
-        let dz = mm::matmul(dy, &tf::transpose(w, 0, 1));
-        input_grads(l, order, &dz, batch, n, f)
-    } else {
-        vec![None; x_slots]
-    };
-    grads.push(needs[x_slots].then(|| mm::matmul_tn(z, dy)));
-    grads.push(needs[x_slots + 1].then(|| stod_tensor::sum_axis(dy, 0, false)));
-    grads
+    /// `(B, N, F, O)`.
+    dims: (usize, usize, usize, usize),
+    /// `Wᵀ [O, S·F]`, the stage's `dZ` product and a block of `dZ`, when
+    /// the input needs a gradient.
+    dz: Option<(Tensor, Product, Vec<f32>)>,
+    /// The input's contributions `[slice₀, −dT₂, L̃·dT₁]` (as many as the
+    /// order has), `[B, N, F]` each, when it needs a gradient.
+    dx: Vec<Vec<f32>>,
+    dw: Option<(Product, Vec<f32>)>,
+    db: Option<Vec<f32>>,
+    /// Rows of `dY` accumulated so far.
+    done: usize,
 }
 
-/// The input's gradient contributions from `dZ [B·N, S·F]`, in the order
-/// the composed layer's nodes delivered them: `slice₀`, then `−dT₂`
-/// (orders ≥ 3), then `L̃·dT₁` (orders ≥ 2).
+impl<'a> ConvGrads<'a> {
+    /// Gradients for the parents `ps` whose `needs` are given, in blocks
+    /// of `bb` slices.
+    fn new(l: &'a CsrMatrix, order: usize, ps: &[&Tensor], needs: &[bool], bb: usize) -> Self {
+        let x_slots = order.min(3);
+        let (x, w) = (ps[0], ps[x_slots]);
+        let (batch, n, f, o) = (x.dim(0), x.dim(1), x.dim(2), w.dim(1));
+        let (rows, sf) = (batch * n, order * f);
+        let dz = needs[0].then(|| {
+            let wt = tf::transpose(w, 0, 1);
+            (wt, Product::new(rows, o, sf), arena::alloc_raw(bb * n * sf))
+        });
+        let dx = if needs[0] {
+            (0..x_slots).map(|_| arena::alloc_raw(rows * f)).collect()
+        } else {
+            Vec::new()
+        };
+        ConvGrads {
+            l,
+            order,
+            dims: (batch, n, f, o),
+            dz,
+            dx,
+            dw: needs[x_slots].then(|| (Product::new(sf, rows, o), arena::alloc_raw(sf * o))),
+            db: needs[x_slots + 1].then(|| arena::alloc_filled(o, 0.0)),
+            done: 0,
+        }
+    }
+
+    /// Accumulates the next block: its rows `z` of `Z` and `dy` of `dY`.
+    fn block(&mut self, z: &[f32], dy: &[f32]) {
+        let (_, n, f, o) = self.dims;
+        let rows = dy.len() / o;
+        if let Some((dw_prod, dw)) = &mut self.dw {
+            dw_prod.tn_piece(z, dy, dw, self.done > 0);
+        }
+        if let Some(db) = &mut self.db {
+            for row in dy.chunks_exact(o) {
+                for (d, &v) in db.iter_mut().zip(row) {
+                    *d += v;
+                }
+            }
+        }
+        if let Some((wt, dz_prod, dz)) = &mut self.dz {
+            // dZ = dY·Wᵀ, the mixing product's own input gradient.
+            let dz = &mut dz[..rows * self.order * f];
+            dz_prod.rows(dy, wt.data(), dz);
+            let span = self.done * f..(self.done + rows) * f;
+            let mut out: Vec<&mut [f32]> =
+                self.dx.iter_mut().map(|d| &mut d[span.clone()]).collect();
+            input_grads(self.l, self.order, dz, n, f, &mut out);
+        }
+        self.done += rows;
+    }
+
+    /// The gradients, in parent order.
+    fn finish(self) -> Vec<Option<Tensor>> {
+        let (batch, n, f, o) = self.dims;
+        let sf = self.order * f;
+        let mut grads: Vec<Option<Tensor>> = if self.dx.is_empty() {
+            vec![None; self.order.min(3)]
+        } else {
+            let to_tensor = |d| Some(Tensor::from_vec(&[batch, n, f], d));
+            self.dx.into_iter().map(to_tensor).collect()
+        };
+        if let Some((_, _, dz)) = self.dz {
+            arena::recycle(dz);
+        }
+        grads.push(self.dw.map(|(_, dw)| Tensor::from_vec(&[sf, o], dw)));
+        grads.push(self.db.map(|db| Tensor::from_vec(&[o], db)));
+        grads
+    }
+}
+
+/// One block's input-gradient contributions from its `dZ [bb·N, S·F]`,
+/// written into `out` (the block's rows of each contribution) in the
+/// order the composed layer's nodes delivered them: `slice₀`, then
+/// `−dT₂` (orders ≥ 3), then `L̃·dT₁` (orders ≥ 2).
 fn input_grads(
     l: &CsrMatrix,
     order: usize,
-    dz: &Tensor,
-    batch: usize,
+    dz: &[f32],
     n: usize,
     f: usize,
-) -> Vec<Option<Tensor>> {
+    out: &mut [&mut [f32]],
+) {
     let sf = order * f;
-    // Column block k of dZ as a node-major panel [N, B·F].
+    let bb = dz.len() / (n * sf);
+    // Column block k of dZ as a node-major panel [N, bb·F].
     let slice_panel = |k: usize| -> Tensor {
-        let mut p = arena::alloc_raw(n * batch * f);
-        tf::transpose_blocks(&dz.data()[k * f..], sf, &mut p, f, batch, n, f);
-        Tensor::from_vec(&[n, batch * f], p)
-    };
-    // A node-major panel back in the input's layout [B, N, F].
-    let batch_major = |p: &Tensor| -> Tensor {
-        let mut out = arena::alloc_raw(batch * n * f);
-        tf::transpose_blocks(p.data(), f, &mut out, f, n, batch, f);
-        Tensor::from_vec(&[batch, n, f], out)
+        let mut p = arena::alloc_raw(n * bb * f);
+        tf::transpose_blocks(&dz[k * f..], sf, &mut p, f, bb, n, f);
+        Tensor::from_vec(&[n, bb * f], p)
     };
     // dT_k for k = S−1 … 1 accumulates slice_k, then −dT_{k+2}, then
     // L̃·(2·dT_{k+1}) (L̃ is symmetric). Step k is dT_{k+2}'s last use.
@@ -230,51 +360,48 @@ fn input_grads(
         }
         d[k] = Some(dk);
     }
-    let mut slice0 = arena::alloc_raw(batch * n * f);
-    for (o, r) in slice0.chunks_exact_mut(f).zip(dz.data().chunks_exact(sf)) {
+    for (o, r) in out[0].chunks_exact_mut(f).zip(dz.chunks_exact(sf)) {
         o.copy_from_slice(&r[..f]);
     }
-    let mut grads = vec![Some(Tensor::from_vec(&[batch, n, f], slice0))];
+    // A node-major panel back in the input's batch-major layout.
     if let Some(d2) = d.get_mut(2).and_then(Option::take) {
-        let mut neg = batch_major(&d2);
-        neg.map_inplace(|v| -v);
-        grads.push(Some(neg));
+        tf::transpose_blocks(d2.data(), f, out[1], f, n, bb, f);
+        out[1].iter_mut().for_each(|v| *v = -*v);
     }
     if let Some(d1) = d.get(1).and_then(Option::as_ref) {
-        grads.push(Some(batch_major(&l.spmm_panel(d1))));
+        let last = out.len() - 1;
+        tf::transpose_blocks(l.spmm_panel(d1).data(), f, out[last], f, n, bb, f);
     }
-    grads
 }
-
-/// Marks a pooled slot that a fake slot won: it routes no gradient.
-const FAKE_WINNER: f32 = -1.0;
 
 /// Largest node count whose winner codes stay exact in an `f32`.
 const MAX_POOL_NODES: usize = 1 << 22;
 
-/// Packs a winning node with its dropout and relu factors into one
-/// `f32`: `node·4 + 2·kept + positive`, exact below [`MAX_POOL_NODES`].
-fn pack_winner(node: u32, kept: bool, positive: bool) -> f32 {
-    ((node << 2) | (u32::from(kept) << 1) | u32::from(positive)) as f32
+/// The winner code of a candidate from node `node` (`base = node·4` as an
+/// `f32`) with dropout factor `f` and conv output `v`: `node·4 + 2·kept +
+/// positive`, an integer below 2²⁴ and so exact in an `f32`. A fake slot
+/// of an `N`-node slice codes as `N·4`: node `N`, dropped, not positive,
+/// which no real node's decode in [`unpool`] claims.
+#[inline(always)]
+fn winner_code(base: f32, f: f32, v: f32) -> f32 {
+    base + if f != 0.0 { 2.0 } else { 0.0 } + if v > 0.0 { 1.0 } else { 0.0 }
 }
 
-/// `(node, kept, positive)` of a code [`pack_winner`] wrote.
-fn unpack_winner(code: f32) -> (usize, bool, bool) {
-    let c = code as u32;
-    ((c >> 2) as usize, c & 2 != 0, c & 1 != 0)
-}
-
-/// Features per register block of the pooling loop: the running max and
-/// its winner live in two local arrays, which keeps the compare-select
-/// branch-free and vectorized.
+/// Features per register block of the pooling loop: one 256-bit vector
+/// of running maxima and one of winner codes.
 const LANES: usize = 8;
 
+/// Register blocks the AVX2 scan keeps in flight per window: four
+/// independent compare-select chains hide each one's latency.
+const BLOCKS: usize = 4;
+
 /// Max-pools one window over all `Q` features of a slice's conv output
-/// `yb [N, Q]` into `best [Q]`, and with `TRACK` the winners into `won
-/// [Q]`: `LANES`-wide blocks, then the `Q % LANES` remainder as one
-/// block of its own width, so the window is scanned once per block.
+/// `yb [N, Q]` into `best [Q]`, and with `TRACK` the winner codes into
+/// `won [Q]`. With `AVX2` it scans up to `BLOCKS·LANES` features per pass
+/// ([`pool_lanes_avx2`]), else one feature block at a time
+/// ([`pool_block`]), the last block narrower when `Q` is not a multiple.
 #[inline(always)]
-fn pool_window<const TRACK: bool>(
+fn pool_window<const TRACK: bool, const AVX2: bool>(
     window: &[usize],
     yb: &[f32],
     mask: &[f32],
@@ -282,123 +409,284 @@ fn pool_window<const TRACK: bool>(
     best: &mut [f32],
     won: &mut [f32],
 ) {
-    let blocked = q - q % LANES;
-    for j0 in (0..blocked).step_by(LANES) {
-        let (b, w) = pool_block::<LANES, TRACK>(window, yb, mask, q, j0);
-        best[j0..j0 + LANES].copy_from_slice(&b);
-        if TRACK {
-            won[j0..j0 + LANES].copy_from_slice(&w);
+    #[cfg(target_arch = "x86_64")]
+    if AVX2 {
+        for j0 in (0..q).step_by(BLOCKS * LANES) {
+            let j1 = q.min(j0 + BLOCKS * LANES);
+            let (b, w) = (&mut best[j0..j1], won.get_mut(j0..j1).unwrap_or_default());
+            // SAFETY: `AVX2` is true only in `pool_slice`'s `wide`, which
+            // runs after `host_has_avx2()`.
+            unsafe {
+                match (j1 - j0).div_ceil(LANES) {
+                    1 => pool_lanes_avx2::<TRACK, 1>(window, yb, mask, q, j0, b, w),
+                    2 => pool_lanes_avx2::<TRACK, 2>(window, yb, mask, q, j0, b, w),
+                    3 => pool_lanes_avx2::<TRACK, 3>(window, yb, mask, q, j0, b, w),
+                    _ => pool_lanes_avx2::<TRACK, 4>(window, yb, mask, q, j0, b, w),
+                }
+            }
         }
+        return;
     }
-    let (b, w) = (
-        &mut best[blocked..],
-        won.get_mut(blocked..).unwrap_or_default(),
-    );
-    match q - blocked {
-        0 => {}
-        1 => put(pool_block::<1, TRACK>(window, yb, mask, q, blocked), b, w),
-        2 => put(pool_block::<2, TRACK>(window, yb, mask, q, blocked), b, w),
-        3 => put(pool_block::<3, TRACK>(window, yb, mask, q, blocked), b, w),
-        4 => put(pool_block::<4, TRACK>(window, yb, mask, q, blocked), b, w),
-        5 => put(pool_block::<5, TRACK>(window, yb, mask, q, blocked), b, w),
-        6 => put(pool_block::<6, TRACK>(window, yb, mask, q, blocked), b, w),
-        7 => put(pool_block::<7, TRACK>(window, yb, mask, q, blocked), b, w),
-        _ => unreachable!("LANES is 8"),
+    for j0 in (0..q).step_by(LANES) {
+        let j1 = q.min(j0 + LANES);
+        let won = won.get_mut(j0..j1).unwrap_or_default();
+        pool_block::<TRACK>(window, yb, mask, q, j0, &mut best[j0..j1], won);
     }
 }
 
-/// Stores a tail block's maxima into `best` and winners into `won`, as
-/// far as `won` reaches (the eval scan passes none).
-fn put<const L: usize>((b, w): ([f32; L], [f32; L]), best: &mut [f32], won: &mut [f32]) {
-    best.copy_from_slice(&b);
-    let n = won.len();
-    won.copy_from_slice(&w[..n]);
-}
-
-/// Max-pools one window over the `L` features from `j0` of a slice's
-/// conv output `yb [N, Q]`, the candidates `relu(y)·mask` with `TRACK`
-/// and `relu(y)` without: `(max, winning node)` per feature, the node as
-/// an `f32` or [`FAKE_WINNER`]. A candidate replaces the running max only
-/// when strictly larger, so the first of equal candidates wins and NaN
-/// never does; a fake slot (node `N`) is +0.0. Without `TRACK` the mask
-/// is not read and the winners are not written: the eval scan keeps
-/// only the compare-select of the max.
+/// Max-pools one window over the features `j0..j0 + best.len()` of a
+/// slice's conv output `yb [N, Q]`, the candidates `relu(y)·mask` with
+/// `TRACK` and `relu(y)` without, into `best` and, with `TRACK`, the
+/// winner codes ([`winner_code`]) into `won`. A candidate replaces the
+/// running max only when strictly larger, so the first of equal
+/// candidates wins and NaN never does; a fake slot (node `N`) is +0.0.
+/// Without `TRACK` the mask is not read and no codes are formed: the eval
+/// scan keeps only the compare-select of the max.
 #[inline(always)]
-fn pool_block<const L: usize, const TRACK: bool>(
+fn pool_block<const TRACK: bool>(
     window: &[usize],
     yb: &[f32],
     mask: &[f32],
     q: usize,
     j0: usize,
-) -> ([f32; L], [f32; L]) {
+    best: &mut [f32],
+    won: &mut [f32],
+) {
     let n = yb.len() / q;
-    let mut best = [f32::NEG_INFINITY; L];
-    let mut won = [FAKE_WINNER; L];
-    let mut take_if_greater = |l: usize, cand: f32, id: f32| {
-        let take = cand > best[l];
-        best[l] = if take { cand } else { best[l] };
-        if TRACK {
-            won[l] = if take { id } else { won[l] };
+    let fake = (n << 2) as f32;
+    best.fill(f32::NEG_INFINITY);
+    won.fill(fake);
+    for &node in window {
+        for (l, b) in best.iter_mut().enumerate() {
+            let (cand, code) = if node == n {
+                (0.0, fake)
+            } else {
+                let (v, f) = (
+                    yb[node * q + j0 + l],
+                    if TRACK { mask[node * q + j0 + l] } else { 1.0 },
+                );
+                (
+                    ew::relu_scalar(v) * f,
+                    winner_code((node << 2) as f32, f, v),
+                )
+            };
+            if cand > *b {
+                *b = cand;
+                if TRACK {
+                    won[l] = code;
+                }
+            }
+        }
+    }
+}
+
+/// [`pool_block`] on AVX2 over the `NB` feature blocks from `j0`
+/// (`best.len()` features, the last block possibly narrower): one 256-bit
+/// compare-select per candidate and block. The candidates, their order
+/// and every operation are the same and exact (a strict ordered compare,
+/// `relu` as a mask of `y > 0`, one product, integer-valued code sums),
+/// so the bits are too. Lanes past `best.len()` load as 0.0 and are not
+/// stored.
+///
+/// # Safety
+/// Requires AVX2, `best.len()` in `(NB − 1)·LANES + 1 ..= NB·LANES`
+/// and, with `TRACK`, `won.len() == best.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)] // one window's operands
+unsafe fn pool_lanes_avx2<const TRACK: bool, const NB: usize>(
+    window: &[usize],
+    yb: &[f32],
+    mask: &[f32],
+    q: usize,
+    j0: usize,
+    best: &mut [f32],
+    won: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let (n, width) = (yb.len() / q, best.len());
+    debug_assert!(width > (NB - 1) * LANES && width <= NB * LANES);
+    debug_assert!(!TRACK || won.len() == width);
+    // Blocks before the last are full; the last reads `tail` lanes.
+    let ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let tail = _mm256_cmpgt_epi32(_mm256_set1_epi32((width - (NB - 1) * LANES) as i32), ids);
+    let load = |p: *const f32, k: usize| {
+        if k + 1 < NB {
+            _mm256_loadu_ps(p.add(k * LANES))
+        } else {
+            _mm256_maskload_ps(p.add(k * LANES), tail)
         }
     };
+    let zero = _mm256_setzero_ps();
+    let fake = _mm256_set1_ps((n << 2) as f32);
+    let mut b = [_mm256_set1_ps(f32::NEG_INFINITY); NB];
+    let mut w = [fake; NB];
     for &node in window {
         if node == n {
-            (0..L).for_each(|l| take_if_greater(l, 0.0, FAKE_WINNER));
+            for k in 0..NB {
+                let take = _mm256_cmp_ps::<_CMP_GT_OQ>(zero, b[k]);
+                b[k] = _mm256_blendv_ps(b[k], zero, take);
+                w[k] = _mm256_blendv_ps(w[k], fake, take);
+            }
             continue;
         }
         let at = node * q + j0;
-        let v: &[f32; L] = yb[at..at + L].try_into().expect("one block");
-        if TRACK {
-            let f: &[f32; L] = mask[at..at + L].try_into().expect("one block");
-            (0..L).for_each(|l| take_if_greater(l, ew::relu_scalar(v[l]) * f[l], node as f32));
+        let row = yb[at..at + width].as_ptr();
+        let factors = if TRACK {
+            mask[at..at + width].as_ptr()
         } else {
-            (0..L).for_each(|l| take_if_greater(l, ew::relu_scalar(v[l]), node as f32));
+            row
+        };
+        let base = _mm256_set1_ps((node << 2) as f32);
+        for k in 0..NB {
+            let v = load(row, k);
+            let positive = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
+            let relu = _mm256_and_ps(v, positive);
+            let cand = if TRACK {
+                _mm256_mul_ps(relu, load(factors, k))
+            } else {
+                relu
+            };
+            let take = _mm256_cmp_ps::<_CMP_GT_OQ>(cand, b[k]);
+            b[k] = _mm256_blendv_ps(b[k], cand, take);
+            if TRACK {
+                let kept = _mm256_cmp_ps::<_CMP_NEQ_UQ>(load(factors, k), zero);
+                let code = _mm256_add_ps(
+                    _mm256_add_ps(base, _mm256_and_ps(kept, _mm256_set1_ps(2.0))),
+                    _mm256_and_ps(positive, _mm256_set1_ps(1.0)),
+                );
+                w[k] = _mm256_blendv_ps(w[k], code, take);
+            }
         }
     }
-    (best, won)
+    for k in 0..NB {
+        let (bp, wp) = (
+            best.as_mut_ptr().add(k * LANES),
+            won.as_mut_ptr().add(k * LANES),
+        );
+        if k + 1 < NB {
+            _mm256_storeu_ps(bp, b[k]);
+            if TRACK {
+                _mm256_storeu_ps(wp, w[k]);
+            }
+        } else {
+            _mm256_maskstore_ps(bp, tail, b[k]);
+            if TRACK {
+                _mm256_maskstore_ps(wp, tail, w[k]);
+            }
+        }
+    }
 }
 
 /// Records one spatial-factorization stage — conv, relu, inverted
 /// dropout, zero pad, coarsening gather and max-pool — as one
-/// `cheby_pool` tape node over `x [Bs, N, F]`, `w` and `b`. An eval stage
-/// that nothing can differentiate keeps no backward state.
-#[allow(clippy::too_many_arguments)] // one op's operands, private to this file
+/// `cheby_pool` tape node over `x [Bs, N, F]`, `w` and `b`, one block of
+/// slices at a time. An eval stage that nothing can differentiate keeps
+/// no backward state.
 fn cheby_pool(
     tape: &mut Tape,
-    l: &Arc<CsrMatrix>,
-    order: usize,
+    stage: &ChebyPool,
     x: Var,
     w: Var,
     b: Var,
-    slots: &[usize],
-    pool: usize,
     dropout: Option<f32>,
     rng: &mut Rng64,
 ) -> Var {
+    let (l, order, slots, pool) = (&stage.conv.l, stage.conv.order, &stage.order, stage.pool);
     // The parents of `cheby_conv`, so the input's contributions reach the
     // tape in the same order.
     let mut parents = vec![x; order.min(3)];
     parents.extend([w, b]);
-    let (y, z) = forward(l, order, tape.value(x), tape.value(w), tape.value(b));
-    if dropout.is_none() && !parents.iter().any(|&p| tape.requires_grad(p)) {
-        // Nothing can differentiate the output: no backward state.
-        drop(z);
-        let pooled = pool_eval(&y, slots, pool);
+    let track = dropout.is_some() || parents.iter().any(|&p| tape.requires_grad(p));
+    let (xv, wv, bv) = (tape.value(x), tape.value(w), tape.value(b));
+    let (bs, n, f) = (xv.dim(0), xv.dim(1), xv.dim(2));
+    let (sf, q, m) = (order * f, wv.dim(1), slots.len() / pool);
+    let bb = block_slices(bs, n, sf, q);
+    let fwd = Product::new(bs * n, sf, q);
+    let avx2 = host_has_avx2();
+    // The conv output of one block, pooled while it is still in cache.
+    let mut y = arena::alloc_raw(bb * n * q);
+    let mut pooled = arena::alloc_raw(bs * m * q);
+    let x_blocks = xv.data().chunks(bb * n * f);
+    if !track {
+        // Nothing can differentiate the output: `Z` is block scratch too.
+        let mut z = arena::alloc_raw(bb * n * sf);
+        for (xb, ob) in x_blocks.zip(pooled.chunks_mut(bb * m * q)) {
+            let rows = xb.len() / f;
+            let yb = &mut y[..rows * q];
+            conv_block(l, order, xb, wv, bv, &fwd, &mut z[..rows * sf], yb);
+            for (ys, os) in yb.chunks_exact(n * q).zip(ob.chunks_exact_mut(m * q)) {
+                pool_slice::<false>(avx2, ys, &[], slots, pool, q, os, &mut []);
+            }
+        }
+        arena::recycle(z);
+        arena::recycle(y);
+        let pooled = Tensor::from_vec(&[bs, m, q], pooled);
         return tape.custom_op_no_grad("cheby_pool", pooled, &parents);
     }
-    let (pooled, winners) = pool_forward(&y, slots, pool, dropout, rng);
-    let n = y.dim(1);
-    let l = Arc::clone(l);
+    let mut z = arena::alloc_raw(bs * n * sf);
+    let mut codes = arena::alloc_raw(bs * m * q);
+    // Eval mode multiplies by 1.0, which is exact: relu never yields NaN.
+    let mut mask = arena::alloc_filled(n * q, 1.0);
+    let dropping = dropout.map(|p| (p, keep_scale(p)));
+    let outs = pooled
+        .chunks_mut(bb * m * q)
+        .zip(codes.chunks_mut(bb * m * q));
+    for ((xb, zb), (ob, cb)) in x_blocks.zip(z.chunks_mut(bb * n * sf)).zip(outs) {
+        let yb = &mut y[..xb.len() / f * q];
+        conv_block(l, order, xb, wv, bv, &fwd, zb, yb);
+        let slices = ob.chunks_exact_mut(m * q).zip(cb.chunks_exact_mut(m * q));
+        for (ys, (os, cs)) in yb.chunks_exact(n * q).zip(slices) {
+            if let Some((p, scale)) = dropping {
+                draw_factors(rng, p, scale, &mut mask);
+            }
+            pool_slice::<true>(avx2, ys, &mask, slots, pool, q, os, cs);
+        }
+    }
+    arena::recycle(y);
+    arena::recycle(mask);
+    let z = Tensor::from_vec(&[bs * n, sf], z);
+    let codes = Tensor::from_vec(&[bs, m, q], codes);
     let scale = dropout.map(keep_scale);
+    let (l, windows) = (Arc::clone(l), Arc::clone(&stage.windows));
     tape.custom_op(
         "cheby_pool",
-        pooled,
+        Tensor::from_vec(&[bs, m, q], pooled),
         &parents,
         Box::new(move |g, ps, _, needs| {
-            let dy = pool_backward(g, &winners, n, pool, scale);
-            backward(&l, order, &z, &dy, ps, needs)
+            let mut grads = ConvGrads::new(&l, order, ps, needs, bb);
+            let mut dy = arena::alloc_raw(bb * n * q);
+            let pooled_rows = g
+                .data()
+                .chunks(bb * m * q)
+                .zip(codes.data().chunks(bb * m * q));
+            for (zb, (gb, cb)) in z.data().chunks(bb * n * sf).zip(pooled_rows) {
+                let dy = &mut dy[..zb.len() / sf * q];
+                unpool_block(avx2, &windows, pool, scale, q, gb, cb, dy);
+                grads.block(zb, dy);
+            }
+            arena::recycle(dy);
+            grads.finish()
         }),
     )
+}
+
+/// Draws one slice's inverted-dropout factors into `mask`, one draw per
+/// element in order: 0.0 where `rng.next_f32() < p`, else `scale`. The
+/// draws come 64 at a time and each is compared with `p` as an integer:
+/// `next_f32()` is `(u >> 40)·2⁻²⁴` exactly, and the integer `u >> 40`
+/// times 2⁻²⁴ is below `p` exactly when it is below `⌈p·2²⁴⌉`, so the
+/// factors and the stream position are those of one draw at a time.
+fn draw_factors(rng: &mut Rng64, p: f32, scale: f32, mask: &mut [f32]) {
+    let below = (f64::from(p) * f64::from(1u32 << 24)).ceil() as u64;
+    let mut draws = [0u64; 64];
+    for chunk in mask.chunks_mut(64) {
+        let draws = &mut draws[..chunk.len()];
+        draws.iter_mut().for_each(|u| *u = rng.next_u64());
+        for (v, &u) in chunk.iter_mut().zip(draws.iter()) {
+            *v = if u >> 40 < below { 0.0 } else { scale };
+        }
+    }
 }
 
 /// The factor that inverted dropout at rate `p` gives a kept element,
@@ -408,132 +696,197 @@ fn keep_scale(p: f32) -> f32 {
     1.0 / keep
 }
 
-/// Relu, inverted dropout, zero pad, gather and max-pool of the conv
-/// output `y [Bs, N, Q]`: `(pooled [Bs, m, Q], winners [Bs, m, Q])` with
-/// `m = slots.len() / pool`.
+/// Whether this host has AVX2, which the pooling scans
+/// ([`pool_lanes_avx2`]) and the gradient scatter use when their caller
+/// allows it.
+fn host_has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Relu, inverted dropout, zero pad, gather and max-pool of one slice's
+/// conv output `ys [N, Q]` into the pooled `os [m, Q]`, on AVX2 when
+/// `avx2` allows it and the host has it. With `TRACK` the candidates are `relu(y)·mask`, with the
+/// slice's dropout factors `mask [N, Q]` (all 1.0 in eval mode), and the
+/// winner codes ([`winner_code`]) go to `ws [m, Q]`. Without `TRACK` —
+/// eval mode with nothing to differentiate — they are `relu(y)` and
+/// `mask` and `ws` are not read or written: every factor would be
+/// exactly 1.0 and relu never yields NaN, so every candidate and every
+/// output bit is the same.
 ///
-/// Each slice draws its dropout factors in row-major order, so the
-/// stream matches one mask over all of `y`. A pooled slot takes the first
-/// candidate `relu(y)·mask` strictly above the best so far, from −∞ in
-/// window order; a fake slot is +0.0. `winners` keeps the winning node
-/// and its two factors ([`pack_winner`]), or [`FAKE_WINNER`]. At
-/// `pool == 1` nothing is gathered or pooled: every element is its own
-/// winner.
-fn pool_forward(
-    y: &Tensor,
+/// A pooled slot takes the first candidate strictly above the best so
+/// far, from −∞ in window order; a fake slot is +0.0. At `pool == 1`
+/// nothing is gathered or pooled: every element is its own winner.
+#[allow(clippy::too_many_arguments)] // one slice's operands
+fn pool_slice<const TRACK: bool>(
+    avx2: bool,
+    ys: &[f32],
+    mask: &[f32],
     slots: &[usize],
     pool: usize,
-    dropout: Option<f32>,
-    rng: &mut Rng64,
-) -> (Tensor, Tensor) {
-    let (bs, n, q) = (y.dim(0), y.dim(1), y.dim(2));
-    let m = slots.len() / pool;
-    let dropout = dropout.map(|p| (p, keep_scale(p)));
-    // Eval mode multiplies by 1.0, which is exact: relu never yields NaN.
-    let mut mask = arena::alloc_filled(n * q, 1.0);
-    let mut pooled = arena::alloc_raw(bs * m * q);
-    let mut winners = arena::alloc_raw(bs * m * q);
-    let slices = y.data().chunks_exact(n * q);
-    let outs = pooled
-        .chunks_exact_mut(m * q)
-        .zip(winners.chunks_exact_mut(m * q));
-    for (yb, (ob, wb)) in slices.zip(outs) {
-        if let Some((p, scale)) = dropout {
-            for v in mask.iter_mut() {
-                *v = if rng.next_f32() < p { 0.0 } else { scale };
-            }
-        }
-        if pool == 1 {
-            for (i, ((o, w), (&v, &f))) in ob
-                .iter_mut()
-                .zip(wb.iter_mut())
-                .zip(yb.iter().zip(&mask))
-                .enumerate()
-            {
-                *o = ew::relu_scalar(v) * f;
-                *w = pack_winner((i / q) as u32, f != 0.0, v > 0.0);
-            }
-            continue;
-        }
-        let windows = ob.chunks_exact_mut(q).zip(wb.chunks_exact_mut(q));
-        for (window, (best, won)) in slots.chunks_exact(pool).zip(windows) {
-            pool_window::<true>(window, yb, &mask, q, best, won);
-            for (j, w) in won.iter_mut().enumerate() {
-                if *w != FAKE_WINNER {
-                    let node = *w as u32;
-                    let k = node as usize * q + j;
-                    *w = pack_winner(node, mask[k] != 0.0, yb[k] > 0.0);
-                }
-            }
-        }
-    }
-    (
-        Tensor::from_vec(&[bs, m, q], pooled),
-        Tensor::from_vec(&[bs, m, q], winners),
-    )
-}
-
-/// [`pool_forward`] in eval mode with nothing to differentiate: the
-/// pooled `[Bs, m, Q]` alone, from one scan with no dropout mask and no
-/// winners. Without dropout the forward's factors are all exactly 1.0
-/// and relu never yields NaN, so every candidate and every output bit is
-/// the same.
-fn pool_eval(y: &Tensor, slots: &[usize], pool: usize) -> Tensor {
-    let (bs, n, q) = (y.dim(0), y.dim(1), y.dim(2));
-    let m = slots.len() / pool;
-    let mut pooled = arena::alloc_raw(bs * m * q);
-    let slices = y.data().chunks_exact(n * q);
-    for (yb, ob) in slices.zip(pooled.chunks_exact_mut(m * q)) {
-        if pool == 1 {
-            for (o, &v) in ob.iter_mut().zip(yb) {
+    q: usize,
+    os: &mut [f32],
+    ws: &mut [f32],
+) {
+    if pool == 1 {
+        for (i, (o, &v)) in os.iter_mut().zip(ys).enumerate() {
+            if TRACK {
+                *o = ew::relu_scalar(v) * mask[i];
+                ws[i] = winner_code(((i / q) << 2) as f32, mask[i], v);
+            } else {
                 *o = ew::relu_scalar(v);
             }
-            continue;
         }
-        for (window, best) in slots.chunks_exact(pool).zip(ob.chunks_exact_mut(q)) {
-            pool_window::<false>(window, yb, &[], q, best, &mut []);
+        return;
+    }
+    /// Every window of the slice, through [`pool_window`].
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // one slice's operands
+    fn scan<const TRACK: bool, const AVX2: bool>(
+        ys: &[f32],
+        mask: &[f32],
+        slots: &[usize],
+        pool: usize,
+        q: usize,
+        os: &mut [f32],
+        ws: &mut [f32],
+    ) {
+        for (j, window) in slots.chunks_exact(pool).enumerate() {
+            let won = ws.get_mut(j * q..(j + 1) * q).unwrap_or_default();
+            pool_window::<TRACK, AVX2>(window, ys, mask, q, &mut os[j * q..(j + 1) * q], won);
         }
     }
-    Tensor::from_vec(&[bs, m, q], pooled)
+    #[cfg(target_arch = "x86_64")]
+    if avx2 && host_has_avx2() {
+        #[target_feature(enable = "avx2")]
+        #[allow(clippy::too_many_arguments)] // one slice's operands
+        unsafe fn wide<const TRACK: bool>(
+            ys: &[f32],
+            mask: &[f32],
+            slots: &[usize],
+            pool: usize,
+            q: usize,
+            os: &mut [f32],
+            ws: &mut [f32],
+        ) {
+            scan::<TRACK, true>(ys, mask, slots, pool, q, os, ws);
+        }
+        // SAFETY: the host has AVX2, checked just above.
+        return unsafe { wide::<TRACK>(ys, mask, slots, pool, q, os, ws) };
+    }
+    let _ = avx2;
+    scan::<TRACK, false>(ys, mask, slots, pool, q, os, ws);
 }
 
-/// The conv output's gradient `dY [Bs·N, Q]` from the pooled gradient
-/// `g [Bs, m, Q]`: at each winner `((0.0 + g)·mask)·relu'`, the composed
-/// chain's scatter-adds then products in their order, and +0.0 elsewhere.
+/// Marks a node that no pooling window names: its gradient is +0.0.
+const NO_WINDOW: usize = usize::MAX;
+
+/// The window (pooled row) of each of the `n` nodes in a pooling `order`
+/// of `pool` slots per window, or [`NO_WINDOW`].
+fn node_windows(order: &[usize], pool: usize, n: usize) -> Vec<usize> {
+    let mut windows = vec![NO_WINDOW; n];
+    for (slot, &node) in order.iter().enumerate() {
+        if node < n {
+            windows[node] = slot / pool;
+        }
+    }
+    windows
+}
+
+/// The conv-output gradient `dy [bb·N, Q]` of a block of slices from
+/// their pooled gradient `g [bb·m, Q]` and winner codes `codes`, written
+/// node row by node row: node `i` reads its window's row and gets
+/// `((0.0 + g)·mask)·relu'` in each feature whose code names it — the
+/// composed chain's scatter-adds then products, in their order — and
+/// +0.0 in every other (the order names each real node at most once).
 /// At `pool == 1` there is no scatter, so no `0.0 +`; eval mode (`scale`
-/// `None`) has no dropout factor.
-fn pool_backward(
-    g: &Tensor,
-    winners: &Tensor,
-    n: usize,
+/// `None`) has no dropout factor. When `avx2` allows it and the host
+/// has AVX2, the same loop runs compiled for AVX2.
+#[allow(clippy::too_many_arguments)] // one block's operands
+fn unpool_block(
+    avx2: bool,
+    windows: &[usize],
     pool: usize,
     scale: Option<f32>,
-) -> Tensor {
-    let (bs, m, q) = (g.dim(0), g.dim(1), g.dim(2));
-    let mut dy = arena::alloc_raw(bs * n * q);
-    let slices = g
-        .data()
-        .chunks_exact(m * q)
-        .zip(winners.data().chunks_exact(m * q));
-    for (dyb, (gb, wb)) in dy.chunks_exact_mut(n * q).zip(slices) {
-        if pool > 1 {
-            dyb.fill(0.0);
+    q: usize,
+    g: &[f32],
+    codes: &[f32],
+    dy: &mut [f32],
+) {
+    fn run<const SCATTER: bool, const DROP: bool>(avx2: bool, u: &Unpool, dy: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2 && host_has_avx2() {
+            #[target_feature(enable = "avx2")]
+            unsafe fn wide<const SCATTER: bool, const DROP: bool>(u: &Unpool, dy: &mut [f32]) {
+                unpool::<SCATTER, DROP>(u, dy);
+            }
+            // SAFETY: the host has AVX2, checked just above.
+            return unsafe { wide::<SCATTER, DROP>(u, dy) };
         }
-        for (grow, wrow) in gb.chunks_exact(q).zip(wb.chunks_exact(q)) {
-            for (j, (&gv, &code)) in grow.iter().zip(wrow).enumerate() {
-                if code == FAKE_WINNER {
-                    continue;
+        let _ = avx2;
+        unpool::<SCATTER, DROP>(u, dy);
+    }
+    let u = Unpool {
+        windows,
+        scale: scale.unwrap_or(1.0),
+        q,
+        g,
+        codes,
+    };
+    match (pool > 1, scale.is_some()) {
+        (true, true) => run::<true, true>(avx2, &u, dy),
+        (true, false) => run::<true, false>(avx2, &u, dy),
+        (false, true) => run::<false, true>(avx2, &u, dy),
+        (false, false) => run::<false, false>(avx2, &u, dy),
+    }
+}
+
+/// The read-only operands of one block's [`unpool`].
+struct Unpool<'a> {
+    windows: &'a [usize],
+    scale: f32,
+    q: usize,
+    g: &'a [f32],
+    codes: &'a [f32],
+}
+
+/// The loop of [`unpool_block`], with its `0.0 +` (`SCATTER`) and its
+/// dropout factor (`DROP`) fixed per stage. A code minus `4·i` is
+/// `2·kept + positive` in `0..4` exactly where node `i` won (every code
+/// is an integer below 2²⁴), so the decode is three compares and three
+/// selects per feature, without a branch.
+#[inline(always)]
+fn unpool<const SCATTER: bool, const DROP: bool>(u: &Unpool, dy: &mut [f32]) {
+    let (windows, q) = (u.windows, u.q);
+    let slice = windows.len() * q;
+    let pooled = u.g.len() / (dy.len() / slice).max(1);
+    let slices = dy.chunks_exact_mut(slice);
+    let rows = u.g.chunks_exact(pooled).zip(u.codes.chunks_exact(pooled));
+    for (dys, (gs, cs)) in slices.zip(rows) {
+        for (i, (out, &row)) in dys.chunks_exact_mut(q).zip(windows).enumerate() {
+            if row == NO_WINDOW {
+                out.fill(0.0);
+                continue;
+            }
+            let (gr, cr) = (&gs[row * q..(row + 1) * q], &cs[row * q..(row + 1) * q]);
+            let base = (i << 2) as f32;
+            for ((o, &gv), &code) in out.iter_mut().zip(gr).zip(cr) {
+                let r = code - base;
+                let mut d = if SCATTER { 0.0 + gv } else { gv };
+                if DROP {
+                    d *= if r >= 2.0 { u.scale } else { 0.0 };
                 }
-                let (node, kept, positive) = unpack_winner(code);
-                let mut d = if pool == 1 { gv } else { 0.0 + gv };
-                if let Some(s) = scale {
-                    d *= if kept { s } else { 0.0 };
-                }
-                dyb[node * q + j] = d * if positive { 1.0 } else { 0.0 };
+                d *= if r == 1.0 || r == 3.0 { 1.0 } else { 0.0 };
+                *o = if (0.0..4.0).contains(&r) { d } else { 0.0 };
             }
         }
     }
-    Tensor::from_vec(&[bs * n, q], dy)
 }
 
 /// A Chebyshev graph-convolution layer over a fixed graph.
@@ -660,6 +1013,9 @@ pub struct ChebyPool {
     conv: ChebyConv,
     order: Vec<usize>,
     pool: usize,
+    /// Each node's window in `order` ([`node_windows`]), which the
+    /// backward reads its pooled gradient from.
+    windows: Arc<[usize]>,
 }
 
 impl ChebyPool {
@@ -693,7 +1049,13 @@ impl ChebyPool {
                 seen[node] = true;
             }
         }
-        ChebyPool { conv, order, pool }
+        let windows = node_windows(&order, pool, n).into();
+        ChebyPool {
+            conv,
+            order,
+            pool,
+            windows,
+        }
     }
 
     /// Node count of the pooled output.
@@ -726,18 +1088,7 @@ impl ChebyPool {
         });
         let ws = tape.param(store, self.conv.ws);
         let b = tape.param(store, self.conv.b);
-        cheby_pool(
-            tape,
-            &self.conv.l,
-            self.conv.order,
-            x,
-            ws,
-            b,
-            &self.order,
-            self.pool,
-            dropout,
-            rng,
-        )
+        cheby_pool(tape, self, x, ws, b, dropout, rng)
     }
 
     /// The composed chain the fused op replaced — conv, relu, dropout,
@@ -1206,11 +1557,26 @@ mod tests {
         }
     }
 
-    fn assert_pool_matches_composed(stages: &[Stage], label: &str) {
+    /// Batch sizes around a stage's block size `B`: `B−1, B, B+1, 2B+3`,
+    /// so the last block is short by one, full, one slice long, or the
+    /// third after two full ones.
+    fn block_edges(st: Stage) -> Vec<usize> {
+        let b = block_slices(usize::MAX, st.n, st.order * st.f, st.q);
+        let edges = [b - 1, b, b + 1, 2 * b + 3];
+        edges.into_iter().filter(|&batch| batch > 0).collect()
+    }
+
+    /// Runs every case of [`run_pool`] fused and composed at batches 1
+    /// and 3 and, with `across_blocks`, at each stage's [`block_edges`].
+    fn assert_pool_matches_composed(stages: &[Stage], label: &str, across_blocks: bool) {
         for threads in [1, 4] {
             for &st in stages {
+                let mut batches = vec![1, 3];
+                if across_blocks {
+                    batches.extend(block_edges(st));
+                }
                 for train in [true, false] {
-                    for batch in [1, 3] {
+                    for &batch in &batches {
                         for input in [Input::Leaf, Input::Constant, Input::Zeros] {
                             let case = format!(
                                 "{label}: threads={threads} {st:?} train={train} batch={batch} {input:?}"
@@ -1264,6 +1630,7 @@ mod tests {
                 },
             ],
             "train_paper",
+            true,
         );
     }
 
@@ -1307,6 +1674,7 @@ mod tests {
                 },
             ],
             "serve_cold",
+            false,
         );
     }
 
@@ -1340,6 +1708,7 @@ mod tests {
                 },
             ],
             "pool 1 / fake-heavy",
+            false,
         );
     }
 
@@ -1366,7 +1735,14 @@ mod tests {
     }
 
     #[test]
-    fn untracked_pooling_matches_tracked_and_composed_on_special_values() {
+    fn pooling_scans_match_each_other_and_composed_on_special_values() {
+        // Q = 11: one full 8-lane block and a 3-wide tail. The portable
+        // scan runs on every host, the AVX2 one where the host has it.
+        let paths: &[bool] = if host_has_avx2() {
+            &[false, true]
+        } else {
+            &[false]
+        };
         for (pool, n, m) in [(1, 9, 9), (2, 9, 6), (4, 9, 3), (4, 7, 4)] {
             let (bs, q) = (3, 11);
             let st = Stage {
@@ -1379,8 +1755,46 @@ mod tests {
             };
             let slots = random_order(st, 5 + pool as u64);
             let y = Tensor::from_vec(&[bs, n, q], special_values(bs * n * q, pool as u64));
-            let lean = pool_eval(&y, &slots, pool);
-            let (tracked, _) = pool_forward(&y, &slots, pool, None, &mut Rng64::new(0));
+            let mut rng = Rng64::new(pool as u64);
+            let dropped: Vec<f32> = (0..n * q)
+                .map(|_| if rng.next_f32() < 0.3 { 0.0 } else { 1.25 })
+                .collect();
+            let ones = vec![1.0; n * q];
+            // Per path: the eval scan, and the tracked scan's outputs and
+            // codes with factors of one and with dropout factors.
+            let runs: Vec<[Vec<u32>; 5]> = paths
+                .iter()
+                .map(|&simd| {
+                    let mut lean = vec![0.0; bs * m * q];
+                    let mut outs = [vec![0.0; bs * m * q], vec![0.0; bs * m * q]];
+                    let mut codes = [vec![0.0; bs * m * q], vec![0.0; bs * m * q]];
+                    for (s, ys) in y.data().chunks_exact(n * q).enumerate() {
+                        let at = s * m * q..(s + 1) * m * q;
+                        pool_slice::<false>(
+                            simd,
+                            ys,
+                            &[],
+                            &slots,
+                            pool,
+                            q,
+                            &mut lean[at.clone()],
+                            &mut [],
+                        );
+                        for (k, mask) in [&ones, &dropped].into_iter().enumerate() {
+                            let (o, w) = (&mut outs[k][at.clone()], &mut codes[k][at.clone()]);
+                            pool_slice::<true>(simd, ys, mask, &slots, pool, q, o, w);
+                        }
+                    }
+                    let b = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    [
+                        b(&lean),
+                        b(&outs[0]),
+                        b(&codes[0]),
+                        b(&outs[1]),
+                        b(&codes[1]),
+                    ]
+                })
+                .collect();
             let mut tape = Tape::new();
             let r = tape.constant(y.clone());
             let mut composed = tape.relu(r);
@@ -1390,16 +1804,19 @@ mod tests {
                 let gathered = tape.index_select(padded, 1, &slots);
                 composed = tape.max_pool_axis(gathered, 1, pool);
             }
+            let portable = &runs[0];
             assert_eq!(
-                bits(&lean),
-                bits(&tracked),
-                "pool {pool}: tracked bits differ"
-            );
-            assert_eq!(
-                bits(&lean),
+                portable[0],
                 bits(tape.value(composed)),
                 "pool {pool}: composed bits differ"
             );
+            assert_eq!(portable[0], portable[1], "pool {pool}: tracked bits differ");
+            for run in &runs[1..] {
+                assert!(
+                    run == portable,
+                    "pool {pool}: the AVX2 scan differs from the portable one"
+                );
+            }
         }
     }
 
@@ -1425,14 +1842,18 @@ mod tests {
 
     #[test]
     fn no_grad_pool_matches_training_tape_eval_bitwise() {
+        // Batch 3 at assorted shapes; train_paper's two stages across
+        // their block edges.
         let stages = [
-            (67, 7, 16, 3, 2, 35),
-            (23, 4, 5, 3, 1, 23),
-            (17, 6, 9, 2, 4, 9),
-            (9, 3, 4, 5, 2, 8),
+            (67, 7, 16, 3, 2, 35, false),
+            (23, 4, 5, 3, 1, 23, false),
+            (17, 6, 9, 2, 4, 9, false),
+            (9, 3, 4, 5, 2, 8, false),
+            (67, 7, 32, 4, 4, 19, true),
+            (19, 32, 7, 2, 2, 10, true),
         ];
         for threads in [1, 4] {
-            for (n, f, q, order, pool, m) in stages {
+            for (n, f, q, order, pool, m, across_blocks) in stages {
                 let st = Stage {
                     n,
                     f,
@@ -1448,30 +1869,63 @@ mod tests {
                 let stage = ChebyPool::new(conv, random_order(st, 90 + n as u64), pool);
                 let id = store.id_of("p.b").unwrap();
                 *store.get_mut(id) = Tensor::randn(&[q], 0.3, &mut rng);
-                let batch = 3;
-                let inputs = [
-                    ("random", Tensor::randn(&[batch, n, f], 1.0, &mut rng)),
-                    ("zeros", Tensor::zeros(&[batch, n, f])),
-                    (
-                        "special",
-                        Tensor::from_vec(&[batch, n, f], special_values(batch * n * f, n as u64)),
-                    ),
-                ];
-                for (label, x0) in &inputs {
-                    let case = format!("threads={threads} {st:?} {label}");
-                    let ((lean, lean_grad), (full, full_grad)) =
-                        stod_tensor::par::with_forced_threads(threads, || {
-                            (
-                                eval_stage(&stage, &store, x0, true),
-                                eval_stage(&stage, &store, x0, false),
-                            )
-                        });
-                    assert!(lean == full, "{case}: no-grad output bits differ");
-                    assert!(!lean_grad, "{case}: the no-grad node has a backward");
-                    assert!(full_grad, "{case}: the training node has no backward");
+                let batches = if across_blocks {
+                    block_edges(st)
+                } else {
+                    vec![3]
+                };
+                for batch in batches {
+                    let inputs = [
+                        ("random", Tensor::randn(&[batch, n, f], 1.0, &mut rng)),
+                        ("zeros", Tensor::zeros(&[batch, n, f])),
+                        (
+                            "special",
+                            Tensor::from_vec(
+                                &[batch, n, f],
+                                special_values(batch * n * f, n as u64),
+                            ),
+                        ),
+                    ];
+                    for (label, x0) in &inputs {
+                        let case = format!("threads={threads} {st:?} batch={batch} {label}");
+                        let ((lean, lean_grad), (full, full_grad)) =
+                            stod_tensor::par::with_forced_threads(threads, || {
+                                (
+                                    eval_stage(&stage, &store, x0, true),
+                                    eval_stage(&stage, &store, x0, false),
+                                )
+                            });
+                        assert!(lean == full, "{case}: no-grad output bits differ");
+                        assert!(!lean_grad, "{case}: the no-grad node has a backward");
+                        assert!(full_grad, "{case}: the training node has no backward");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn dropout_factors_match_one_draw_at_a_time() {
+        // Rates on and off the 2⁻²⁴ grid, tiny and near one, over lengths
+        // that end inside and on a 64-draw batch.
+        let rates = [0.2, 0.5, 1e-9, 0.999_999_9, 3.0 / 16_777_216.0, 0.05];
+        for (i, &p) in rates.iter().enumerate() {
+            for len in [1, 63, 64, 65, 2144] {
+                let scale = keep_scale(p);
+                let (mut batched, mut single) = (Rng64::new(i as u64), Rng64::new(i as u64));
+                let mut got = vec![f32::NAN; len];
+                draw_factors(&mut batched, p, scale, &mut got);
+                let want: Vec<f32> = (0..len)
+                    .map(|_| if single.next_f32() < p { 0.0 } else { scale })
+                    .collect();
+                assert_eq!(bits_of(&got), bits_of(&want), "p={p} len={len}");
+                assert_eq!(batched.next_u64(), single.next_u64(), "p={p} len={len}");
+            }
+        }
+    }
+
+    fn bits_of(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -138,24 +138,23 @@ impl<'a> Lhs<'a> {
 /// computed by the same serial kernel, so the result is bitwise identical
 /// at any thread count.
 pub(crate) fn gemm(a: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let blocked = uses_blocked(m, k, n);
-    let work = if blocked { 2 } else { 1 } * m * k * n;
-    if m > 1 && par::should_parallelize(work) {
-        par::for_each_row_chunk(out, m, n, |rows, chunk| {
-            gemm_serial(blocked, a.skip_rows(rows.start), b, chunk, rows.len(), k, n);
-        });
-    } else {
-        gemm_serial(blocked, a, b, out, m, k, n);
-    }
+    gemm_piece(uses_blocked(m, k, n), false, a, b, out, m, k, n);
 }
 
-/// [`gemm`] on the calling thread, through the blocked microkernel when
-/// `blocked` (the [`uses_blocked`] verdict on the whole product, which a
-/// row chunk must not re-decide) or else the naive `i-k-j` kernel.
-pub(crate) fn gemm_serial(
+/// [`gemm`] as one piece of a larger product whose [`uses_blocked`]
+/// verdict is `blocked`: a block of its output rows, or, with `resume`,
+/// the next `k` steps of its reduction. A resumed piece continues every
+/// element's chain from the value stored in `out` by the piece over the
+/// preceding reduction steps, exactly as a KC block continues the one
+/// before it, so splitting `K` into consecutive pieces keeps every bit of
+/// the one-call product; without `resume` each chain starts at +0.0 and
+/// `out` may hold garbage. A piece must take the whole product's verdict,
+/// as a row chunk does: re-deciding it on the piece's shape could switch
+/// kernels.
+#[allow(clippy::too_many_arguments)] // a product's operands and shape
+pub(crate) fn gemm_piece(
     blocked: bool,
+    resume: bool,
     a: Lhs,
     b: &[f32],
     out: &mut [f32],
@@ -163,16 +162,47 @@ pub(crate) fn gemm_serial(
     k: usize,
     n: usize,
 ) {
-    if blocked {
-        blocked_into(a, b, out, m, k, n);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
+    let work = if blocked { 2 } else { 1 } * m * k * n;
+    if m > 1 && par::should_parallelize(work) {
+        par::for_each_row_chunk(out, m, n, |rows, chunk| {
+            let a = a.skip_rows(rows.start);
+            gemm_serial(blocked, resume, a, b, chunk, rows.len(), k, n);
+        });
     } else {
+        gemm_serial(blocked, resume, a, b, out, m, k, n);
+    }
+}
+
+/// [`gemm_piece`] on the calling thread, through the blocked microkernel
+/// when `blocked` (the [`uses_blocked`] verdict on the whole product,
+/// which a row chunk must not re-decide) or else the naive `i-k-j`
+/// kernel.
+#[allow(clippy::too_many_arguments)] // a product's operands and shape
+pub(crate) fn gemm_serial(
+    blocked: bool,
+    resume: bool,
+    a: Lhs,
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if !resume && (!blocked || k == 0) {
         out.fill(0.0);
+    }
+    if blocked {
+        blocked_into(a, b, out, m, k, n, resume);
+    } else {
         naive_into(a, b, out, m, k, n);
     }
 }
 
-/// The blocked path: every element of `out` is written by [`tile`].
-fn blocked_into(a: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// The blocked path: every element of `out` is written by [`tile`], from
+/// +0.0 or, when `resume`, from its stored value.
+fn blocked_into(a: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, resume: bool) {
     // The tiles read and write through raw pointers: check once what
     // their safety rests on.
     assert!(blocked_available(), "the blocked GEMM needs AVX2+FMA");
@@ -181,6 +211,7 @@ fn blocked_into(a: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize
     // FMA chain exactly where the previous block stored it.
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
+        let resume = resume || k0 > 0;
         for i0 in (0..m).step_by(MR) {
             let rows = MR.min(m - i0);
             let ap = a.skip_rows(i0).data[k0 * a.cs..].as_ptr();
@@ -194,9 +225,9 @@ fn blocked_into(a: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize
                 // the tile touches lie in these slices at these strides.
                 unsafe {
                     if cols == NR {
-                        tile::<false>(kc, ap, a.rs, a.cs, rows, bp, n, cols, cp, k0 > 0);
+                        tile::<false>(kc, ap, a.rs, a.cs, rows, bp, n, cols, cp, resume);
                     } else {
-                        tile::<true>(kc, ap, a.rs, a.cs, rows, bp, n, cols, cp, k0 > 0);
+                        tile::<true>(kc, ap, a.rs, a.cs, rows, bp, n, cols, cp, resume);
                     }
                 }
             }
@@ -508,8 +539,51 @@ mod tests {
             if blocked_available() {
                 for lhs in [rows, cols] {
                     let mut out = vec![f32::NAN; m * n];
-                    blocked_into(lhs, &b, &mut out, m, k, n);
+                    blocked_into(lhs, &b, &mut out, m, k, n, false);
                     assert_chains(&out, lhs, &b, (m, k, n), true);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_reduction_pieces_equal_the_one_call_product() {
+        // K cut into 1–3 consecutive pieces, each resuming the chains the
+        // one before stored, row-major and transposed, on both sides of
+        // `uses_blocked` and at every thread count.
+        for (m, k, n) in corpus() {
+            let a = arb_sparse(m * k, (m * 37 + k * 11 + n) as u64);
+            let at = transposed(&a, m, k);
+            let b = arb(k * n, (n * 13 + k) as u64);
+            let blocked = uses_blocked(m, k, n);
+            for lhs in [Lhs::rows(&a, k), Lhs::transposed(&at, m)] {
+                let mut whole = vec![f32::NAN; m * n];
+                with_forced_threads(1, || gemm(lhs, &b, &mut whole, m, k, n));
+                for pieces in 1..=k.min(3) {
+                    let cuts: Vec<usize> = (0..=pieces).map(|i| i * k / pieces).collect();
+                    for threads in [1, 2, 4, 7] {
+                        let mut out = vec![f32::NAN; m * n];
+                        with_forced_threads(threads, || {
+                            for (i, cut) in cuts.windows(2).enumerate() {
+                                let (p0, p1) = (cut[0], cut[1]);
+                                let piece = Lhs {
+                                    data: &lhs.data[p0 * lhs.cs..],
+                                    ..lhs
+                                };
+                                let bp = &b[p0 * n..p1 * n];
+                                gemm_piece(blocked, i > 0, piece, bp, &mut out, m, p1 - p0, n);
+                            }
+                        });
+                        let same = out
+                            .iter()
+                            .zip(&whole)
+                            .all(|(x, y)| x.to_bits() == y.to_bits());
+                        assert!(
+                            same,
+                            "m={m} k={k} n={n} rs={} pieces={pieces} threads={threads}",
+                            lhs.rs
+                        );
+                    }
                 }
             }
         }
@@ -559,7 +633,7 @@ mod tests {
             let a = arb(m * k, 1 + (m * 31 + n) as u64);
             let b = arb(k * n, 2 + (k * 17 + m) as u64);
             let mut out = vec![f32::NAN; m * n];
-            blocked_into(Lhs::rows(&a, k), &b, &mut out, m, k, n);
+            blocked_into(Lhs::rows(&a, k), &b, &mut out, m, k, n, false);
             for i in 0..m {
                 for j in 0..n {
                     let w: f64 = (0..k)
@@ -615,9 +689,9 @@ mod tests {
             .flat_map(|p| b_wide[p * (NR + 1)..p * (NR + 1) + NR].to_vec())
             .collect();
         let mut wide = vec![0.0f32; m * (NR + 1)];
-        blocked_into(Lhs::rows(&a, k), &b_wide, &mut wide, m, k, NR + 1);
+        blocked_into(Lhs::rows(&a, k), &b_wide, &mut wide, m, k, NR + 1, false);
         let mut narrow = vec![0.0f32; m * NR];
-        blocked_into(Lhs::rows(&a, k), &b_narrow, &mut narrow, m, k, NR);
+        blocked_into(Lhs::rows(&a, k), &b_narrow, &mut narrow, m, k, NR, false);
         for i in 0..m {
             for j in 0..NR {
                 assert_eq!(

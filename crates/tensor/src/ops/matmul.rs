@@ -67,6 +67,76 @@ fn product(lhs: Lhs, m: usize, k: usize, b: &Tensor, a: &Tensor) -> Tensor {
     Tensor::from_vec(&[m, n], out)
 }
 
+/// One logical `m×k · k×n` product computed in pieces, for callers that
+/// stream its operands through cache one block at a time: a block of
+/// output rows ([`Product::rows`]), or the next rows of the reduction of
+/// a transposed-lhs product ([`Product::tn_piece`]). It is booked as one
+/// `matmul` call of `m·n` elements when created, and every piece takes
+/// the whole product's path verdict, so each element has the bits of the
+/// one-call [`matmul`] or [`matmul_tn`].
+#[derive(Clone, Copy, Debug)]
+pub struct Product {
+    m: usize,
+    k: usize,
+    n: usize,
+    blocked: bool,
+}
+
+impl Product {
+    /// Books the product `m×k · k×n` and fixes its path.
+    pub fn new(m: usize, k: usize, n: usize) -> Product {
+        if stod_obs::armed() {
+            stod_obs::count("kernel/matmul/calls", 1);
+            stod_obs::count("kernel/matmul/elements", (m * n) as u64);
+        }
+        Product {
+            m,
+            k,
+            n,
+            blocked: gemm::uses_blocked(m, k, n),
+        }
+    }
+
+    /// A block of output rows of `a·b`: `a` holds those rows of the
+    /// row-major left operand (`r×k`), `b` is the whole row-major `k×n`
+    /// right operand and `out` the block's `r×n` rows, overwritten.
+    ///
+    /// # Panics
+    /// Panics if the extents disagree with the product's shape.
+    pub fn rows(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        let r = out.len() / n.max(1);
+        assert!(
+            out.len() == r * n && a.len() == r * k && b.len() == k * n && r <= self.m,
+            "Product::rows: extents do not fit a {}×{k}·{k}×{n} product",
+            self.m
+        );
+        gemm::gemm_piece(self.blocked, false, Lhs::rows(a, k), b, out, r, k, n);
+    }
+
+    /// The next piece of the reduction of `aᵀ·b` for `a (k×m)` and
+    /// `b (k×n)`: `a` and `b` hold the piece's consecutive rows of both
+    /// (`kp×m`, `kp×n`) and `out` the whole `m×n` product. The first
+    /// piece (`resume` false) starts every chain at +0.0; each later one
+    /// continues the chains from the values `out` holds, so pieces over
+    /// consecutive rows, in order, give the bits of one [`matmul_tn`].
+    ///
+    /// # Panics
+    /// Panics if the extents disagree with the product's shape.
+    pub fn tn_piece(&self, a: &[f32], b: &[f32], out: &mut [f32], resume: bool) {
+        let (m, n) = (self.m, self.n);
+        let kp = b.len() / n.max(1);
+        assert!(
+            b.len() == kp * n && a.len() == kp * m && out.len() == m * n && kp <= self.k,
+            "Product::tn_piece: extents do not fit a {m}×{}·{}×{n} product",
+            self.k,
+            self.k
+        );
+        let lhs = Lhs::transposed(a, m);
+        gemm::gemm_piece(self.blocked, resume, lhs, b, out, m, kp, n);
+    }
+}
+
 /// Matrix–vector product `a (m×k) · x (k) → (m)`.
 ///
 /// # Panics
@@ -161,7 +231,7 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let item = |t: usize, out: &mut [f32]| {
         let a_t = Lhs::rows(&a.data()[t * a_step..t * a_step + m * k], k);
         let b_t = &b.data()[t * b_step..t * b_step + k * n];
-        gemm::gemm_serial(blocked, a_t, b_t, out, m, k, n);
+        gemm::gemm_serial(blocked, false, a_t, b_t, out, m, k, n);
     };
     if batch == 1 {
         // A single item: the row-parallel 2-D path covers it.
@@ -216,6 +286,29 @@ mod tests {
     #[should_panic(expected = "inner dims mismatch")]
     fn matmul_dim_mismatch() {
         matmul(&Tensor::zeros(&[2, 3]), &Tensor::zeros(&[2, 3]));
+    }
+
+    #[test]
+    fn product_pieces_are_bitwise_the_one_call_products() {
+        // A tall, skinny stage product cut into row blocks of 7 rows, the
+        // last block short and below the blocked path's row floor.
+        let (rows, k, n) = (7 * 9 + 3, 28, 32);
+        let mut rng = crate::rng::Rng64::new(3);
+        let z = Tensor::randn(&[rows, k], 1.0, &mut rng);
+        let w = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let dy = Tensor::randn(&[rows, n], 1.0, &mut rng);
+        let (fwd, dw) = (Product::new(rows, k, n), Product::new(k, rows, n));
+        let mut y = vec![f32::NAN; rows * n];
+        let mut g = vec![f32::NAN; k * n];
+        for (i, r0) in (0..rows).step_by(7).enumerate() {
+            let r1 = (r0 + 7).min(rows);
+            let zb = &z.data()[r0 * k..r1 * k];
+            fwd.rows(zb, w.data(), &mut y[r0 * n..r1 * n]);
+            dw.tn_piece(zb, &dy.data()[r0 * n..r1 * n], &mut g, i > 0);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(matmul(&z, &w).data()));
+        assert_eq!(bits(&g), bits(matmul_tn(&z, &dy).data()));
     }
 
     #[test]

@@ -150,52 +150,22 @@ impl OdDataset {
             },
         );
         // Deterministic parallel sampling: every interval draws from its
-        // own RNG stream forked from the master seed, so the result is
-        // identical regardless of thread count or scheduling.
+        // own RNG stream forked from the master seed, and `par::map`
+        // returns the intervals in order, so the result is identical at
+        // any thread count.
         let mut master = Rng64::new(cfg.seed ^ 0xDA7A);
         let seeds: Vec<u64> = (0..total)
             .map(|t| master.fork(t as u64).next_u64())
             .collect();
         let n = city.num_regions();
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
-        let chunk = total.div_ceil(threads).max(1);
-        let results: Vec<Vec<(OdTensor, Vec<crate::trip::Trip>)>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (ci, seed_chunk) in seeds.chunks(chunk).enumerate() {
-                let city = &city;
-                let field = &field;
-                let demand = &demand;
-                let hist = cfg.hist;
-                handles.push(scope.spawn(move || {
-                    let base = ci * chunk;
-                    seed_chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(off, &seed)| {
-                            let t = base + off;
-                            let mut rng = Rng64::new(seed);
-                            let trips = demand.sample_interval(city, field, t, &mut rng);
-                            (OdTensor::from_trips(n, &hist, &trips), trips)
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("generation worker"))
-                .collect()
-        });
-        let mut tensors = Vec::with_capacity(total);
-        let mut trips = Vec::with_capacity(total);
-        for block in results {
-            for (tensor, interval_trips) in block {
-                tensors.push(tensor);
-                trips.push(interval_trips);
-            }
-        }
+        let (tensors, trips): (Vec<OdTensor>, Vec<Vec<crate::trip::Trip>>) =
+            stod_tensor::par::map(total, |t| {
+                let mut rng = Rng64::new(seeds[t]);
+                let trips = demand.sample_interval(&city, &field, t, &mut rng);
+                (OdTensor::from_trips(n, &cfg.hist, &trips), trips)
+            })
+            .into_iter()
+            .unzip();
         (
             OdDataset {
                 city,
@@ -340,6 +310,37 @@ mod tests {
         for (x, y) in a.tensors.iter().zip(b.tensors.iter()) {
             assert_eq!(x.data.data(), y.data.data());
         }
+    }
+
+    #[test]
+    fn generation_is_bitwise_identical_at_one_and_four_threads() {
+        let cfg = SimConfig {
+            num_days: 2,
+            intervals_per_day: 12,
+            trips_per_interval: 60.0,
+            ..SimConfig::small(5)
+        };
+        let [(a, a_trips), (b, b_trips)] = [1, 4].map(|threads| {
+            stod_tensor::par::with_forced_threads(threads, || {
+                OdDataset::generate_with_trips(CityModel::small(6), &cfg)
+            })
+        });
+        let bits =
+            |t: &stod_tensor::Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.num_intervals(), b.num_intervals());
+        for (x, y) in a.tensors.iter().zip(&b.tensors) {
+            assert_eq!(bits(&x.data), bits(&y.data));
+            assert_eq!(bits(&x.mask), bits(&y.mask));
+        }
+        let trip_bits = |trips: &[Vec<crate::trip::Trip>]| -> Vec<_> {
+            let fields = |p: &crate::trip::Trip| {
+                let (l, v) = (p.distance_km.to_bits(), p.speed_ms.to_bits());
+                (p.origin, p.dest, p.interval, l, v)
+            };
+            trips.iter().flatten().map(fields).collect()
+        };
+        assert_eq!(a_trips.len(), b_trips.len());
+        assert_eq!(trip_bits(&a_trips), trip_bits(&b_trips));
     }
 
     #[test]

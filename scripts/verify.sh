@@ -19,8 +19,9 @@
 # runs three unit suites, which live outside the root package: the
 # fused tape ops' bitwise suites (`cargo test -p stod-nn --lib
 # layers::cheby`: `cheby_conv` and `cheby_pool` against their composed
-# oracles, forward bits and every gradient, and the no-grad `cheby_pool`
-# against the training tape's eval output, at 1 and 4 threads), the
+# oracles, forward bits and every gradient, across block boundaries, and
+# the no-grad `cheby_pool` against the training tape's eval output, at 1
+# and 4 threads, in a debug and then a release build), the
 # tape's own tests (`cargo test -p stod-nn --lib tape`: among them the
 # no-grad mode's constant leaves, pruned backward state and panicking
 # backward), and the GEMM kernel's (`cargo test -p stod-tensor --lib --
@@ -172,8 +173,13 @@ stage_tier1() {
   echo "==> tier-1 tests, STOD_THREADS=4 (parallel pool)"
   STOD_THREADS=4 cargo test -q
   # The suites force 1 and 4 threads themselves, so one run covers both.
+  # They run in debug and again in release: code generation differs
+  # between the two (a release build once kept f32::max's -0.0 at one
+  # pooling width, and the pooling scans vectorize only in release).
   echo "==> fused-op bitwise suites (stod-nn layers::cheby)"
   cargo test -q -p stod-nn --lib layers::cheby
+  echo "==> fused-op bitwise suites, release build"
+  cargo test -q --release -p stod-nn --lib layers::cheby
   for t in 1 4; do
     echo "==> tape unit tests (stod-nn tape), STOD_THREADS=$t"
     STOD_THREADS="$t" cargo test -q -p stod-nn --lib tape

@@ -21,7 +21,8 @@
 //!
 //! Every test arms the registry through `obs::with_mode`, which
 //! serializes armed windows process-wide, so the counters each test reads
-//! are its own.
+//! are its own. Dataset generation fans out on the kernel pool, which
+//! counts its fan-outs, so it runs disarmed under the same lock.
 
 use od_forecast::baselines::NaiveHistograms;
 use od_forecast::core::{
@@ -48,7 +49,10 @@ fn small_dataset(seed: u64) -> OdDataset {
         trips_per_interval: 100.0,
         ..SimConfig::small(seed)
     };
-    OdDataset::generate(CityModel::small(N), &sim)
+    // Disarmed, and never inside another test's armed window.
+    obs::with_mode(ObsMode::Off, || {
+        OdDataset::generate(CityModel::small(N), &sim)
+    })
 }
 
 /// The two trainable frameworks, at the small shapes this suite uses.
